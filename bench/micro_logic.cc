@@ -1,13 +1,16 @@
 // google-benchmark micro-benchmarks for the logic substrate and the
 // EM-adjacent kernels: Eq. 15 projection, forward-backward sequence
-// projection, q_a computation and the confusion update.
+// projection, q_a computation, the chain smoother and the confusion update.
 #include <benchmark/benchmark.h>
+
+#include <utility>
 
 #include "core/ner_rules.h"
 #include "core/trainer.h"
 #include "crowd/confusion.h"
 #include "logic/posterior_reg.h"
 #include "logic/sequence_rules.h"
+#include "util/chain.h"
 #include "util/rng.h"
 
 namespace lncl {
@@ -66,12 +69,35 @@ void BM_ComputeQa(benchmark::State& state) {
     for (int t = 0; t < t_len; ++t) e.labels.push_back(rng.UniformInt(9));
     ann.entries.push_back(std::move(e));
   }
+  const std::vector<util::Matrix> log_pi = crowd::LogConfusions(confusions);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ComputeQa(probs, ann, confusions));
+    benchmark::DoNotOptimize(core::ComputeQa(probs, ann, log_pi));
   }
   state.SetItemsProcessed(state.iterations() * t_len * annotators);
 }
 BENCHMARK(BM_ComputeQa)->Arg(1)->Arg(5)->Arg(20);
+
+// The exact chain smoother behind HMM-Crowd, BSC-seq and CrfTagger: K = 9
+// (the NER BIO tag set), gamma plus the summed pairwise posteriors.
+void BM_ChainForwardBackward(benchmark::State& state) {
+  util::Rng rng(5);
+  const int t_len = static_cast<int>(state.range(0));
+  const int k = 9;
+  const util::Matrix prior_row = RandomDistributions(1, k, &rng);
+  const util::Vector prior(prior_row.data(), prior_row.data() + k);
+  const util::Matrix transition = RandomDistributions(k, k, &rng);
+  const util::Matrix emission = RandomDistributions(t_len, k, &rng);
+  util::Matrix gamma;
+  util::Matrix xi_sum(k, k);
+  for (auto _ : state) {
+    util::ChainForwardBackward(prior, transition, emission, &gamma, &xi_sum);
+    benchmark::DoNotOptimize(std::as_const(gamma).data());
+    benchmark::DoNotOptimize(std::as_const(xi_sum).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * t_len);
+}
+BENCHMARK(BM_ChainForwardBackward)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_UpdateConfusions(benchmark::State& state) {
   util::Rng rng(4);

@@ -20,8 +20,10 @@
 #                      in audit_test
 #   address,undefined  ASan + UBSan
 #   thread             TSan (exercises the deterministic parallel training
-#                      paths in determinism_test / util_test with real data
-#                      races flagged, not just bit-identity checked)
+#                      paths in determinism_test / util_test and the
+#                      per-thread chain-smoother buffers in inference_test
+#                      with real data races flagged, not just bit-identity
+#                      checked)
 #
 # Sanitizer sweeps finish with an explicit run of the batched-prediction
 # equivalence + determinism tests so the PredictBatch bit-identity contract

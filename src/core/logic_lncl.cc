@@ -201,11 +201,9 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
       const double k = config_.k_schedule(epoch);
       const bool project =
           projector_ != nullptr && config_.use_rules_in_training && k > 0.0;
-      // Hoisted likelihood logs (once per annotator per epoch rather than
-      // once per labeled instance; same float values as the in-line logs).
-      const std::vector<util::Matrix> log_pi =
-          config_.batch_predict ? LogConfusions(confusions_)
-                                : std::vector<util::Matrix>();
+      // Hoisted likelihood logs: once per annotator per epoch rather than
+      // once per labeled instance.
+      const std::vector<util::Matrix> log_pi = LogConfusions(confusions_);
       std::vector<ProjectionStats> slot_stats(util::Parallelizer::kSlots);
       {
         obs::PhaseSpan span("e_step", &result.phase_seconds.e_step);
@@ -260,7 +258,7 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
             const data::Instance& x = train.instances[i];
             const util::Matrix probs = model_->Predict(x);
             util::Matrix qa =
-                ComputeQa(probs, annotations.instance(i), confusions_);
+                ComputeQa(probs, annotations.instance(i), log_pi);
             if (project) {
               const util::Matrix qb = projector_->Project(x, qa, config_.C);
               if (observe) slot_stats[slot].Accumulate(qa, qb);

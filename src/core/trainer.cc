@@ -120,57 +120,6 @@ double RunMinibatchEpochSharded(const data::Dataset& dataset,
 
 util::Matrix ComputeQa(const util::Matrix& probs,
                        const crowd::InstanceAnnotations& annotations,
-                       const crowd::ConfusionSet& confusions) {
-  const int items = probs.rows();
-  const int k = probs.cols();
-  util::Matrix qa(items, k);
-  for (int t = 0; t < items; ++t) {
-    util::Vector lp(k);
-    for (int m = 0; m < k; ++m) {
-      lp[m] = static_cast<float>(
-          std::log(std::max(static_cast<double>(probs(t, m)), 1e-300)));
-    }
-    for (const crowd::AnnotatorLabels& e : annotations.entries) {
-      const int y = e.labels[t];
-      const crowd::ConfusionMatrix& pi = confusions[e.annotator];
-      for (int m = 0; m < k; ++m) {
-        lp[m] += static_cast<float>(
-            std::log(std::max(static_cast<double>(pi(m, y)), 1e-300)));
-      }
-    }
-    float mx = lp[0];
-    for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-    double sum = 0.0;
-    for (int m = 0; m < k; ++m) {
-      qa(t, m) = std::exp(lp[m] - mx);
-      sum += qa(t, m);
-    }
-    const float inv = static_cast<float>(1.0 / sum);
-    for (int m = 0; m < k; ++m) qa(t, m) *= inv;
-  }
-  // Eq. 13: the truth posterior is a distribution per item.
-  LNCL_AUDIT_SIMPLEX(qa);
-  return qa;
-}
-
-std::vector<util::Matrix> LogConfusions(const crowd::ConfusionSet& confusions) {
-  std::vector<util::Matrix> logs(confusions.size());
-  for (size_t a = 0; a < confusions.size(); ++a) {
-    const crowd::ConfusionMatrix& pi = confusions[a];
-    const int k = pi.num_classes();
-    logs[a].ResizeNoZero(k, k);
-    for (int m = 0; m < k; ++m) {
-      for (int y = 0; y < k; ++y) {
-        logs[a](m, y) = static_cast<float>(
-            std::log(std::max(static_cast<double>(pi(m, y)), 1e-300)));
-      }
-    }
-  }
-  return logs;
-}
-
-util::Matrix ComputeQa(const util::Matrix& probs,
-                       const crowd::InstanceAnnotations& annotations,
                        const std::vector<util::Matrix>& log_confusions) {
   const int items = probs.rows();
   const int k = probs.cols();

@@ -54,21 +54,15 @@ double RunMinibatchEpochSharded(const data::Dataset& dataset,
                                 nn::Optimizer* optimizer, util::Rng* rng,
                                 util::Parallelizer* exec);
 
+// The per-annotator likelihood-log tables ComputeQa reads (built once per
+// E-step; shared with the stand-alone aggregators).
+using crowd::LogConfusions;
+
 // Truth posterior of one instance given the classifier prior `probs`
 // (items x K) and the crowd labels, under the confusion-matrix likelihood —
-// Eq. 13 / Eq. A.2, computed in log space per item.
-util::Matrix ComputeQa(const util::Matrix& probs,
-                       const crowd::InstanceAnnotations& annotations,
-                       const crowd::ConfusionSet& confusions);
-
-// Per-annotator K x K tables log_pi[a](m, y) = float(log(max(pi_a(m, y),
-// 1e-300))) — the likelihood logs ComputeQa needs, hoisted so an E-step
-// evaluates each annotator's logs once instead of once per labeled instance.
-std::vector<util::Matrix> LogConfusions(const crowd::ConfusionSet& confusions);
-
-// ComputeQa against precomputed LogConfusions tables. Bit-identical to the
-// overload above: the tables hold the very float values that overload adds,
-// so the accumulation sequence is unchanged.
+// Eq. 13 / Eq. A.2, computed in log space per item. `log_confusions` is
+// LogConfusions(confusions), so each annotator's logs are taken once per
+// E-step rather than once per labeled instance.
 util::Matrix ComputeQa(const util::Matrix& probs,
                        const crowd::InstanceAnnotations& annotations,
                        const std::vector<util::Matrix>& log_confusions);

@@ -1,5 +1,6 @@
 #include "crowd/confusion.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -73,6 +74,21 @@ ConfusionSet EmpiricalConfusions(const AnnotationSet& annotations,
   }
   for (auto& cm : result) cm.NormalizeRows(1e-9);
   return result;
+}
+
+std::vector<util::Matrix> LogConfusions(const ConfusionSet& confusions) {
+  std::vector<util::Matrix> logs(confusions.size());
+  for (size_t a = 0; a < confusions.size(); ++a) {
+    const util::Matrix& pi = confusions[a].matrix();
+    logs[a].ResizeNoZero(pi.rows(), pi.cols());
+    const float* src = pi.data();
+    float* dst = logs[a].data();
+    for (size_t i = 0; i < pi.size(); ++i) {
+      dst[i] = static_cast<float>(
+          std::log(std::max(static_cast<double>(src[i]), 1e-300)));
+    }
+  }
+  return logs;
 }
 
 }  // namespace lncl::crowd

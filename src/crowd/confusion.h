@@ -43,6 +43,13 @@ class ConfusionMatrix {
 
 using ConfusionSet = std::vector<ConfusionMatrix>;
 
+// Per-annotator K x K tables log_pi[a](m, y) = float(log(max(pi_a(m, y),
+// 1e-300))): the likelihood logs of Eq. 13 and of every confusion-matrix
+// aggregator's E-step. Built once per EM iteration, after the M-step, so the
+// E-step adds table entries instead of taking one log per (item, label,
+// class); the entries are the very floats the in-line logs produced.
+std::vector<util::Matrix> LogConfusions(const ConfusionSet& confusions);
+
 // Empirical confusion matrices computed from crowd labels against ground
 // truth (item granularity). Annotators with no labels get uniform rows.
 ConfusionSet EmpiricalConfusions(const AnnotationSet& annotations,

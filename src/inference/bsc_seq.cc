@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "crowd/confusion.h"
-#include "inference/chain.h"
+#include "util/chain.h"
 
 namespace lncl::inference {
 
@@ -30,14 +30,16 @@ std::vector<util::Matrix> BscSeq::Infer(
 
   util::Vector prior(k, 1.0f / k);
   util::Matrix transition(k, k, 1.0f / k);
-  // Context-conditioned confusions: [annotator][context] -> K x K.
-  using ContextPis = std::array<crowd::ConfusionMatrix, 2>;
-  std::vector<ContextPis> pis(
-      num_annotators,
-      {crowd::ConfusionMatrix(k, 0.7), crowd::ConfusionMatrix(k, 0.7)});
+  // Context-conditioned confusions: [context][annotator] -> K x K.
+  std::array<crowd::ConfusionSet, 2> pis;
+  for (crowd::ConfusionSet& set : pis) {
+    set.assign(num_annotators, crowd::ConfusionMatrix(k, 0.7));
+  }
 
   util::Matrix emission;
+  util::Matrix new_gamma;
   util::Matrix xi_sum(k, k);
+  util::Vector lp(k);
   bool have_xi = false;
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- M-step. ----
@@ -45,28 +47,33 @@ std::vector<util::Matrix> BscSeq::Infer(
     util::Matrix trans_counts(k, k,
                               static_cast<float>(options_.transition_pseudo));
     if (have_xi) trans_counts.AddScaled(xi_sum, 1.0f);
-    for (auto& cp : pis) {
-      for (auto& pi : cp) pi.matrix().Zero();
+    float* const tc = trans_counts.data();
+    for (crowd::ConfusionSet& set : pis) {
+      for (auto& pi : set) pi.matrix().Zero();
     }
     for (int i = 0; i < num_instances; ++i) {
       const util::Matrix& g = gamma[i];
       if (g.rows() == 0) continue;
-      for (int m = 0; m < k; ++m) prior_counts[m] += g(0, m);
+      const float* const gd = g.data();
+      for (int m = 0; m < k; ++m) prior_counts[m] += gd[m];
       if (!have_xi) {
         for (int t = 0; t + 1 < g.rows(); ++t) {
+          const float* g0 = gd + t * k;
+          const float* g1 = g0 + k;
           for (int a = 0; a < k; ++a) {
-            for (int b = 0; b < k; ++b) {
-              trans_counts(a, b) += g(t, a) * g(t + 1, b);
-            }
+            for (int b = 0; b < k; ++b) tc[a * k + b] += g0[a] * g1[b];
           }
         }
       }
       for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
+        float* const counts[2] = {pis[0][e.annotator].matrix().data(),
+                                  pis[1][e.annotator].matrix().data()};
         for (size_t t = 0; t < e.labels.size(); ++t) {
-          const int c = Context(e.labels, t);
-          for (int m = 0; m < k; ++m) {
-            pis[e.annotator][c](m, e.labels[t]) += g(static_cast<int>(t), m);
-          }
+          float* const cnt = counts[Context(e.labels, t)];
+          const float* gt = gd + t * k;
+          const int y = e.labels[t];
+          LNCL_DCHECK(y >= 0 && y < k);
+          for (int m = 0; m < k; ++m) cnt[m * k + y] += gt[m];
         }
       }
     }
@@ -76,19 +83,24 @@ std::vector<util::Matrix> BscSeq::Infer(
       prior[m] = static_cast<float>(prior_counts[m] / prior_total);
     }
     for (int a = 0; a < k; ++a) {
+      const float* tc_a = tc + a * k;
+      float* tr_a = transition.Row(a);
       double row_total = 0.0;
-      for (int b = 0; b < k; ++b) row_total += trans_counts(a, b);
+      for (int b = 0; b < k; ++b) row_total += tc_a[b];
       for (int b = 0; b < k; ++b) {
-        transition(a, b) = static_cast<float>(trans_counts(a, b) / row_total);
+        tr_a[b] = static_cast<float>(tc_a[b] / row_total);
       }
     }
-    for (auto& cp : pis) {
-      for (auto& pi : cp) {
+    std::array<std::vector<util::Matrix>, 2> log_pis;
+    for (int c = 0; c < 2; ++c) {
+      for (auto& pi : pis[c]) {
+        float* const cnt = pi.matrix().data();
         for (int m = 0; m < k; ++m) {
-          pi(m, m) += static_cast<float>(options_.diag_pseudo);
+          cnt[m * k + m] += static_cast<float>(options_.diag_pseudo);
         }
         pi.NormalizeRows(options_.confusion_pseudo);
       }
+      log_pis[c] = crowd::LogConfusions(pis[c]);
     }
 
     // ---- E-step. ----
@@ -98,31 +110,31 @@ std::vector<util::Matrix> BscSeq::Infer(
     have_xi = true;
     for (int i = 0; i < num_instances; ++i) {
       const int t_len = items_per_instance[i];
-      emission.Resize(t_len, k);
+      const std::vector<crowd::AnnotatorLabels>& entries =
+          annotations.instance(i).entries;
+      emission.ResizeNoZero(t_len, k);
+      float* const em = emission.data();
       for (int t = 0; t < t_len; ++t) {
-        util::Vector lp(k, 0.0f);
-        for (const crowd::AnnotatorLabels& e :
-             annotations.instance(i).entries) {
+        std::fill(lp.begin(), lp.end(), 0.0f);
+        for (const crowd::AnnotatorLabels& e : entries) {
           const int c = Context(e.labels, static_cast<size_t>(t));
+          const float* log_pi = log_pis[c][e.annotator].data();
           const int y = e.labels[t];
-          for (int m = 0; m < k; ++m) {
-            lp[m] += static_cast<float>(std::log(std::max(
-                static_cast<double>(pis[e.annotator][c](m, y)), 1e-300)));
-          }
+          for (int m = 0; m < k; ++m) lp[m] += log_pi[m * k + y];
         }
         float mx = lp[0];
         for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-        for (int m = 0; m < k; ++m) emission(t, m) = std::exp(lp[m] - mx);
+        for (int m = 0; m < k; ++m) em[t * k + m] = std::exp(lp[m] - mx);
       }
-      util::Matrix new_gamma;
-      ChainForwardBackward(prior, transition, emission, &new_gamma, &xi_sum);
-      for (int t = 0; t < t_len; ++t) {
-        for (int m = 0; m < k; ++m) {
-          delta += std::fabs(new_gamma(t, m) - gamma[i](t, m));
-        }
-        ++items;
+      util::ChainForwardBackward(prior, transition, emission, &new_gamma,
+                                 &xi_sum);
+      const float* const ng = new_gamma.data();
+      float* const g = gamma[i].data();
+      for (int idx = 0; idx < t_len * k; ++idx) {
+        delta += std::fabs(ng[idx] - g[idx]);
+        g[idx] = ng[idx];
       }
-      gamma[i] = std::move(new_gamma);
+      items += t_len;
     }
     if (items > 0 && delta / static_cast<double>(items * k) < options_.tol) {
       break;

@@ -35,22 +35,32 @@ std::vector<util::Vector> DawidSkene::Run(
   std::vector<util::Vector> q = MvInit(view);
 
   crowd::ConfusionSet pis(view.num_annotators, crowd::ConfusionMatrix(k, 0.7));
+  // pis[j]'s storage, taken once per M-step rather than per count added.
+  std::vector<float*> counts(view.num_annotators);
   std::vector<double> prior(k, 1.0 / k);
+  util::Vector log_prior(k);
+  util::Vector lp(k);
 
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- M-step: confusions + prior from current posteriors. ----
-    for (auto& pi : pis) pi.matrix().Zero();
+    for (size_t j = 0; j < pis.size(); ++j) {
+      pis[j].matrix().Zero();
+      counts[j] = pis[j].matrix().data();
+    }
     std::vector<double> class_counts(k, options_.smoothing);
     for (size_t i = 0; i < view.items.size(); ++i) {
-      for (int m = 0; m < k; ++m) class_counts[m] += q[i][m];
+      const float* qi = q[i].data();
+      for (int m = 0; m < k; ++m) class_counts[m] += qi[m];
       for (const auto& [j, y] : view.items[i].labels) {
-        for (int m = 0; m < k; ++m) pis[j](m, y) += q[i][m];
+        LNCL_DCHECK(y >= 0 && y < k);
+        float* c = counts[j];
+        for (int m = 0; m < k; ++m) c[m * k + y] += qi[m];
       }
     }
     if (diag_pseudo > 0.0) {
-      for (auto& pi : pis) {
+      for (float* c : counts) {
         for (int m = 0; m < k; ++m) {
-          pi(m, m) += static_cast<float>(diag_pseudo);
+          c[m * k + m] += static_cast<float>(diag_pseudo);
         }
       }
     }
@@ -58,33 +68,32 @@ std::vector<util::Vector> DawidSkene::Run(
     double prior_total = 0.0;
     for (double c : class_counts) prior_total += c;
     for (int m = 0; m < k; ++m) prior[m] = class_counts[m] / prior_total;
+    const std::vector<util::Matrix> log_pis = crowd::LogConfusions(pis);
+    for (int m = 0; m < k; ++m) {
+      log_prior[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
+    }
 
     // ---- E-step: posteriors from confusions (log space). ----
     double delta = 0.0;
     for (size_t i = 0; i < view.items.size(); ++i) {
-      util::Vector lp(k);
-      for (int m = 0; m < k; ++m) {
-        lp[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
-      }
+      lp = log_prior;
       for (const auto& [j, y] : view.items[i].labels) {
-        for (int m = 0; m < k; ++m) {
-          lp[m] += static_cast<float>(
-              std::log(std::max(static_cast<double>(pis[j](m, y)), 1e-300)));
-        }
+        const float* log_pi = log_pis[j].data();
+        for (int m = 0; m < k; ++m) lp[m] += log_pi[m * k + y];
       }
       float mx = lp[0];
       for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
       double sum = 0.0;
-      util::Vector nq(k);
       for (int m = 0; m < k; ++m) {
-        nq[m] = std::exp(lp[m] - mx);
-        sum += nq[m];
+        lp[m] = std::exp(lp[m] - mx);
+        sum += lp[m];
       }
+      float* qi = q[i].data();
       for (int m = 0; m < k; ++m) {
-        nq[m] = static_cast<float>(nq[m] / sum);
-        delta += std::fabs(nq[m] - q[i][m]);
+        const float v = static_cast<float>(lp[m] / sum);
+        delta += std::fabs(v - qi[m]);
+        qi[m] = v;
       }
-      q[i] = nq;
     }
     delta /= static_cast<double>(view.items.size() * k);
     if (delta < options_.tol) break;

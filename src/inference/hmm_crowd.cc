@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "crowd/confusion.h"
-#include "inference/chain.h"
+#include "util/chain.h"
 
 namespace lncl::inference {
 
@@ -24,35 +24,41 @@ std::vector<util::Matrix> HmmCrowd::Infer(
   crowd::ConfusionSet pis(num_annotators, crowd::ConfusionMatrix(k, 0.7));
 
   util::Matrix emission;
+  util::Matrix new_gamma;
   util::Matrix xi_sum(k, k);
+  util::Vector lp(k);
   bool have_xi = false;
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- M-step from current marginals. ----
     util::Vector prior_counts(k, static_cast<float>(options_.smoothing));
     util::Matrix trans_counts(k, k, static_cast<float>(options_.smoothing));
     if (have_xi) trans_counts.AddScaled(xi_sum, 1.0f);
+    float* const tc = trans_counts.data();
     for (auto& pi : pis) pi.matrix().Zero();
     for (int i = 0; i < num_instances; ++i) {
       const util::Matrix& g = gamma[i];
       if (g.rows() == 0) continue;
-      for (int m = 0; m < k; ++m) prior_counts[m] += g(0, m);
+      const float* const gd = g.data();
+      for (int m = 0; m < k; ++m) prior_counts[m] += gd[m];
       // On the first iteration no exact pairwise posteriors exist yet, so
       // approximate transition counts with products of adjacent marginals;
       // later iterations use the xi counts from ChainForwardBackward.
       if (!have_xi) {
         for (int t = 0; t + 1 < g.rows(); ++t) {
+          const float* g0 = gd + t * k;
+          const float* g1 = g0 + k;
           for (int a = 0; a < k; ++a) {
-            for (int b = 0; b < k; ++b) {
-              trans_counts(a, b) += g(t, a) * g(t + 1, b);
-            }
+            for (int b = 0; b < k; ++b) tc[a * k + b] += g0[a] * g1[b];
           }
         }
       }
       for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
+        float* const c = pis[e.annotator].matrix().data();
         for (size_t t = 0; t < e.labels.size(); ++t) {
-          for (int m = 0; m < k; ++m) {
-            pis[e.annotator](m, e.labels[t]) += g(static_cast<int>(t), m);
-          }
+          const float* gt = gd + t * k;
+          const int y = e.labels[t];
+          LNCL_DCHECK(y >= 0 && y < k);
+          for (int m = 0; m < k; ++m) c[m * k + y] += gt[m];
         }
       }
     }
@@ -62,13 +68,16 @@ std::vector<util::Matrix> HmmCrowd::Infer(
       prior[m] = static_cast<float>(prior_counts[m] / prior_total);
     }
     for (int a = 0; a < k; ++a) {
+      const float* tc_a = tc + a * k;
+      float* tr_a = transition.Row(a);
       double row_total = 0.0;
-      for (int b = 0; b < k; ++b) row_total += trans_counts(a, b);
+      for (int b = 0; b < k; ++b) row_total += tc_a[b];
       for (int b = 0; b < k; ++b) {
-        transition(a, b) = static_cast<float>(trans_counts(a, b) / row_total);
+        tr_a[b] = static_cast<float>(tc_a[b] / row_total);
       }
     }
     for (auto& pi : pis) pi.NormalizeRows(options_.smoothing);
+    const std::vector<util::Matrix> log_pis = crowd::LogConfusions(pis);
 
     // ---- E-step: exact smoothing per sentence. ----
     double delta = 0.0;
@@ -77,33 +86,31 @@ std::vector<util::Matrix> HmmCrowd::Infer(
     have_xi = true;
     for (int i = 0; i < num_instances; ++i) {
       const int t_len = items_per_instance[i];
-      emission.Resize(t_len, k);
+      const std::vector<crowd::AnnotatorLabels>& entries =
+          annotations.instance(i).entries;
+      emission.ResizeNoZero(t_len, k);
+      float* const em = emission.data();
       // Log-space emission accumulation, exponentiated with per-row shift.
       for (int t = 0; t < t_len; ++t) {
-        util::Vector lp(k, 0.0f);
-        for (const crowd::AnnotatorLabels& e :
-             annotations.instance(i).entries) {
+        std::fill(lp.begin(), lp.end(), 0.0f);
+        for (const crowd::AnnotatorLabels& e : entries) {
+          const float* log_pi = log_pis[e.annotator].data();
           const int y = e.labels[t];
-          for (int m = 0; m < k; ++m) {
-            lp[m] += static_cast<float>(std::log(
-                std::max(static_cast<double>(pis[e.annotator](m, y)), 1e-300)));
-          }
+          for (int m = 0; m < k; ++m) lp[m] += log_pi[m * k + y];
         }
         float mx = lp[0];
         for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-        for (int m = 0; m < k; ++m) {
-          emission(t, m) = std::exp(lp[m] - mx);
-        }
+        for (int m = 0; m < k; ++m) em[t * k + m] = std::exp(lp[m] - mx);
       }
-      util::Matrix new_gamma;
-      ChainForwardBackward(prior, transition, emission, &new_gamma, &xi_sum);
-      for (int t = 0; t < t_len; ++t) {
-        for (int m = 0; m < k; ++m) {
-          delta += std::fabs(new_gamma(t, m) - gamma[i](t, m));
-        }
-        ++items;
+      util::ChainForwardBackward(prior, transition, emission, &new_gamma,
+                                 &xi_sum);
+      const float* const ng = new_gamma.data();
+      float* const g = gamma[i].data();
+      for (int idx = 0; idx < t_len * k; ++idx) {
+        delta += std::fabs(ng[idx] - g[idx]);
+        g[idx] = ng[idx];
       }
-      gamma[i] = std::move(new_gamma);
+      items += t_len;
     }
     if (items > 0 && delta / static_cast<double>(items * k) < options_.tol) {
       break;

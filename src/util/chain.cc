@@ -7,6 +7,23 @@
 
 namespace lncl::util {
 
+namespace {
+
+// The smoother's scratch: alpha and beta messages (T x K, row-major) and
+// one K (gamma) or K x K (xi) row. It only grows, so once a thread has seen
+// its longest chain a call does no heap work. Per thread because the CRF
+// tagger runs the smoother from the parallel E-step.
+struct ChainScratch {
+  std::vector<double> alpha;
+  std::vector<double> beta;
+  std::vector<double> row;
+};
+
+void Grow(std::vector<double>* v, size_t n) {
+  if (v->size() < n) v->resize(n);
+}
+
+}  // namespace
 
 void ChainForwardBackward(const Vector& prior,
                           const Matrix& transition,
@@ -16,70 +33,88 @@ void ChainForwardBackward(const Vector& prior,
   const int k = emission.cols();
   LNCL_DCHECK(static_cast<int>(prior.size()) == k);
   LNCL_DCHECK(transition.rows() == k && transition.cols() == k);
-  gamma->Resize(t_len, k);
+  gamma->ResizeNoZero(t_len, k);
   if (t_len == 0) return;
 
-  auto normalize = [k](std::vector<double>* v) {
+  thread_local ChainScratch scratch;
+  const size_t kk = static_cast<size_t>(k);
+  Grow(&scratch.alpha, t_len * kk);
+  Grow(&scratch.beta, t_len * kk);
+  Grow(&scratch.row, kk * kk);
+  double* const alpha = scratch.alpha.data();
+  double* const beta = scratch.beta.data();
+  double* const row = scratch.row.data();
+  const float* const tr = transition.data();
+  const float* const em = emission.data();
+
+  const auto normalize = [k](double* v) {
     double sum = 0.0;
-    for (double x : *v) sum += x;
+    for (int m = 0; m < k; ++m) sum += v[m];
     if (sum <= 1e-300) {
-      for (double& x : *v) x = 1.0 / k;
+      for (int m = 0; m < k; ++m) v[m] = 1.0 / k;
     } else {
-      for (double& x : *v) x /= sum;
+      for (int m = 0; m < k; ++m) v[m] /= sum;
     }
   };
 
-  std::vector<std::vector<double>> alpha(t_len, std::vector<double>(k));
-  std::vector<std::vector<double>> beta(t_len, std::vector<double>(k, 1.0));
-  for (int m = 0; m < k; ++m) alpha[0][m] = prior[m] * emission(0, m);
-  normalize(&alpha[0]);
+  // prior * emission is a float product, widened afterwards.
+  for (int m = 0; m < k; ++m) alpha[m] = prior[m] * em[m];
+  normalize(alpha);
   for (int t = 1; t < t_len; ++t) {
+    const double* prev = alpha + (t - 1) * kk;
+    double* cur = alpha + t * kk;
+    const float* em_t = em + t * kk;
     for (int b = 0; b < k; ++b) {
       double s = 0.0;
-      for (int a = 0; a < k; ++a) s += alpha[t - 1][a] * transition(a, b);
-      alpha[t][b] = s * emission(t, b);
+      for (int a = 0; a < k; ++a) s += prev[a] * tr[a * kk + b];
+      cur[b] = s * em_t[b];
     }
-    normalize(&alpha[t]);
+    normalize(cur);
   }
+  std::fill_n(beta + (t_len - 1) * kk, kk, 1.0);
   for (int t = t_len - 2; t >= 0; --t) {
+    const double* next = beta + (t + 1) * kk;
+    const float* em_next = em + (t + 1) * kk;
+    double* cur = beta + t * kk;
     for (int a = 0; a < k; ++a) {
+      const float* tr_a = tr + a * kk;
       double s = 0.0;
-      for (int b = 0; b < k; ++b) {
-        s += transition(a, b) * emission(t + 1, b) * beta[t + 1][b];
-      }
-      beta[t][a] = s;
+      // transition * emission stays a float product: widening it to double
+      // first would change the bits.
+      for (int b = 0; b < k; ++b) s += tr_a[b] * em_next[b] * next[b];
+      cur[a] = s;
     }
-    normalize(&beta[t]);
+    normalize(cur);
   }
 
+  float* const out = gamma->data();
   for (int t = 0; t < t_len; ++t) {
-    std::vector<double> g(k);
-    for (int m = 0; m < k; ++m) g[m] = alpha[t][m] * beta[t][m];
-    normalize(&g);
-    for (int m = 0; m < k; ++m) {
-      (*gamma)(t, m) = static_cast<float>(g[m]);
-    }
+    const double* al = alpha + t * kk;
+    const double* be = beta + t * kk;
+    for (int m = 0; m < k; ++m) row[m] = al[m] * be[m];
+    normalize(row);
+    for (int m = 0; m < k; ++m) out[t * kk + m] = static_cast<float>(row[m]);
   }
 
   if (xi_sum != nullptr) {
     LNCL_DCHECK(xi_sum->rows() == k && xi_sum->cols() == k);
+    float* const xs = xi_sum->data();
     for (int t = 0; t + 1 < t_len; ++t) {
+      const double* al = alpha + t * kk;
+      const float* em_next = em + (t + 1) * kk;
+      const double* be_next = beta + (t + 1) * kk;
       double total = 0.0;
-      std::vector<double> xi(static_cast<size_t>(k) * k);
       for (int a = 0; a < k; ++a) {
         for (int b = 0; b < k; ++b) {
-          const double v = alpha[t][a] * transition(a, b) *
-                           emission(t + 1, b) * beta[t + 1][b];
-          xi[static_cast<size_t>(a) * k + b] = v;
+          const double v =
+              al[a] * tr[a * kk + b] * em_next[b] * be_next[b];
+          row[a * kk + b] = v;
           total += v;
         }
       }
       if (total <= 1e-300) continue;
-      for (int a = 0; a < k; ++a) {
-        for (int b = 0; b < k; ++b) {
-          (*xi_sum)(a, b) += static_cast<float>(
-              xi[static_cast<size_t>(a) * k + b] / total);
-        }
+      for (size_t i = 0; i < kk * kk; ++i) {
+        xs[i] += static_cast<float>(row[i] / total);
       }
     }
   }

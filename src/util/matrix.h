@@ -53,6 +53,9 @@ class Matrix {
   // never-mutated matrix.
   uint64_t version() const { return version_; }
 
+  // Mutable element access draws a version ticket on every call (an
+  // out-of-line NextMatrixVersion), so hot loops take Row()/data() once and
+  // index the row instead.
   float& operator()(int r, int c) {
     LNCL_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     BumpVersion();

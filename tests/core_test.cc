@@ -57,7 +57,7 @@ TEST(ComputeQaTest, MatchesHandComputedBayes) {
   crowd::ConfusionSet confusions{crowd::ConfusionMatrix(2, 0.8)};
   crowd::InstanceAnnotations ann;
   ann.entries.push_back({0, {1}});
-  const Matrix qa = ComputeQa(probs, ann, confusions);
+  const Matrix qa = ComputeQa(probs, ann, LogConfusions(confusions));
   // q(0) ∝ 0.6 * pi(0,1) = 0.6*0.2 = 0.12 ; q(1) ∝ 0.4 * 0.8 = 0.32.
   EXPECT_NEAR(qa(0, 0), 0.12 / 0.44, 1e-5);
   EXPECT_NEAR(qa(0, 1), 0.32 / 0.44, 1e-5);
@@ -71,7 +71,8 @@ TEST(ComputeQaTest, NoAnnotationsReturnsPrior) {
     probs(t, 2) = 0.3f;
   }
   crowd::InstanceAnnotations ann;
-  const Matrix qa = ComputeQa(probs, ann, crowd::ConfusionSet{});
+  const Matrix qa =
+      ComputeQa(probs, ann, LogConfusions(crowd::ConfusionSet{}));
   for (int t = 0; t < 2; ++t) {
     EXPECT_NEAR(qa(t, 1), 0.5, 1e-5);
   }
@@ -86,7 +87,7 @@ TEST(ComputeQaTest, MultipleAnnotatorsMultiply) {
   crowd::InstanceAnnotations ann;
   ann.entries.push_back({0, {0}});
   ann.entries.push_back({1, {0}});
-  const Matrix qa = ComputeQa(probs, ann, confusions);
+  const Matrix qa = ComputeQa(probs, ann, LogConfusions(confusions));
   // q(0) ∝ 0.5 * 0.9 * 0.9 ; q(1) ∝ 0.5 * 0.1 * 0.1.
   EXPECT_NEAR(qa(0, 0), 0.81 / 0.82, 1e-5);
 }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "crowd/simulator.h"
@@ -11,7 +13,6 @@
 #include "eval/metrics.h"
 #include "inference/bsc_seq.h"
 #include "inference/catd.h"
-#include "inference/chain.h"
 #include "inference/dawid_skene.h"
 #include "inference/glad.h"
 #include "inference/hmm_crowd.h"
@@ -21,12 +22,60 @@
 #include "inference/pm.h"
 #include "inference/truth_inference.h"
 #include "inference/zencrowd.h"
+#include "util/chain.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace lncl::inference {
 namespace {
 
+using util::ChainForwardBackward;
 using util::Rng;
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+// 64-bit FNV-1a over the shape and raw float bytes of `m`, continuing `h`.
+uint64_t HashMatrix(const util::Matrix& m, uint64_t h = kFnvOffset) {
+  const auto mix = [&h](const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  };
+  const int shape[2] = {m.rows(), m.cols()};
+  mix(shape, sizeof(shape));
+  mix(m.data(), m.size() * sizeof(float));
+  return h;
+}
+
+uint64_t HashMatrices(const std::vector<util::Matrix>& ms) {
+  uint64_t h = kFnvOffset;
+  for (const util::Matrix& m : ms) h = HashMatrix(m, h);
+  return h;
+}
+
+// Every posterior has `items_per_instance[i]` rows of K finite
+// probabilities summing to one.
+void ExpectValidPosteriors(const std::vector<util::Matrix>& q,
+                           const std::vector<int>& items_per_instance,
+                           int k, const std::string& label) {
+  ASSERT_EQ(q.size(), items_per_instance.size()) << label;
+  for (size_t i = 0; i < q.size(); ++i) {
+    ASSERT_EQ(q[i].rows(), items_per_instance[i]) << label << " instance " << i;
+    ASSERT_EQ(q[i].cols(), k) << label << " instance " << i;
+    for (int t = 0; t < q[i].rows(); ++t) {
+      double sum = 0.0;
+      for (int c = 0; c < k; ++c) {
+        const float v = q[i](t, c);
+        EXPECT_TRUE(std::isfinite(v)) << label << " (" << i << ", " << t << ")";
+        EXPECT_GE(v, 0.0f) << label;
+        sum += v;
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-5) << label << " (" << i << ", " << t << ")";
+    }
+  }
+}
 
 // Shared fixture: a classification corpus with a simulated crowd.
 class ClassificationInferenceTest : public testing::Test {
@@ -314,6 +363,90 @@ TEST(ChainTest, XiSumsAccumulate) {
   EXPECT_NEAR(total, 3.0, 1e-4);  // T-1 pairwise distributions
 }
 
+// A random chain: positive prior and emissions, row-stochastic transitions.
+struct RandomChain {
+  util::Vector prior;
+  util::Matrix transition;
+  util::Matrix emission;
+};
+
+RandomChain MakeRandomChain(int t_len, int k, Rng* rng) {
+  RandomChain c;
+  c.prior.resize(k);
+  float total = 0.0f;
+  for (float& p : c.prior) {
+    p = static_cast<float>(rng->Uniform(0.05, 1.0));
+    total += p;
+  }
+  for (float& p : c.prior) p /= total;
+  c.transition = util::Matrix(k, k);
+  for (int a = 0; a < k; ++a) {
+    float row = 0.0f;
+    for (int b = 0; b < k; ++b) {
+      c.transition(a, b) = static_cast<float>(rng->Uniform(0.01, 1.0));
+      row += c.transition(a, b);
+    }
+    for (int b = 0; b < k; ++b) c.transition(a, b) /= row;
+  }
+  c.emission = util::Matrix(t_len, k);
+  for (int t = 0; t < t_len; ++t) {
+    for (int m = 0; m < k; ++m) {
+      c.emission(t, m) = static_cast<float>(rng->Uniform(1e-3, 1.0));
+    }
+  }
+  return c;
+}
+
+// Fingerprints of gamma and xi_sum from the reference smoother. Pinned to
+// the operand order of the forward/backward recursions, so a reordering or
+// a widened product (e.g. transition * emission in double) breaks them.
+TEST(ChainTest, MatchesGoldenHashesOnRandomK9Chain) {
+  Rng rng(99);
+  const RandomChain c = MakeRandomChain(23, 9, &rng);
+  util::Matrix gamma;
+  util::Matrix xi(9, 9);
+  ChainForwardBackward(c.prior, c.transition, c.emission, &gamma, &xi);
+  EXPECT_EQ(HashMatrix(gamma), 0xa4a0066b68ee990cull)
+      << std::hex << HashMatrix(gamma);
+  EXPECT_EQ(HashMatrix(xi), 0xe3d61017550e8fe2ull)
+      << std::hex << HashMatrix(xi);
+}
+
+// The smoother's scratch buffers are per thread and reused across calls of
+// different length and width; results must not depend on which thread ran
+// a chain or what it ran before.
+TEST(ChainTest, ParallelCallsMatchSerialBitForBit) {
+  constexpr int kSlots = util::Parallelizer::kSlots;
+  const int shapes[][2] = {{41, 9}, {2, 9}, {37, 9}, {1, 3}, {29, 3}, {0, 9}};
+  Rng rng(5);
+  std::vector<RandomChain> chains;
+  for (int s = 0; s < kSlots; ++s) {
+    for (const auto& [t_len, k] : shapes) {
+      chains.push_back(MakeRandomChain(t_len, k, &rng));
+    }
+  }
+  const int n = static_cast<int>(chains.size());
+  const auto smooth = [&chains](int i, util::Matrix* gamma, util::Matrix* xi) {
+    const RandomChain& c = chains[i];
+    const int k = c.emission.cols();
+    xi->Resize(k, k);
+    ChainForwardBackward(c.prior, c.transition, c.emission, gamma, xi);
+  };
+  std::vector<util::Matrix> serial_gamma(n), serial_xi(n);
+  for (int i = 0; i < n; ++i) smooth(i, &serial_gamma[i], &serial_xi[i]);
+
+  std::vector<util::Matrix> gamma(n), xi(n);
+  util::Parallelizer exec(4);
+  exec.RunSlots(kSlots, [&](int s) {
+    const auto [begin, end] = util::Parallelizer::SlotRange(n, s, kSlots);
+    for (int i = begin; i < end; ++i) smooth(i, &gamma[i], &xi[i]);
+  });
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(HashMatrix(gamma[i]), HashMatrix(serial_gamma[i])) << i;
+    EXPECT_EQ(HashMatrix(xi[i]), HashMatrix(serial_xi[i])) << i;
+  }
+}
+
 // ----------------------------------------------------- Sequence methods --
 
 class SequenceInferenceTest : public testing::Test {
@@ -386,6 +519,75 @@ TEST_F(SequenceInferenceTest, PosteriorsRowStochastic) {
       }
       EXPECT_NEAR(sum, 1.0, 1e-4);
     }
+  }
+}
+
+// Posterior fingerprints of the EM aggregators on this fixture, taken from
+// the reference implementation (toolchain: GCC with -ffp-contract=off,
+// glibc libm). They pin every E-/M-step operand and its order: an
+// intentional numeric change must re-take them. The fixed-iteration options
+// are the ner_aggregate benchmark workload's (a negative tolerance never
+// converges early); the defaults run to convergence.
+TEST_F(SequenceInferenceTest, PosteriorsMatchGoldenHashes) {
+  const DawidSkene::Options ds_fixed = {
+      .max_iters = 5, .tol = -1.0, .smoothing = 1e-2};
+  const Ibcc::Options ibcc_fixed = {
+      .diag_pseudo = 2.0, .smoothing = 0.5, .max_iters = 4};
+  const BscSeq::Options bsc_fixed = {.max_iters = 10,
+                                     .confusion_pseudo = 0.3,
+                                     .diag_pseudo = 1.0,
+                                     .transition_pseudo = 0.2,
+                                     .tol = -1.0};
+  const HmmCrowd::Options hmm_fixed = {
+      .max_iters = 5, .smoothing = 0.1, .tol = -1.0};
+  struct Case {
+    const char* label;
+    std::unique_ptr<TruthInference> method;
+    uint64_t hash;
+  };
+  Case cases[] = {
+      {"DS default", std::make_unique<DawidSkene>(), 0x4cf346d3a5b985bbull},
+      {"DS fixed", std::make_unique<DawidSkene>(ds_fixed),
+       0xc3c151af83af542dull},
+      {"IBCC default", std::make_unique<Ibcc>(), 0xce17173befe18beaull},
+      {"IBCC fixed", std::make_unique<Ibcc>(ibcc_fixed), 0x32b5c066ab18e0d0ull},
+      {"BSC-seq default", std::make_unique<BscSeq>(), 0xcbd92c24597a245aull},
+      {"BSC-seq fixed", std::make_unique<BscSeq>(bsc_fixed),
+       0xd9fb16335bde68c7ull},
+      {"HMM-Crowd default", std::make_unique<HmmCrowd>(),
+       0x56423e4f4c58d4b7ull},
+      {"HMM-Crowd fixed", std::make_unique<HmmCrowd>(hmm_fixed),
+       0x67b6fa9c6021300full},
+  };
+  for (const Case& c : cases) {
+    Rng rng(7);
+    const uint64_t h =
+        HashMatrices(c.method->Infer(*annotations_, *items_, &rng));
+    EXPECT_EQ(h, c.hash) << c.label << ": 0x" << std::hex << h;
+  }
+}
+
+// Degenerate crowds: an empty sentence (with and without an empty label
+// entry), a sentence nobody labeled, an annotator who never labels, K = 2.
+TEST(SequenceEdgeTest, EmAggregatorsStayValidOnDegenerateCrowd) {
+  const int k = 2;
+  const std::vector<int> items = {5, 0, 4, 3, 0};
+  crowd::AnnotationSet ann(static_cast<int>(items.size()),
+                           /*num_annotators=*/3, k);
+  ann.instance(0).entries.push_back({0, {0, 1, 1, 0, 0}});
+  ann.instance(0).entries.push_back({1, {0, 1, 0, 0, 1}});
+  ann.instance(1).entries.push_back({0, {}});
+  ann.instance(3).entries.push_back({1, {1, 1, 0}});
+  // Annotator 2 labels nothing; instances 2 and 4 have no entries.
+  DawidSkene ds;
+  Ibcc ibcc;
+  BscSeq bsc;
+  HmmCrowd hmm;
+  const TruthInference* methods[] = {&ds, &ibcc, &bsc, &hmm};
+  for (const TruthInference* method : methods) {
+    Rng rng(3);
+    ExpectValidPosteriors(method->Infer(ann, items, &rng), items, k,
+                          method->name());
   }
 }
 
