@@ -33,13 +33,16 @@ std::string ReadFirstLine(const std::filesystem::path& path) {
   return line;
 }
 
-// Resolves a "refs/heads/..." name to its commit inside `git_dir`: the loose
-// ref file first, then packed-refs ("<40-hex> <refname>" lines).
+// Resolves `ref` ("refs/heads/main") to its commit: a loose ref in the git
+// dir or the common dir, then a packed ref of the common dir.
 std::string ResolveRef(const std::filesystem::path& git_dir,
+                       const std::filesystem::path& common_dir,
                        const std::string& ref) {
-  const std::string loose = ReadFirstLine(git_dir / ref);
-  if (IsHex(loose) && loose.size() >= 12) return loose.substr(0, 12);
-  std::ifstream packed(git_dir / "packed-refs");
+  for (const std::filesystem::path& dir : {git_dir, common_dir}) {
+    const std::string loose = ReadFirstLine(dir / ref);
+    if (IsHex(loose) && loose.size() >= 12) return loose.substr(0, 12);
+  }
+  std::ifstream packed(common_dir / "packed-refs");
   std::string line;
   while (packed && std::getline(packed, line)) {
     if (line.empty() || line[0] == '#' || line[0] == '^') continue;
@@ -50,7 +53,26 @@ std::string ResolveRef(const std::filesystem::path& git_dir,
       return line.substr(0, 12);
     }
   }
-  return std::string();
+  return "unknown";
+}
+
+// Revision checked out in `git_dir`. A worktree's git dir names the main
+// repository's in its `commondir` file, which holds the shared refs.
+std::string RevisionOf(const std::filesystem::path& git_dir) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(git_dir, ec)) return "unknown";
+  std::filesystem::path common_dir = git_dir;
+  const std::string common = ReadFirstLine(git_dir / "commondir");
+  if (!common.empty()) {
+    common_dir = std::filesystem::path(common).is_absolute()
+                     ? std::filesystem::path(common)
+                     : git_dir / common;
+  }
+  const std::string head = ReadFirstLine(git_dir / "HEAD");
+  if (head.rfind("ref: ", 0) == 0) {
+    return ResolveRef(git_dir, common_dir, head.substr(5));
+  }
+  return IsHex(head) && head.size() >= 12 ? head.substr(0, 12) : "unknown";
 }
 
 }  // namespace
@@ -60,18 +82,17 @@ std::string GitRevision() {
   std::filesystem::path dir = std::filesystem::current_path(ec);
   if (ec) return "unknown";
   for (; !dir.empty(); dir = dir.parent_path()) {
-    const std::filesystem::path git_dir = dir / ".git";
-    if (!std::filesystem::is_directory(git_dir, ec)) {
-      if (dir == dir.parent_path()) break;
-      continue;
+    const std::filesystem::path dot_git = dir / ".git";
+    if (std::filesystem::is_directory(dot_git, ec)) return RevisionOf(dot_git);
+    if (std::filesystem::exists(dot_git, ec)) {
+      // A worktree or submodule: .git is a file naming the git dir. It
+      // belongs to this checkout, so the walk stops here either way.
+      const std::string line = ReadFirstLine(dot_git);
+      if (line.rfind("gitdir: ", 0) != 0) return "unknown";
+      const std::filesystem::path target(line.substr(8));
+      return RevisionOf(target.is_absolute() ? target : dir / target);
     }
-    const std::string head = ReadFirstLine(git_dir / "HEAD");
-    if (head.rfind("ref: ", 0) == 0) {
-      const std::string rev = ResolveRef(git_dir, head.substr(5));
-      return rev.empty() ? "unknown" : rev;
-    }
-    if (IsHex(head) && head.size() >= 12) return head.substr(0, 12);
-    return "unknown";
+    if (dir == dir.parent_path()) break;
   }
   return "unknown";
 }

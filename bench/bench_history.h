@@ -34,9 +34,11 @@
 namespace lncl::bench {
 
 // Short (12-hex) git revision, read straight from .git — HEAD, the ref file
-// it points at, or packed-refs — walking up from the current directory.
-// "unknown" when no repository is reachable (e.g. scratch-dir smoke runs).
-// No subprocess: benches must not fork to git.
+// it points at, or packed-refs — walking up from the current directory to
+// the first .git. A .git file (worktree or submodule) is followed through
+// its "gitdir:" line, and a worktree's refs through its commondir. "unknown"
+// when no repository is reachable (e.g. smoke runs in a temporary
+// directory). No subprocess: benches must not fork to git.
 std::string GitRevision();
 
 // Appends one lncl.bench.v1 record. Returns false when the file cannot be

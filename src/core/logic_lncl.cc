@@ -116,18 +116,18 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
   // the legacy serial trajectory.
   const bool sharded = config_.threads >= 1;
   util::Parallelizer exec(std::max(1, config_.threads));
+  // Training workers for the sharded path: the master plus, when a factory
+  // can build them, one replica per further thread. Replica initial weights
+  // are irrelevant (values are synced from the master); a fixed-seed
+  // throwaway rng keeps the caller's stream untouched.
   std::vector<std::unique_ptr<models::Model>> replicas;
-  std::vector<models::Model*> slot_models;
-  if (sharded && factory_) {
-    // Replica initial weights are irrelevant (values are synced from the
-    // master before every batch); a fixed-seed throwaway rng keeps the
-    // caller's stream untouched.
-    util::Rng replica_rng(0x51ced0c5u);
-    slot_models.push_back(model_.get());
-    for (int s = 1; s < util::Parallelizer::kSlots; ++s) {
-      replicas.push_back(factory_(&replica_rng));
-      slot_models.push_back(replicas.back().get());
-    }
+  std::vector<models::Model*> slot_models = {model_.get()};
+  util::Rng replica_rng(0x51ced0c5u);
+  const int workers =
+      factory_ ? std::min(config_.threads, util::Parallelizer::kSlots) : 1;
+  for (int w = 1; w < workers; ++w) {
+    replicas.push_back(factory_(&replica_rng));
+    slot_models.push_back(replicas.back().get());
   }
 
   // Line 1 of Algorithm 1: initialize q_f with Majority Voting.
@@ -181,12 +181,12 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
       double loss = 0.0;
       {
         obs::PhaseSpan span("m_step", &result.phase_seconds.m_step);
-        loss = slot_models.empty()
-                   ? RunMinibatchEpoch(train, qf_, weights, config_.batch_size,
-                                       model_.get(), optimizer.get(), rng)
-                   : RunMinibatchEpochSharded(
+        loss = sharded
+                   ? RunMinibatchEpochSharded(
                          train, qf_, weights, config_.batch_size, model_.get(),
-                         slot_models, optimizer.get(), rng, &exec);
+                         slot_models, optimizer.get(), rng, &exec)
+                   : RunMinibatchEpoch(train, qf_, weights, config_.batch_size,
+                                       model_.get(), optimizer.get(), rng);
       }
       result.loss_curve.push_back(loss);
       {

@@ -43,11 +43,10 @@ struct LogicLnclConfig {
   // Intra-model parallelism (see DESIGN.md §5).
   //   0  — legacy serial training path (the historical trajectory).
   //  >=1 — deterministic sharded path with that many threads: the E-step,
-  //        the confusion M-step, and (when a model factory is available)
-  //        minibatch gradient accumulation run over fixed slot partitions
-  //        with fixed-order reductions, so results are bit-identical for
-  //        every threads >= 1 setting. threads = 1 runs the same sharded
-  //        trajectory serially.
+  //        the confusion M-step, and minibatch gradient accumulation run
+  //        over fixed slot partitions with fixed-order reductions, so
+  //        results are bit-identical for every threads >= 1 setting.
+  //        threads = 1 runs the same sharded trajectory serially.
   int threads = 0;
   // Use Model::PredictBatch for the E-step sweep, dev evaluation, and
   // rule projection (one batched clause-B prediction per slot instead of one
@@ -125,9 +124,9 @@ class LogicLncl {
   // "but" rule is wired: the projector must consult the very model being
   // trained, so the caller builds the model first, binds the projector to
   // it, and hands both over. `replica_factory` (optional) builds
-  // architecture-matched replicas for the sharded training path when
-  // config.threads >= 1; without it, minibatch training stays on the legacy
-  // serial path (the parallel E-step still applies).
+  // architecture-matched replicas, one per training thread beyond the first
+  // when config.threads > 1; without it the master trains alone. Either way
+  // the fit is the same sharded trajectory (config.threads >= 1).
   LogicLncl(LogicLnclConfig config, std::unique_ptr<models::Model> model,
             const logic::RuleProjector* projector,
             models::ModelFactory replica_factory = nullptr);

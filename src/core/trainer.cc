@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -57,63 +58,90 @@ double RunMinibatchEpochSharded(const data::Dataset& dataset,
                                 util::Parallelizer* exec) {
   constexpr int kSlots = util::Parallelizer::kSlots;
   LNCL_DCHECK(static_cast<int>(targets.size()) == dataset.size());
-  LNCL_DCHECK(static_cast<int>(slot_models.size()) == kSlots);
+  LNCL_DCHECK(!slot_models.empty() && slot_models[0] == master);
+  LNCL_DCHECK(static_cast<int>(slot_models.size()) <= kSlots);
   const int n = dataset.size();
   std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);
   const uint64_t epoch_seed = rng->engine()();
 
-  const std::vector<nn::Parameter*> master_params = master->Params();
-  std::vector<std::vector<nn::Parameter*>> slot_params(slot_models.size());
-  for (size_t s = 0; s < slot_models.size(); ++s) {
-    slot_params[s] = slot_models[s]->Params();
-    LNCL_DCHECK(slot_params[s].size() == master_params.size());
+  // Worker w trains slot_models[w] on slots w, w + workers, ...; worker 0
+  // is the master, so a one-thread epoch touches no replica at all.
+  const int workers =
+      std::min(exec->num_threads(), static_cast<int>(slot_models.size()));
+  std::vector<std::vector<nn::Parameter*>> worker_params(workers);
+  for (int w = 0; w < workers; ++w) {
+    worker_params[w] = slot_models[w]->Params();
+    LNCL_DCHECK(worker_params[w].size() == worker_params[0].size());
   }
-  const auto sync_replicas = [&] {
-    for (size_t s = 0; s < slot_models.size(); ++s) {
-      if (slot_models[s] == master) continue;
+  const std::vector<nn::Parameter*>& master_params = worker_params[0];
+  // One gradient buffer set per slot, swapped into the running worker's
+  // Parameter::grad for the slot's instances, so every slot sums its own
+  // instances from zero whichever worker runs it.
+  std::vector<std::vector<util::Matrix>> slot_grads(kSlots);
+  for (std::vector<util::Matrix>& grads : slot_grads) {
+    for (const nn::Parameter* p : master_params) {
+      grads.emplace_back(p->grad.rows(), p->grad.cols());
+    }
+  }
+  const auto swap_grads = [](const std::vector<nn::Parameter*>& params,
+                             std::vector<util::Matrix>* grads) {
+    for (size_t p = 0; p < params.size(); ++p) {
+      std::swap(params[p]->grad, (*grads)[p]);
+    }
+  };
+  const auto sync_workers = [&] {
+    for (int w = 1; w < workers; ++w) {
       for (size_t p = 0; p < master_params.size(); ++p) {
-        slot_params[s][p]->value = master_params[p]->value;
+        worker_params[w][p]->value = master_params[p]->value;
       }
     }
   };
-  // Replicas may be stale (previous epoch's last step, or an early-stopping
-  // restore into the master).
-  sync_replicas();
+  // Worker replicas may be stale (previous epoch's last step, or an
+  // early-stopping restore into the master).
+  sync_workers();
 
   double total_loss = 0.0;
   for (int start = 0; start < n; start += batch_size) {
     LNCL_TRACE_SPAN_ARG("minibatch", "start", start);
     const int len = std::min(batch_size, n - start);
     double slot_loss[kSlots] = {0.0};
-    exec->RunSlots(kSlots, [&](int s) {
-      LNCL_TRACE_SPAN_ARG("m_step_shard", "slot", s);
-      const auto [b, e] = util::Parallelizer::SlotRange(len, s, kSlots);
-      models::Model* m = slot_models[s];
-      for (int p = b; p < e; ++p) {
-        const int pos = start + p;  // position in the shuffled epoch order
-        const int idx = order[pos];
-        // Dropout stream keyed by (epoch seed, position): the sampled masks
-        // are a pure function of the epoch, not of execution order.
-        util::Rng inst_rng(Mix64(epoch_seed ^ static_cast<uint64_t>(pos)));
-        const float w = weights.empty() ? 1.0f : weights[idx];
-        m->ForwardTrain(dataset.instances[idx], &inst_rng);
-        slot_loss[s] += m->BackwardSoftTarget(targets[idx], w);
+    exec->RunSlots(workers, [&](int w) {
+      models::Model* m = slot_models[w];
+      const std::vector<nn::Parameter*>& params = worker_params[w];
+      for (int s = w; s < kSlots; s += workers) {
+        LNCL_TRACE_SPAN_ARG("m_step_shard", "slot", s);
+        swap_grads(params, &slot_grads[s]);
+        const auto [b, e] = util::Parallelizer::SlotRange(len, s, kSlots);
+        for (int i = b; i < e; ++i) {
+          const int pos = start + i;  // position in the shuffled epoch order
+          const int idx = order[pos];
+          // Dropout stream keyed by (epoch seed, position): the sampled
+          // masks are a pure function of the epoch, not of execution order.
+          util::Rng inst_rng(Mix64(epoch_seed ^ static_cast<uint64_t>(pos)));
+          const float weight = weights.empty() ? 1.0f : weights[idx];
+          m->ForwardTrain(dataset.instances[idx], &inst_rng);
+          slot_loss[s] += m->BackwardSoftTarget(targets[idx], weight);
+        }
+        swap_grads(params, &slot_grads[s]);
       }
     });
     // Fixed-order reduction: losses and gradients merge in slot index order
-    // no matter which thread ran which slot.
+    // no matter which worker ran which slot. The master takes slot 0's sums
+    // (leaving its zeroed gradient as slot 0's next buffer) and adds the
+    // other slots to them.
     for (int s = 0; s < kSlots; ++s) total_loss += slot_loss[s];
-    for (int s = 0; s < kSlots; ++s) {
-      if (slot_models[s] == master) continue;
-      for (size_t p = 0; p < master_params.size(); ++p) {
-        master_params[p]->grad.AddScaled(slot_params[s][p]->grad, 1.0f);
-        slot_params[s][p]->grad.Zero();
+    for (size_t p = 0; p < master_params.size(); ++p) {
+      util::Matrix& grad = master_params[p]->grad;
+      std::swap(grad, slot_grads[0][p]);
+      for (int s = 1; s < kSlots; ++s) {
+        grad.AddScaled(slot_grads[s][p], 1.0f);
+        slot_grads[s][p].Zero();
       }
     }
     optimizer->Step(master_params);
-    sync_replicas();
+    sync_workers();
   }
   return n > 0 ? total_loss / n : 0.0;
 }

@@ -32,16 +32,19 @@ double RunMinibatchEpoch(const data::Dataset& dataset,
 
 // Deterministic sharded variant of RunMinibatchEpoch.
 //
-// Each minibatch is split into util::Parallelizer::kSlots contiguous slots;
-// slot s accumulates its gradients into slot_models[s] (independent model
-// replicas sharing the master's architecture — slot_models[0] may be the
-// master itself). After the slots run — on however many threads `exec`
-// provides — losses and gradients are merged into the master in slot-index
-// order and the optimizer steps the master, whose values are then copied
-// back into the replicas. Dropout draws come from a per-instance generator
-// keyed by (epoch seed, position in the shuffled order), so the sampled
-// masks do not depend on execution order either. The result is bit-identical
-// for any thread count.
+// Each minibatch is split into util::Parallelizer::kSlots contiguous slots,
+// and each slot sums its instances' gradients from zero into its own
+// gradient buffers. slot_models[0] must be the master; slot_models[1..]
+// (optional, at most kSlots - 1) are replicas with the master's
+// architecture. min(exec threads, slot_models.size()) workers run: worker w
+// trains slot_models[w] on slots w, w + workers, ..., swapping each slot's
+// buffers into its Parameter::grad for the slot. The master then merges the
+// slot losses and gradients in slot-index order and the optimizer steps it;
+// only the replicas of running workers get the new values. Dropout draws
+// come from a per-instance generator keyed by (epoch seed, position in the
+// shuffled order), so the sampled masks do not depend on execution order
+// either. The result is bit-identical for any thread count and any number
+// of replicas.
 //
 // Note the training trajectory differs from RunMinibatchEpoch's (different
 // dropout stream and summation order); the two are separate, individually

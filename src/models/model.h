@@ -26,10 +26,10 @@ namespace lncl::models {
 //
 // Threading: the const methods (Predict) are safe to call concurrently on
 // one instance — layer scratch buffers are thread-local — which is what the
-// parallel E-step relies on. The mutable training protocol is not: one
-// model replica per thread slot, with gradients merged in fixed slot order,
-// is how the sharded trainer uses them (see core/trainer.h and
-// DESIGN.md §5).
+// parallel E-step relies on. The mutable training protocol is not: the
+// sharded trainer gives each worker thread its own model (the master or a
+// replica) and swaps per-slot gradient buffers into it, merging them in
+// fixed slot order (see core/trainer.h and DESIGN.md §5).
 class Model {
  public:
   virtual ~Model() = default;

@@ -1,7 +1,6 @@
 #include "nn/conv1d.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -48,34 +47,6 @@ namespace {
 // mutable member) keeps the layer safe under the parallel E-step.
 thread_local util::Matrix tls_grad_patches;
 
-// Boundary-row epilogue, mirroring the kernel's fused epilogue formula
-// (alpha = 1, beta = 0 case): add bias, then the activation, in one pass.
-inline void ApplyBiasAct(const float* bias, util::Act act, int f, float* yr) {
-  for (int j = 0; j < f; ++j) {
-    float v = yr[j] + bias[j];
-    if (act == util::Act::kRelu) {
-      v = v > 0.0f ? v : 0.0f;
-    } else if (act == util::Act::kTanh) {
-      v = std::tanh(v);
-    }
-    yr[j] = v;
-  }
-}
-
-// Int8 variant: fold the per-filter dequantization scale in first.
-inline void ApplyScaleBiasAct(const float* scale, const float* bias,
-                              util::Act act, int f, float* yr) {
-  for (int j = 0; j < f; ++j) {
-    float v = yr[j] * scale[j] + bias[j];
-    if (act == util::Act::kRelu) {
-      v = v > 0.0f ? v : 0.0f;
-    } else if (act == util::Act::kTanh) {
-      v = std::tanh(v);
-    }
-    yr[j] = v;
-  }
-}
-
 }  // namespace
 
 // The sliding windows of a 1-D convolution over a row-major T x D input are
@@ -84,99 +55,21 @@ inline void ApplyScaleBiasAct(const float* scale, const float* bias,
 // passes below exploit that through the microkernel layer instead of
 // materializing im2row patch copies. Only output rows whose window overlaps
 // the zero padding (at most window-1 of them, kSame borders or a kValid
-// input shorter than the window) need scalar handling, over the clipped
-// overlap [lo, hi) x in_dim with the matching offset into the filter row.
+// input shorter than the window) need separate handling: each is an m = 1
+// product over the clipped overlap [lo, hi) x in_dim against the matching
+// rows of the filter panel, through the same kernel and fused epilogue.
 //
 // The interior GEMM runs in the NN form against the k-major filter panel
 // (window*D x F) served by the version-keyed pack cache: the panel is
 // repacked once per optimizer step, not per call, and the fused epilogue
-// writes act(acc + bias) in the same pass over the output. Forward and
-// ForwardPacked share the panel and the GEMM shape, so a packed instance
-// block stays byte-for-byte equal to Forward on the instance alone.
+// writes act(acc + bias) in the same pass over the output. Forward is
+// ForwardPacked on a batch of one, so a packed instance block is
+// byte-for-byte Forward on the instance alone.
 
 void Conv1d::Forward(const util::Matrix& x, util::Matrix* y,
                      util::Act act) const {
   LNCL_DCHECK(x.cols() == in_dim_);
-  const int t = x.rows();
-  const int out_rows = OutRows(t);
-  const int f = filters();
-  const int k_dim = window_ * in_dim_;
-  y->ResizeNoZero(out_rows, f);
-  const float* bias = b_.value.Row(0);
-
-  const int interior = t - window_ + 1;
-  const int ib = padding_ == Padding::kSame ? (window_ - 1) / 2 : 0;
-  const int ie = ib + std::max(0, interior);
-
-  if (quantized_) {
-    LNCL_DCHECK(qw_.Matches(w_.value));
-    if (interior > 0) {
-      util::gemm::GemmInt8(interior, f, k_dim, x.data(), in_dim_,
-                           qw_.q.data(), qw_.scale.data(), y->Row(ib), f,
-                           bias, act);
-    }
-    for (int o = 0; o < out_rows; ++o) {
-      if (o >= ib && o < ie) continue;
-      float* yr = y->Row(o);
-      QuantizedBoundaryRow(x.data(), t, o, yr);
-      ApplyScaleBiasAct(qw_.scale.data(), bias, act, f, yr);
-    }
-    return;
-  }
-
-  int ldw = 0;
-  const float* wt = util::gemm::PackedOpB(w_.value, util::Trans::kYes, &ldw);
-  if (interior > 0) {
-    util::gemm::GemmEx(interior, f, k_dim, 1.0f, x.data(), in_dim_,
-                       util::Trans::kNo, wt, ldw, util::Trans::kNo, 0.0f,
-                       y->Row(ib), f, bias, act);
-  }
-  for (int o = 0; o < out_rows; ++o) {
-    if (o >= ib && o < ie) continue;
-    float* yr = y->Row(o);
-    AccumulateBoundaryRow(wt, x.data(), t, o, yr);
-    ApplyBiasAct(bias, act, f, yr);
-  }
-}
-
-void Conv1d::AccumulateBoundaryRow(const float* wt, const float* x_base,
-                                   int t, int o, float* yr) const {
-  const int start = WindowStart(o);
-  const int lo = std::max(0, start);
-  const int hi = std::min(t, start + window_);
-  const int off = (lo - start) * in_dim_;
-  const int len = (hi - lo) * in_dim_;
-  const float* xr = x_base + static_cast<size_t>(lo) * in_dim_;
-  const int f = filters();
-  std::fill(yr, yr + f, 0.0f);
-  // m = 1 slice of the interior NN GEMM over the clipped window: products
-  // accumulate with std::fma in ascending-k order (the kernel contract) with
-  // the inner loop running over the F independent filter columns.
-  for (int k = 0; k < len; ++k) {
-    const float xv = xr[k];
-    const float* __restrict wr = wt + static_cast<size_t>(off + k) * f;
-    for (int j = 0; j < f; ++j) yr[j] = std::fma(xv, wr[j], yr[j]);
-  }
-}
-
-void Conv1d::QuantizedBoundaryRow(const float* x_base, int t, int o,
-                                  float* yr) const {
-  const int start = WindowStart(o);
-  const int lo = std::max(0, start);
-  const int hi = std::min(t, start + window_);
-  const int off = (lo - start) * in_dim_;
-  const int len = (hi - lo) * in_dim_;
-  const float* xr = x_base + static_cast<size_t>(lo) * in_dim_;
-  const int f = filters();
-  std::fill(yr, yr + f, 0.0f);
-  for (int k = 0; k < len; ++k) {
-    const float xv = xr[k];
-    const int8_t* __restrict qr =
-        qw_.q.data() + static_cast<size_t>(off + k) * f;
-    for (int j = 0; j < f; ++j) {
-      yr[j] = std::fma(xv, static_cast<float>(qr[j]), yr[j]);
-    }
-  }
+  ForwardPacked(x, 1, x.rows(), y, act);
 }
 
 void Conv1d::ForwardPacked(const util::Matrix& x_packed, int batch, int t,
@@ -194,11 +87,10 @@ void Conv1d::ForwardPacked(const util::Matrix& x_packed, int batch, int t,
   const int ie = ib + std::max(0, interior);
 
   // One interior GEMM per instance, written straight into its y_packed
-  // block — the exact n/k/lda/kernel of Forward's interior GEMM, so each
-  // instance's output is bit-identical. A single GEMM over the whole packed
-  // buffer would also cover the window-1 windows straddling each instance
-  // boundary; at these sequence lengths that is 20-40% wasted rows plus a
-  // staging copy, measurably slower than skipping them.
+  // block. A single GEMM over the whole packed buffer would also cover the
+  // window-1 windows straddling each instance boundary; at these sequence
+  // lengths that is 20-40% wasted rows plus a staging copy, measurably
+  // slower than skipping them.
   const float* wt = nullptr;
   int ldw = 0;
   if (quantized_) {
@@ -206,36 +98,36 @@ void Conv1d::ForwardPacked(const util::Matrix& x_packed, int batch, int t,
   } else {
     wt = util::gemm::PackedOpB(w_.value, util::Trans::kYes, &ldw);
   }
-  if (interior > 0) {
-    for (int b = 0; b < batch; ++b) {
-      const float* xb =
-          x_packed.data() + static_cast<size_t>(b) * t * in_dim_;
-      float* yb = y_packed->Row(b * out_rows + ib);
-      if (quantized_) {
-        util::gemm::GemmInt8(interior, f, k_dim, xb, in_dim_, qw_.q.data(),
-                             qw_.scale.data(), yb, f, bias, act);
-      } else {
-        util::gemm::GemmEx(interior, f, k_dim, 1.0f, xb, in_dim_,
-                           util::Trans::kNo, wt, ldw, util::Trans::kNo, 0.0f,
-                           yb, f, bias, act);
-      }
+  // `rows` windows starting at xr, one input row apart, times filter panel
+  // rows [k_off, k_off + k_len), with the fused bias/act epilogue, into yr.
+  const auto product = [&](int rows, int k_len, const float* xr, int k_off,
+                           float* yr) {
+    if (quantized_) {
+      util::gemm::GemmInt8(rows, f, k_len, xr, in_dim_,
+                           qw_.q.data() + static_cast<size_t>(k_off) * f,
+                           qw_.scale.data(), yr, f, bias, act);
+    } else {
+      util::gemm::GemmEx(rows, f, k_len, 1.0f, xr, in_dim_, util::Trans::kNo,
+                         wt + static_cast<size_t>(k_off) * ldw, ldw,
+                         util::Trans::kNo, 0.0f, yr, f, bias, act);
     }
-  }
-
+  };
   for (int b = 0; b < batch; ++b) {
     const float* x_base =
         x_packed.data() + static_cast<size_t>(b) * t * in_dim_;
     float* y_base = y_packed->Row(b * out_rows);
+    if (interior > 0) {
+      product(interior, k_dim, x_base, 0,
+              y_base + static_cast<size_t>(ib) * f);
+    }
     for (int o = 0; o < out_rows; ++o) {
       if (o >= ib && o < ie) continue;
-      float* yr = y_base + static_cast<size_t>(o) * f;
-      if (quantized_) {
-        QuantizedBoundaryRow(x_base, t, o, yr);
-        ApplyScaleBiasAct(qw_.scale.data(), bias, act, f, yr);
-      } else {
-        AccumulateBoundaryRow(wt, x_base, t, o, yr);
-        ApplyBiasAct(bias, act, f, yr);
-      }
+      const int start = WindowStart(o);
+      const int lo = std::max(0, start);
+      const int hi = std::min(t, start + window_);
+      product(1, (hi - lo) * in_dim_,
+              x_base + static_cast<size_t>(lo) * in_dim_,
+              (lo - start) * in_dim_, y_base + static_cast<size_t>(o) * f);
     }
   }
 }

@@ -50,9 +50,9 @@ class Conv1d {
   // x_packed ((batch * t) x in_dim; instance b occupies rows [b*t, (b+1)*t)).
   // y_packed gets the same instance-major layout, (batch * OutRows(t)) x
   // filters. Each instance's block is byte-for-byte what Forward produces on
-  // its slice: all interior windows go through a GEMM of the exact same
-  // shape (n, k, lda) as Forward's, and boundary rows reuse Forward's scalar
-  // clipped-window path.
+  // its slice (Forward is this on a batch of one): interior windows go
+  // through one GEMM per instance, boundary rows through m = 1 GEMMs over
+  // the clipped window.
   void ForwardPacked(const util::Matrix& x_packed, int batch, int t,
                      util::Matrix* y_packed,
                      util::Act act = util::Act::kNone) const;
@@ -84,20 +84,6 @@ class Conv1d {
   int WindowStart(int o) const {
     return padding_ == Padding::kSame ? o - (window_ - 1) / 2 : o;
   }
-
-  // Computes the raw accumulator of output row `o` of a t-row input starting
-  // at `x_base` into `yr` (zero-initialized here), over the clipped window
-  // overlap, as an m = 1 slice of the interior NN GEMM against the k-major
-  // filter panel `wt` (leading dimension = filters). The caller applies the
-  // bias/activation epilogue afterwards. Shared by Forward and ForwardPacked
-  // so both compute boundary rows in the identical accumulation order.
-  void AccumulateBoundaryRow(const float* wt, const float* x_base, int t,
-                             int o, float* yr) const;
-
-  // Int8 twin of AccumulateBoundaryRow over the quantized panel; leaves the
-  // un-scaled fp32 accumulator in yr.
-  void QuantizedBoundaryRow(const float* x_base, int t, int o,
-                            float* yr) const;
 
   int window_;
   int in_dim_;

@@ -419,9 +419,11 @@ void TransposePack(const float* b, int ldb, int n, int kd, float* dst) {
 
 // Version-keyed pack cache: bounded, per-thread, LRU-evicted. 32 entries
 // cover every weight matrix of the bundled models (largest: NER with 21
-// parameter matrices) with headroom; the key includes the data pointer so
-// per-slot training replicas get distinct entries, and Matrix::version()
-// equality guarantees content equality (see matrix.h).
+// parameter matrices) with headroom, as long as one thread trains one
+// model: each sharded-training worker thread packs only its own model's
+// panels (core/trainer.h). The key includes the data pointer so worker
+// replicas get distinct entries, and Matrix::version() equality guarantees
+// content equality (see matrix.h).
 constexpr int kPackCacheSlots = 32;
 
 struct PackEntry {

@@ -28,9 +28,10 @@ uint64_t NextMatrixVersion();
 // AddScaled, ...) and is *copied* by copy/move, so equal versions imply
 // equal contents. The GEMM pack cache (util/gemm_kernel.h) keys transposed
 // weight panels on (data pointer, version): a weight matrix is repacked
-// once per optimizer step instead of once per layer call, and a replica
-// synced by plain assignment inherits the master's ticket. The bump is a
-// thread-local counter increment — cheap enough for per-row accessors.
+// once per optimizer step instead of once per layer call, and a worker
+// replica synced by plain assignment inherits the master's ticket. The
+// bump is a thread-local counter increment — cheap enough for per-row
+// accessors.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}

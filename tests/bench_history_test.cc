@@ -1,0 +1,88 @@
+// GitRevision() of the bench history writer (bench/bench_history.h): it
+// reads the revision from the current directory's repository without
+// forking git, including checkouts whose .git is a file (worktrees and
+// submodules), which must not be mistaken for an enclosing repository.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
+
+#include "bench_history.h"
+
+namespace lncl::bench {
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr char kHash[] = "0123456789abcdef0123456789abcdef01234567";
+constexpr char kEnclosing[] = "fedcba9876543210fedcba9876543210fedcba98";
+
+class GitRevisionTest : public testing::Test {
+ protected:
+  // root_ is itself a repository at another commit, so a lookup that walks
+  // past a .git file reports kEnclosing instead of the expected answer.
+  void SetUp() override {
+    cwd_ = fs::current_path();
+    root_ = fs::temp_directory_path() /
+            ("bench_history_test_" + std::to_string(::getpid()));
+    fs::remove_all(root_);
+    fs::create_directories(root_ / "work" / "sub");
+    Write(root_ / ".git" / "HEAD", std::string(kEnclosing) + "\n");
+  }
+  void TearDown() override {
+    fs::current_path(cwd_);
+    fs::remove_all(root_);
+  }
+
+  static void Write(const fs::path& path, const std::string& text) {
+    fs::create_directories(path.parent_path());
+    std::ofstream(path) << text;
+  }
+
+  static std::string RevisionIn(const fs::path& dir) {
+    fs::current_path(dir);
+    return GitRevision();
+  }
+
+  fs::path cwd_;
+  fs::path root_;
+};
+
+TEST_F(GitRevisionTest, FollowsGitdirFile) {
+  Write(root_ / "repo.git" / "HEAD", "ref: refs/heads/main\n");
+  Write(root_ / "repo.git" / "refs" / "heads" / "main",
+        std::string(kHash) + "\n");
+  Write(root_ / "work" / ".git", "gitdir: ../repo.git\n");
+  EXPECT_EQ(RevisionIn(root_ / "work"), "0123456789ab");
+  // Below the checkout the walk up stops at the .git file, too.
+  EXPECT_EQ(RevisionIn(root_ / "work" / "sub"), "0123456789ab");
+}
+
+TEST_F(GitRevisionTest, WorktreeRefsComeFromTheCommonDir) {
+  Write(root_ / "main.git" / "packed-refs",
+        "# pack-refs with: peeled\n" + std::string(kHash) +
+            " refs/heads/topic\n");
+  Write(root_ / "main.git" / "worktrees" / "w" / "HEAD",
+        "ref: refs/heads/topic\n");
+  Write(root_ / "main.git" / "worktrees" / "w" / "commondir", "../..\n");
+  Write(root_ / "work" / ".git",
+        "gitdir: " + (root_ / "main.git" / "worktrees" / "w").string());
+  EXPECT_EQ(RevisionIn(root_ / "work"), "0123456789ab");
+}
+
+TEST_F(GitRevisionTest, UnfollowableGitFileIsUnknown) {
+  Write(root_ / "work" / ".git", "not a gitdir line\n");
+  EXPECT_EQ(RevisionIn(root_ / "work"), "unknown");
+  Write(root_ / "work" / ".git", "gitdir: ../missing.git\n");
+  EXPECT_EQ(RevisionIn(root_ / "work"), "unknown");
+}
+
+TEST_F(GitRevisionTest, WalksUpToAGitDirectory) {
+  EXPECT_EQ(RevisionIn(root_ / "work" / "sub"), "fedcba987654");
+}
+
+}  // namespace
+}  // namespace lncl::bench

@@ -7,12 +7,17 @@
 // executes a slot, never what is summed in which order.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/logic_lncl.h"
 #include "core/ner_rules.h"
+#include "core/sentiment_rules.h"
 #include "crowd/simulator.h"
 #include "data/ner_gen.h"
 #include "data/sentiment_gen.h"
@@ -52,7 +57,85 @@ struct FitSnapshot {
   std::vector<std::vector<float>> params;
   std::vector<util::Matrix> qf;
   std::vector<util::Matrix> confusions;
+  // PredictTeacherBatch on the test split, fp32 and with quantized_predict.
+  std::vector<util::Matrix> teacher;
+  std::vector<util::Matrix> teacher_int8;
 };
+
+FitSnapshot Snapshot(core::LogicLncl* learner, core::LogicLnclResult result,
+                     const data::Dataset& test) {
+  FitSnapshot snap;
+  snap.result = std::move(result);
+  snap.params = SnapshotParams(learner->model());
+  snap.qf = learner->qf();
+  for (const auto& c : learner->confusions()) {
+    snap.confusions.push_back(c.matrix());
+  }
+  snap.teacher = learner->PredictTeacherBatch(test);
+  learner->SetQuantizedPredict(true);
+  snap.teacher_int8 = learner->PredictTeacherBatch(test);
+  learner->SetQuantizedPredict(false);
+  return snap;
+}
+
+// 64-bit FNV-1a, continued from `h`.
+uint64_t Fnv1a(const void* data, size_t n,
+               uint64_t h = 14695981039346656037ull) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t HashMatrices(const std::vector<util::Matrix>& ms,
+                      uint64_t h = 14695981039346656037ull) {
+  for (const util::Matrix& m : ms) {
+    const int shape[2] = {m.rows(), m.cols()};
+    h = Fnv1a(shape, sizeof(shape), h);
+    h = Fnv1a(m.data(), m.size() * sizeof(float), h);
+  }
+  return h;
+}
+
+std::string Hex(uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Hash of a fit's trajectory and outcome: the loss curve, the final
+// parameters, and q_f.
+std::string FitHash(const FitSnapshot& snap) {
+  const std::vector<double>& loss = snap.result.loss_curve;
+  uint64_t h = Fnv1a(loss.data(), loss.size() * sizeof(double));
+  for (const std::vector<float>& p : snap.params) {
+    h = Fnv1a(p.data(), p.size() * sizeof(float), h);
+  }
+  return Hex(HashMatrices(snap.qf, h));
+}
+
+// Golden hashes pin a fit's bits across commits, where the tests comparing
+// thread counts only look inside one build. Each is checked at 1, 3 and 4
+// threads (at 3 the kSlots = 8 slots do not divide evenly over the workers).
+// A change to any of them is a change of training trajectory or of serving
+// numerics; it must be deliberate and re-recorded here.
+struct GoldenHashes {
+  const char* fit;           // FitHash
+  const char* teacher;       // PredictTeacherBatch, fp32
+  const char* teacher_int8;  // PredictTeacherBatch, quantized_predict
+};
+
+void ExpectGolden(const FitSnapshot& snap, const GoldenHashes& golden,
+                  int threads) {
+  EXPECT_EQ(FitHash(snap), golden.fit) << "threads=" << threads;
+  EXPECT_EQ(Hex(HashMatrices(snap.teacher)), golden.teacher)
+      << "threads=" << threads;
+  EXPECT_EQ(Hex(HashMatrices(snap.teacher_int8)), golden.teacher_int8)
+      << "threads=" << threads;
+}
 
 void ExpectBitIdentical(const FitSnapshot& a, const FitSnapshot& b) {
   // Exact double equality is intentional: the guarantee is bit-identity,
@@ -84,6 +167,14 @@ void ExpectBitIdentical(const FitSnapshot& a, const FitSnapshot& b) {
     EXPECT_TRUE(BitEqual(a.confusions[i], b.confusions[i]))
         << "confusion " << i << " differs";
   }
+  ASSERT_EQ(a.teacher.size(), b.teacher.size());
+  ASSERT_EQ(a.teacher_int8.size(), b.teacher_int8.size());
+  for (size_t i = 0; i < a.teacher.size(); ++i) {
+    EXPECT_TRUE(BitEqual(a.teacher[i], b.teacher[i]))
+        << "teacher[" << i << "] differs";
+    EXPECT_TRUE(BitEqual(a.teacher_int8[i], b.teacher_int8[i]))
+        << "int8 teacher[" << i << "] differs";
+  }
 }
 
 // ------------------------------------------------------- sentiment TextCnn
@@ -101,6 +192,7 @@ class SentimentDeterminismTest : public testing::Test {
         sim.Annotate(corpus_.train, &rng));
     models::TextCnnConfig mcfg;
     mcfg.feature_maps = 8;
+    mcfg.dropout = 0.5;
     factory_ = models::TextCnn::Factory(mcfg, corpus_.embeddings);
   }
 
@@ -115,14 +207,31 @@ class SentimentDeterminismTest : public testing::Test {
     config.threads = threads;
     Rng rng(1);
     core::LogicLncl learner(config, factory_, nullptr);
-    FitSnapshot snap;
-    snap.result = learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
-    snap.params = SnapshotParams(learner.model());
-    snap.qf = learner.qf();
-    for (const auto& c : learner.confusions()) {
-      snap.confusions.push_back(c.matrix());
-    }
-    return snap;
+    core::LogicLnclResult result =
+        learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
+    return Snapshot(&learner, std::move(result), corpus_.test);
+  }
+
+  // 3-epoch TextCnn fit with the A-but-B rule (dropout 0.5, Adadelta). The
+  // rule consults the model being trained, so the learner takes a pre-built
+  // model; `replica_factory` only adds training workers.
+  FitSnapshot RunButRule(int threads, bool replica_factory) const {
+    core::LogicLnclConfig config;
+    config.epochs = 3;
+    config.batch_size = 32;
+    config.patience = 3;
+    config.k_schedule = core::SentimentKSchedule();
+    config.optimizer.kind = "adadelta";
+    config.optimizer.lr = 1.0;
+    config.threads = threads;
+    Rng rng(1);
+    std::unique_ptr<models::Model> model = factory_(&rng);
+    core::SentimentButRule rule(model.get(), corpus_.but_token);
+    core::LogicLncl learner(config, std::move(model), &rule,
+                            replica_factory ? factory_ : nullptr);
+    core::LogicLnclResult result =
+        learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
+    return Snapshot(&learner, std::move(result), corpus_.test);
   }
 
   data::SentimentCorpus corpus_;
@@ -142,6 +251,27 @@ TEST_F(SentimentDeterminismTest, RepeatedRunsBitIdentical) {
   const FitSnapshot a = Run(4);
   const FitSnapshot b = Run(4);
   ExpectBitIdentical(a, b);
+}
+
+TEST_F(SentimentDeterminismTest, ButRuleFitMatchesGoldenHashes) {
+  const GoldenHashes golden = {"95e65f271a9503c2", "e178ad656e9b2414",
+                                "637059670e10435c"};
+  for (const int threads : {1, 3, 4}) {
+    ExpectGolden(RunButRule(threads, /*replica_factory=*/true), golden,
+                 threads);
+  }
+}
+
+TEST_F(SentimentDeterminismTest, ReplicaFactoryOnlyAddsWorkers) {
+  // threads >= 1 always selects the sharded trajectory: without a replica
+  // factory the master trains alone, bit-identically.
+  for (const int threads : {1, 4}) {
+    const FitSnapshot with = RunButRule(threads, /*replica_factory=*/true);
+    const FitSnapshot without =
+        RunButRule(threads, /*replica_factory=*/false);
+    ExpectBitIdentical(with, without);
+    EXPECT_EQ(FitHash(with), FitHash(without)) << "threads=" << threads;
+  }
 }
 
 TEST_F(SentimentDeterminismTest, ScalarKernelOverrideBitIdentical) {
@@ -176,6 +306,7 @@ class NerDeterminismTest : public testing::Test {
     models::NerTaggerConfig mcfg;
     mcfg.conv_features = 16;
     mcfg.gru_hidden = 8;
+    mcfg.dropout = 0.5;
     factory_ = models::NerTagger::Factory(mcfg, corpus_.embeddings);
     projector_ = core::MakeNerRuleProjector();
   }
@@ -192,14 +323,9 @@ class NerDeterminismTest : public testing::Test {
     config.threads = threads;
     Rng rng(1);
     core::LogicLncl learner(config, factory_, projector_.get());
-    FitSnapshot snap;
-    snap.result = learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
-    snap.params = SnapshotParams(learner.model());
-    snap.qf = learner.qf();
-    for (const auto& c : learner.confusions()) {
-      snap.confusions.push_back(c.matrix());
-    }
-    return snap;
+    core::LogicLnclResult result =
+        learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
+    return Snapshot(&learner, std::move(result), corpus_.test);
   }
 
   data::NerCorpus corpus_;
@@ -212,6 +338,15 @@ TEST_F(NerDeterminismTest, OneVsFourThreadsBitIdentical) {
   const FitSnapshot one = Run(1);
   const FitSnapshot four = Run(4);
   ExpectBitIdentical(one, four);
+}
+
+TEST_F(NerDeterminismTest, MatchesGoldenHashes) {
+  // 3-epoch conv+GRU fit with transition rules (dropout 0.5, Adam).
+  const GoldenHashes golden = {"7fb7cc9f98d5e89b", "6c91d29c8e145923",
+                                "d60950bf6f2498bc"};
+  for (const int threads : {1, 3, 4}) {
+    ExpectGolden(Run(threads), golden, threads);
+  }
 }
 
 }  // namespace

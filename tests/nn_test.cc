@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <tuple>
 
 #include "nn/activations.h"
 #include "nn/conv1d.h"
@@ -14,8 +16,10 @@
 #include "nn/maxpool.h"
 #include "nn/optimizer.h"
 #include "nn/parameter.h"
+#include "nn/quantize.h"
 #include "nn/serialize.h"
 #include "nn/softmax.h"
+#include "util/gemm_kernel.h"
 #include "util/rng.h"
 
 namespace lncl::nn {
@@ -191,6 +195,58 @@ TEST(DropoutTest, BackwardMatchesMask) {
   }
 }
 
+// Per-element reference: one draw per unit, dropped when it is below rate.
+void ReferenceDropout(double rate, Rng* rng, float* x, size_t n,
+                      std::vector<uint8_t>* mask) {
+  mask->assign(n, 1);
+  if (rate <= 0.0) return;
+  const float scale = static_cast<float>(1.0 / (1.0 - rate));
+  for (size_t i = 0; i < n; ++i) {
+    if (rng->Uniform() < rate) {
+      (*mask)[i] = 0;
+      x[i] = 0.0f;
+    } else {
+      x[i] *= scale;
+    }
+  }
+}
+
+bool SameBits(const float* a, const float* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(DropoutTest, MatchesPerElementReference) {
+  // Mask, values and the generator's next draw all match the reference: the
+  // number of draws is part of the serial training trajectory.
+  for (const double rate : {0.0, 0.1, 0.5, 0.9}) {
+    for (const int n : {0, 1, 48, 832}) {
+      SCOPED_TRACE(testing::Message() << "rate=" << rate << " n=" << n);
+      Rng data_rng(static_cast<uint64_t>(n) + 17);
+      const Matrix x = RandomMatrix(1, n, &data_rng);
+      Vector want(x.data(), x.data() + x.size());
+      std::vector<uint8_t> want_mask;
+      Rng ref_rng(5);
+      ReferenceDropout(rate, &ref_rng, want.data(), want.size(), &want_mask);
+      const uint64_t want_next = ref_rng.engine()();
+
+      Vector v(x.data(), x.data() + x.size());
+      std::vector<uint8_t> mask = {7};  // stale contents are replaced
+      Rng vec_rng(5);
+      DropoutForward(rate, &vec_rng, &v, &mask);
+      EXPECT_EQ(mask, want_mask);
+      EXPECT_TRUE(SameBits(v.data(), want.data(), want.size()));
+      EXPECT_EQ(vec_rng.engine()(), want_next);
+
+      Matrix m = x;
+      mask = {7};
+      Rng mat_rng(5);
+      DropoutForward(rate, &mat_rng, &m, &mask);
+      EXPECT_EQ(mask, want_mask);
+      EXPECT_TRUE(SameBits(m.data(), want.data(), want.size()));
+      EXPECT_EQ(mat_rng.engine()(), want_next);
+    }
+  }
+}
 
 // -------------------------------------------------------------- Embedding --
 
@@ -513,6 +569,114 @@ TEST_P(Conv1dBackwardPathTest, SparseAndDensePathsMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Paddings, Conv1dBackwardPathTest,
                          testing::Values(Conv1d::Padding::kValid,
                                          Conv1d::Padding::kSame));
+
+// Naive clipped-window forward, the oracle for both Conv1d forwards: per
+// output row and filter, one accumulator updated by std::fma over the
+// in-range window rows in ascending order, then the epilogue of the GEMM
+// kernels (scale for int8, bias, activation). With `qw` the filter values
+// are the int8 panel entries instead of the fp32 weights.
+Matrix NaiveConvForward(const Conv1d& conv, const Matrix& w,
+                        const Matrix& bias, const RowQuantized* qw,
+                        const Matrix& x, util::Act act) {
+  const int t = x.rows();
+  const int d = conv.in_dim();
+  const int f = conv.filters();
+  const int pad_left =
+      conv.padding() == Conv1d::Padding::kSame ? (conv.window() - 1) / 2 : 0;
+  Matrix y(conv.OutRows(t), f);
+  for (int o = 0; o < y.rows(); ++o) {
+    for (int j = 0; j < f; ++j) {
+      float acc = 0.0f;
+      for (int wr = 0; wr < conv.window(); ++wr) {
+        const int row = o - pad_left + wr;
+        if (row < 0 || row >= t) continue;
+        for (int c = 0; c < d; ++c) {
+          const int k = wr * d + c;
+          const float wv =
+              qw != nullptr
+                  ? static_cast<float>(qw->q[static_cast<size_t>(k) * f + j])
+                  : w(j, k);
+          acc = std::fma(x(row, c), wv, acc);
+        }
+      }
+      float v = qw != nullptr ? acc * qw->scale[j] : acc;
+      v += bias(0, j);
+      if (act == util::Act::kRelu) {
+        v = v > 0.0f ? v : 0.0f;
+      } else if (act == util::Act::kTanh) {
+        v = std::tanh(v);
+      }
+      y(o, j) = v;
+    }
+  }
+  return y;
+}
+
+class Conv1dForwardOracleTest
+    : public testing::TestWithParam<std::tuple<Conv1d::Padding, bool>> {};
+
+TEST_P(Conv1dForwardOracleTest, ForwardsMatchNaiveClippedWindow) {
+  const auto [padding, quantized] = GetParam();
+  // Window 5: t < 5 exercises kValid's zero-padded single row, t = 5 its
+  // one interior row; kSame always has two boundary rows at each end.
+  const int window = 5;
+  const int d = 7;
+  const int f = 19;  // one full SIMD vector plus a masked tail
+  Rng rng(314);
+  Conv1d conv("c", window, d, f, padding, &rng);
+  Matrix& bias = conv.Params()[1]->value;
+  bias = RandomMatrix(1, f, &rng);
+  conv.SetQuantized(quantized);
+  RowQuantized qw;
+  QuantizeRows(conv.Params()[0]->value, &qw);
+  const RowQuantized* panel = quantized ? &qw : nullptr;
+
+  std::vector<util::gemm::Kind> kinds = {util::gemm::Kind::kScalar};
+  if (util::gemm::SimdCompiled()) kinds.push_back(util::gemm::Kind::kSimd);
+  for (const util::gemm::Kind kind : kinds) {
+    util::gemm::SetActiveKindForTest(kind);
+    for (const int t : {0, 1, 2, 4, 5, 13}) {
+      for (const util::Act act :
+           {util::Act::kNone, util::Act::kRelu, util::Act::kTanh}) {
+        SCOPED_TRACE(testing::Message()
+                     << util::gemm::KindName(kind) << " t=" << t
+                     << " act=" << static_cast<int>(act));
+        constexpr int kBatch = 3;
+        std::vector<Matrix> xs;
+        Matrix packed(kBatch * t, d);
+        for (int b = 0; b < kBatch; ++b) {
+          xs.push_back(RandomMatrix(t, d, &rng));
+          for (int r = 0; r < t; ++r) {
+            std::memcpy(packed.Row(b * t + r), xs.back().Row(r),
+                        d * sizeof(float));
+          }
+        }
+        Matrix y_packed;
+        conv.ForwardPacked(packed, kBatch, t, &y_packed, act);
+        const int out_rows = conv.OutRows(t);
+        ASSERT_EQ(y_packed.rows(), kBatch * out_rows);
+        for (int b = 0; b < kBatch; ++b) {
+          const Matrix want = NaiveConvForward(
+              conv, conv.Params()[0]->value, bias, panel, xs[b], act);
+          Matrix y;
+          conv.Forward(xs[b], &y, act);
+          ASSERT_EQ(y.rows(), want.rows());
+          ASSERT_EQ(y.cols(), f);
+          EXPECT_TRUE(SameBits(y.data(), want.data(), want.size()));
+          EXPECT_TRUE(SameBits(y_packed.Row(b * out_rows), want.data(),
+                               want.size()));
+        }
+      }
+    }
+  }
+  util::gemm::SetActiveKindForTest(util::gemm::ParseKindEnv());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaddingsAndPrecisions, Conv1dForwardOracleTest,
+    testing::Combine(testing::Values(Conv1d::Padding::kSame,
+                                     Conv1d::Padding::kValid),
+                     testing::Bool()));
 
 TEST(GruTest, GradientCheckParameters) {
   Rng rng(41);
