@@ -104,9 +104,10 @@ void PrintConfigBanner(const std::string& bench, const Scale& scale,
 void EmitTable(util::Table* table, const std::string& id);
 
 // One end-to-end Logic-LNCL fit timed under a prediction-pipeline mode:
-// "batched" = LogicLnclConfig.batch_predict on (length-bucketed PredictBatch
-// for the E-step, projection, and dev eval), "per_instance" = the legacy
-// one-Predict-per-instance pipeline (the pre-batching baseline).
+// "batched" = LogicLnclConfig.batch_predict on (each E-step slot predicts
+// and projects in one length-bucketed PredictBatch / ProjectBatch call),
+// "per_instance" = off (one instance per call, the pre-batching baseline).
+// Dev evaluation is batched in both modes.
 struct TimedFit {
   std::string mode;
   core::LogicLnclResult result;

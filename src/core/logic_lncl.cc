@@ -154,10 +154,6 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
   std::vector<util::Matrix> best_qf = qf_;
   crowd::ConfusionSet best_confusions;
 
-  const eval::Predictor student = [this](const data::Instance& x) {
-    return model_->Predict(x);
-  };
-
   // Telemetry (src/obs): PhaseSpan both accumulates PhaseSeconds and, when
   // tracing is active, emits one trace event per phase; the observer (if
   // any) gets one EpochRecord per epoch. All of it only reads trainer state,
@@ -216,19 +212,22 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
                 obs::Metrics::GetCounter("e_step.instances");
             instances->Add(static_cast<uint64_t>(end - begin));
           }
-          if (config_.batch_predict) {
-            if (begin >= end) return;
-            std::vector<const data::Instance*> xs;
-            xs.reserve(end - begin);
-            for (int i = begin; i < end; ++i) {
-              xs.push_back(&train.instances[i]);
-            }
-            std::vector<util::Matrix> probs;
+          // One body per chunk of the slot: predict, Eq. 13, project
+          // (Eq. 15), blend (Eq. 9). A chunk is the whole slot, or one
+          // instance when batch_predict is off; a prediction or projection
+          // never depends on its chunk-mates, so both give the same q_f.
+          const int chunk = config_.batch_predict ? end - begin : 1;
+          std::vector<const data::Instance*> xs;
+          std::vector<util::Matrix> probs;
+          for (int lo = begin; lo < end; lo += chunk) {
+            const int hi = std::min(end, lo + chunk);
+            xs.clear();
+            for (int i = lo; i < hi; ++i) xs.push_back(&train.instances[i]);
             model_->PredictBatch(xs, &probs);
             std::vector<util::Matrix> qa(xs.size());
-            for (int i = begin; i < end; ++i) {
-              qa[i - begin] =
-                  ComputeQa(probs[i - begin], annotations.instance(i), log_pi);
+            for (int i = lo; i < hi; ++i) {
+              qa[i - lo] =
+                  ComputeQa(probs[i - lo], annotations.instance(i), log_pi);
             }
             if (project) {
               // ProjectBatch rewrites in place, so q_a is copied to blend
@@ -249,28 +248,7 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
             }
             // Eq. 9 blend of two simplexes stays a simplex.
             for (const util::Matrix& q : qa) LNCL_AUDIT_SIMPLEX(q);
-            for (int i = begin; i < end; ++i) {
-              qf_[i] = std::move(qa[i - begin]);
-            }
-            return;
-          }
-          for (int i = begin; i < end; ++i) {
-            const data::Instance& x = train.instances[i];
-            const util::Matrix probs = model_->Predict(x);
-            util::Matrix qa =
-                ComputeQa(probs, annotations.instance(i), log_pi);
-            if (project) {
-              const util::Matrix qb = projector_->Project(x, qa, config_.C);
-              if (observe) slot_stats[slot].Accumulate(qa, qb);
-              for (int t = 0; t < qa.rows(); ++t) {
-                for (int c = 0; c < qa.cols(); ++c) {
-                  qa(t, c) = static_cast<float>((1.0 - k) * qa(t, c) +
-                                                k * qb(t, c));
-                }
-              }
-            }
-            LNCL_AUDIT_SIMPLEX(qa);
-            qf_[i] = std::move(qa);
+            for (int i = lo; i < hi; ++i) qf_[i] = std::move(qa[i - lo]);
           }
         });
         anchor();
@@ -280,8 +258,7 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
       double dev_score = 0.0;
       {
         obs::PhaseSpan span("dev_eval", &result.phase_seconds.dev_eval);
-        dev_score = config_.batch_predict ? eval::DevScore(*model_, dev)
-                                          : eval::DevScore(student, dev);
+        dev_score = eval::DevScore(*model_, dev);
       }
       result.dev_curve.push_back(dev_score);
       const int prev_best = stopper.best_epoch();

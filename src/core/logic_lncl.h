@@ -48,18 +48,19 @@ struct LogicLnclConfig {
   //        results are bit-identical for every threads >= 1 setting.
   //        threads = 1 runs the same sharded trajectory serially.
   int threads = 0;
-  // Use Model::PredictBatch for the E-step sweep, dev evaluation, and
-  // rule projection (one batched clause-B prediction per slot instead of one
-  // Predict per grounded instance). Bit-identical to the per-instance path
-  // at any threads setting — the batched kernels only add GEMM rows — so
-  // this is purely a performance switch; false keeps the PR-1-era
-  // per-instance pipeline (the bench baseline).
+  // E-step chunk size: true runs each slot's instances through one
+  // PredictBatch / ProjectBatch call, false one instance per call (the
+  // benches' per-instance baseline). There is one E-step body either way,
+  // and a prediction never depends on its batch-mates, so the two are
+  // bit-identical at any threads setting and this only changes speed. The
+  // field stays only because the repository benchmark sets it by name.
   bool batch_predict = true;
   // Serve PredictStudentBatch / PredictTeacherBatch from post-training int8
   // weights (per-row symmetric quantization, fp32 accumulate; see
   // nn/quantize.h and DESIGN.md §9). Inference-only: training, the E-step,
-  // and the per-instance Predict entries always run fp32. Off by default;
-  // the bench accuracy gate records the int8-vs-fp32 argmax agreement.
+  // and the per-instance PredictStudent / PredictTeacher always run fp32.
+  // Off by default; the bench accuracy gate records the int8-vs-fp32 argmax
+  // agreement.
   bool quantized_predict = false;
   // Optional telemetry sink (src/obs/run_log.h): receives one EpochRecord
   // per epoch (loss, dev score, k(t), KL(q_a || q_b), rule satisfaction,
@@ -151,11 +152,13 @@ class LogicLncl {
   void SaveModel(std::ostream& os) const;
   bool LoadModel(std::istream& is);
 
+  // One instance: Model::Predict, then RuleProjector::Project for the
+  // teacher (both batches of one).
   util::Matrix PredictStudent(const data::Instance& x) const;
   util::Matrix PredictTeacher(const data::Instance& x) const;
 
-  // Batched counterparts over a whole dataset (bit-identical to looping the
-  // per-instance forms; see Model::PredictBatch).
+  // The same over a whole dataset in one PredictBatch (and ProjectBatch)
+  // call; bit-identical to looping the per-instance forms.
   std::vector<util::Matrix> PredictStudentBatch(
       const data::Dataset& dataset) const;
   std::vector<util::Matrix> PredictTeacherBatch(

@@ -1,7 +1,5 @@
 #include "core/sentiment_rules.h"
 
-#include <mutex>
-
 #include "data/sentiment_gen.h"
 #include "util/check.h"
 
@@ -22,17 +20,9 @@ SentimentButRule::SentimentButRule(const models::Model* model,
 }
 
 bool SentimentButRule::GroundingFormed(const data::Instance& x) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(cache_mu_);
-    const auto it = grounding_cache_.find(&x);
-    if (it != grounding_cache_.end()) return it->second;
-  }
-  const bool formed =
-      !(x.contrast_index < 0 || x.tokens[x.contrast_index] != marker_token_ ||
-        x.contrast_index + 1 >= static_cast<int>(x.tokens.size()));
-  std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  grounding_cache_.emplace(&x, formed);
-  return formed;
+  return x.contrast_index >= 0 &&
+         x.contrast_index + 1 < static_cast<int>(x.tokens.size()) &&
+         x.tokens[x.contrast_index] == marker_token_;
 }
 
 util::Matrix SentimentButRule::ApplyRule(const util::Matrix& q,
@@ -51,14 +41,6 @@ util::Matrix SentimentButRule::ApplyRule(const util::Matrix& q,
   return logic::ProjectIndependent(q, penalties, C);
 }
 
-util::Matrix SentimentButRule::Project(const data::Instance& x,
-                                       const util::Matrix& q,
-                                       double C) const {
-  LNCL_DCHECK(q.rows() == 1 && q.cols() == data::kNumSentimentClasses);
-  if (!GroundingFormed(x)) return q;
-  return ApplyRule(q, model_->Predict(data::ClauseB(x)), C);
-}
-
 void SentimentButRule::ProjectBatch(
     const std::vector<const data::Instance*>& xs,
     std::vector<util::Matrix>* qs, double C) const {
@@ -66,6 +48,8 @@ void SentimentButRule::ProjectBatch(
   std::vector<int> grounded;
   std::vector<data::Instance> clause_b;
   for (size_t i = 0; i < xs.size(); ++i) {
+    LNCL_DCHECK((*qs)[i].rows() == 1 &&
+                (*qs)[i].cols() == data::kNumSentimentClasses);
     if (GroundingFormed(*xs[i])) {
       grounded.push_back(static_cast<int>(i));
       clause_b.push_back(data::ClauseB(*xs[i]));
@@ -82,7 +66,6 @@ void SentimentButRule::ProjectBatch(
 
   for (size_t j = 0; j < grounded.size(); ++j) {
     util::Matrix& q = (*qs)[grounded[j]];
-    LNCL_DCHECK(q.rows() == 1 && q.cols() == data::kNumSentimentClasses);
     q = ApplyRule(q, pbs[j], C);
   }
 }

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "logic/posterior_reg.h"
@@ -23,10 +21,9 @@ namespace lncl::core {
 //
 // The projector consults the classifier (`model`), whose parameters evolve
 // across the EM-alike epochs — groundings are therefore re-evaluated at
-// every projection, as in the paper. Whether a grounding is *formed*,
-// however, depends only on the instance's static token data, so that
-// decision is cached per instance address; instances handed to Project /
-// ProjectBatch must outlive the projector and must not be mutated.
+// every projection, as in the paper. Whether a grounding is formed is read
+// from the instance's tokens at each call, so an instance may be rewritten
+// between projections.
 class SentimentButRule : public logic::RuleProjector {
  public:
   // `marker_token`: vocabulary id of the conjunction that activates the rule
@@ -35,12 +32,8 @@ class SentimentButRule : public logic::RuleProjector {
   SentimentButRule(const models::Model* model, int marker_token,
                    double weight = 1.0);
 
-  util::Matrix Project(const data::Instance& x, const util::Matrix& q,
-                       double C) const override;
-
-  // Batched projection: collects the grounded instances' B clauses and runs
-  // them through one Model::PredictBatch call instead of one Predict each.
-  // Bit-identical to looping Project.
+  // Collects the grounded instances' B clauses and runs them through one
+  // Model::PredictBatch call; q's of ungrounded instances pass through.
   void ProjectBatch(const std::vector<const data::Instance*>& xs,
                     std::vector<util::Matrix>* qs, double C) const override;
 
@@ -49,8 +42,8 @@ class SentimentButRule : public logic::RuleProjector {
   const logic::RuleSet& rules() const { return rules_; }
 
  private:
-  // Whether x activates the rule (contrast marker present with a non-empty B
-  // clause); memoized by instance address under a shared mutex.
+  // Whether x activates the rule: the contrast marker at contrast_index,
+  // followed by a non-empty B clause.
   bool GroundingFormed(const data::Instance& x) const;
 
   // Eq. 15 projection of q given the clause-B prediction pb (1 x 2).
@@ -60,9 +53,6 @@ class SentimentButRule : public logic::RuleProjector {
   const models::Model* model_;  // not owned
   int marker_token_;
   logic::RuleSet rules_;
-
-  mutable std::shared_mutex cache_mu_;
-  mutable std::unordered_map<const data::Instance*, bool> grounding_cache_;
 };
 
 }  // namespace lncl::core

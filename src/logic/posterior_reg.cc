@@ -6,13 +6,11 @@
 
 namespace lncl::logic {
 
-void RuleProjector::ProjectBatch(const std::vector<const data::Instance*>& xs,
-                                 std::vector<util::Matrix>* qs,
-                                 double C) const {
-  LNCL_DCHECK(qs->size() == xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    (*qs)[i] = Project(*xs[i], (*qs)[i], C);
-  }
+util::Matrix RuleProjector::Project(const data::Instance& x,
+                                    const util::Matrix& q, double C) const {
+  std::vector<util::Matrix> qs = {q};
+  ProjectBatch({&x}, &qs, C);
+  return std::move(qs[0]);
 }
 
 util::Matrix ProjectIndependent(const util::Matrix& q,

@@ -21,27 +21,25 @@ class RuleProjector {
  public:
   virtual ~RuleProjector() = default;
 
-  // q: items x K, row-stochastic. Returns q_b with the same shape.
-  virtual util::Matrix Project(const data::Instance& x, const util::Matrix& q,
-                               double C) const = 0;
-
-  // Projects a whole batch: (*qs)[i] is replaced by Project(*xs[i],
-  // (*qs)[i], C). The base implementation loops Project; projectors whose
-  // rule values consult a model (SentimentButRule's clause-B prediction)
-  // override it to batch those inner predictions. Overrides must stay
-  // bit-identical to the looped default.
+  // The only projection entry: (*qs)[i], the items x K row-stochastic q_a
+  // of *xs[i], is replaced in place by its q_b. Instances are projected
+  // independently, so a projection never depends on its batch-mates;
+  // projectors whose rule values consult a model (SentimentButRule's
+  // clause-B prediction) batch those inner predictions.
   virtual void ProjectBatch(const std::vector<const data::Instance*>& xs,
-                            std::vector<util::Matrix>* qs, double C) const;
+                            std::vector<util::Matrix>* qs, double C) const = 0;
+
+  // ProjectBatch on a batch of one: returns q_b with q's shape.
+  util::Matrix Project(const data::Instance& x, const util::Matrix& q,
+                       double C) const;
 };
 
 // Trivial projector: q_b = q_a. Used by the w/o-Rule ablation and as the
 // "no knowledge" default.
 class NullProjector : public RuleProjector {
  public:
-  util::Matrix Project(const data::Instance&, const util::Matrix& q,
-                       double) const override {
-    return q;
-  }
+  void ProjectBatch(const std::vector<const data::Instance*>&,
+                    std::vector<util::Matrix>*, double) const override {}
 };
 
 // Row-independent closed form of Eq. 15. penalties(r, k) must hold

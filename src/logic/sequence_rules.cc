@@ -12,19 +12,11 @@ SequenceRuleProjector::SequenceRuleProjector(util::Matrix pair_penalty)
   LNCL_CHECK(pair_penalty_.rows() == pair_penalty_.cols());
 }
 
-util::Matrix SequenceRuleProjector::Project(const data::Instance&,
-                                            const util::Matrix& q,
-                                            double C) const {
-  const int t_len = q.rows();
-  const int k = q.cols();
-  LNCL_DCHECK(k == pair_penalty_.rows());
-  // Input rows are unary potentials, not necessarily normalized (the DP
-  // renormalizes at every step) — so only finiteness is contracted here;
-  // the output marginals below must be exact simplexes.
-  LNCL_AUDIT_FINITE(q);
-  util::Matrix out(t_len, k);
-  if (t_len == 0) return out;
-
+void SequenceRuleProjector::ProjectBatch(
+    const std::vector<const data::Instance*>& xs,
+    std::vector<util::Matrix>* qs, double C) const {
+  LNCL_DCHECK(qs->size() == xs.size());
+  const int k = pair_penalty_.rows();
   // Transition potentials psi(a, b) = exp(-C * pen(a, b)).
   util::Matrix psi(k, k);
   for (int a = 0; a < k; ++a) {
@@ -45,43 +37,57 @@ util::Matrix SequenceRuleProjector::Project(const data::Instance&,
     }
   };
 
-  // Forward pass.
-  std::vector<std::vector<double>> alpha(
-      t_len, std::vector<double>(k, 0.0));
-  for (int c = 0; c < k; ++c) alpha[0][c] = q(0, c);
-  normalize(&alpha[0]);
-  for (int t = 1; t < t_len; ++t) {
-    for (int b = 0; b < k; ++b) {
-      double s = 0.0;
-      for (int a = 0; a < k; ++a) s += alpha[t - 1][a] * psi(a, b);
-      alpha[t][b] = q(t, b) * s;
-    }
-    normalize(&alpha[t]);
-  }
+  for (size_t i = 0; i < qs->size(); ++i) {
+    // Read through a const view: mutable element access draws a version
+    // ticket per call (util/matrix.h).
+    const util::Matrix& q = (*qs)[i];
+    const int t_len = q.rows();
+    LNCL_DCHECK(q.cols() == k);
+    // Input rows are unary potentials, not necessarily normalized (the DP
+    // renormalizes at every step) — so only finiteness is contracted here;
+    // the output marginals below must be exact simplexes.
+    LNCL_AUDIT_FINITE(q);
+    if (t_len == 0) continue;
 
-  // Backward pass.
-  std::vector<std::vector<double>> beta(t_len, std::vector<double>(k, 1.0));
-  for (int t = t_len - 2; t >= 0; --t) {
-    for (int a = 0; a < k; ++a) {
-      double s = 0.0;
+    // Forward pass.
+    std::vector<std::vector<double>> alpha(
+        t_len, std::vector<double>(k, 0.0));
+    for (int c = 0; c < k; ++c) alpha[0][c] = q(0, c);
+    normalize(&alpha[0]);
+    for (int t = 1; t < t_len; ++t) {
       for (int b = 0; b < k; ++b) {
-        s += psi(a, b) * q(t + 1, b) * beta[t + 1][b];
+        double s = 0.0;
+        for (int a = 0; a < k; ++a) s += alpha[t - 1][a] * psi(a, b);
+        alpha[t][b] = q(t, b) * s;
       }
-      beta[t][a] = s;
+      normalize(&alpha[t]);
     }
-    normalize(&beta[t]);
-  }
 
-  for (int t = 0; t < t_len; ++t) {
-    std::vector<double> marg(k);
-    for (int c = 0; c < k; ++c) marg[c] = alpha[t][c] * beta[t][c];
-    normalize(&marg);
-    for (int c = 0; c < k; ++c) out(t, c) = static_cast<float>(marg[c]);
+    // Backward pass.
+    std::vector<std::vector<double>> beta(t_len, std::vector<double>(k, 1.0));
+    for (int t = t_len - 2; t >= 0; --t) {
+      for (int a = 0; a < k; ++a) {
+        double s = 0.0;
+        for (int b = 0; b < k; ++b) {
+          s += psi(a, b) * q(t + 1, b) * beta[t + 1][b];
+        }
+        beta[t][a] = s;
+      }
+      normalize(&beta[t]);
+    }
+
+    util::Matrix out(t_len, k);
+    for (int t = 0; t < t_len; ++t) {
+      std::vector<double> marg(k);
+      for (int c = 0; c < k; ++c) marg[c] = alpha[t][c] * beta[t][c];
+      normalize(&marg);
+      for (int c = 0; c < k; ++c) out(t, c) = static_cast<float>(marg[c]);
+    }
+    // Eqs. 18-19: the forward-backward marginals must come out normalized
+    // (each token's row a simplex) and finite.
+    LNCL_AUDIT_SIMPLEX(out);
+    (*qs)[i] = std::move(out);
   }
-  // Eqs. 18-19: the forward-backward marginals must come out normalized
-  // (each token's row a simplex) and finite.
-  LNCL_AUDIT_SIMPLEX(out);
-  return out;
 }
 
 util::Matrix SequenceRuleProjector::ProjectBruteForce(const util::Matrix& q,

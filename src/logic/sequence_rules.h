@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "logic/posterior_reg.h"
 #include "util/matrix.h"
 
@@ -23,8 +25,10 @@ class SequenceRuleProjector : public RuleProjector {
   // pair_penalty: K x K, entry (a, b) = penalty of transition a -> b.
   explicit SequenceRuleProjector(util::Matrix pair_penalty);
 
-  util::Matrix Project(const data::Instance& x, const util::Matrix& q,
-                       double C) const override;
+  // Projects each sequence of the batch independently; the tokens of `xs`
+  // are not consulted (the rules read only the labels).
+  void ProjectBatch(const std::vector<const data::Instance*>& xs,
+                    std::vector<util::Matrix>* qs, double C) const override;
 
   // Exact (exponential-time) sequence marginals by brute-force enumeration.
   // Test oracle for short sequences only.

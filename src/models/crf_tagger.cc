@@ -51,24 +51,13 @@ CrfTagger::CrfTagger(const CrfTaggerConfig& config,
       transition_("crf.transition", config.num_classes, config.num_classes),
       start_("crf.start", 1, config.num_classes) {}
 
-void CrfTagger::UnaryForward(const data::Instance& x, bool train,
-                             util::Rng* rng, util::Matrix* unary) const {
-  if (train) {
-    embeddings_->Lookup(x.tokens, &cache_.embedded);
-    conv_.Forward(cache_.embedded, &cache_.conv_relu, util::Act::kRelu);
-    cache_.conv_dropped = cache_.conv_relu;
-    nn::DropoutForward(config_.dropout, rng, &cache_.conv_dropped,
-                       &cache_.dropout_mask);
-    gru_.Forward(cache_.conv_dropped, &cache_.gru, &cache_.hidden);
-    fc_.ForwardRows(cache_.hidden, unary);
-  } else {
-    util::Matrix embedded, conv_out, hidden;
-    embeddings_->Lookup(x.tokens, &embedded);
-    conv_.Forward(embedded, &conv_out, util::Act::kRelu);
-    nn::Gru::Cache gru_cache;
-    gru_.Forward(conv_out, &gru_cache, &hidden);
-    fc_.ForwardRows(hidden, unary);
-  }
+void CrfTagger::UnaryForward(const data::Instance& x,
+                             util::Matrix* unary) const {
+  util::Matrix embedded, conv_out, hidden;
+  embeddings_->Lookup(x.tokens, &embedded);
+  conv_.Forward(embedded, &conv_out, util::Act::kRelu);
+  gru_.ForwardPacked(conv_out, 1, conv_out.rows(), &hidden);
+  fc_.ForwardRows(hidden, unary);
 }
 
 void CrfTagger::BuildPotentials(const util::Matrix& unary,
@@ -108,20 +97,22 @@ void CrfTagger::BuildPotentials(const util::Matrix& unary,
   }
 }
 
-util::Matrix CrfTagger::Predict(const data::Instance& x) const {
-  util::Matrix unary;
-  UnaryForward(x, /*train=*/false, nullptr, &unary);
+void CrfTagger::PredictBatch(const std::vector<const data::Instance*>& xs,
+                             std::vector<util::Matrix>* out) const {
+  out->resize(xs.size());
+  util::Matrix unary, transition_potential, emission;
   util::Vector prior;
-  util::Matrix transition_potential, emission, marginals;
-  BuildPotentials(unary, &prior, &transition_potential, &emission);
-  util::ChainForwardBackward(prior, transition_potential, emission,
-                             &marginals, nullptr);
-  return marginals;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    UnaryForward(*xs[i], &unary);
+    BuildPotentials(unary, &prior, &transition_potential, &emission);
+    util::ChainForwardBackward(prior, transition_potential, emission,
+                               &(*out)[i], nullptr);
+  }
 }
 
 std::vector<int> CrfTagger::Decode(const data::Instance& x) const {
   util::Matrix unary;
-  UnaryForward(x, /*train=*/false, nullptr, &unary);
+  UnaryForward(x, &unary);
   util::Vector prior;
   util::Matrix transition_potential, emission;
   BuildPotentials(unary, &prior, &transition_potential, &emission);
@@ -132,7 +123,13 @@ std::vector<int> CrfTagger::Decode(const data::Instance& x) const {
 
 const util::Matrix& CrfTagger::ForwardTrain(const data::Instance& x,
                                             util::Rng* rng) {
-  UnaryForward(x, /*train=*/true, rng, &cache_.unary);
+  embeddings_->Lookup(x.tokens, &cache_.embedded);
+  conv_.Forward(cache_.embedded, &cache_.conv_relu, util::Act::kRelu);
+  cache_.conv_dropped = cache_.conv_relu;
+  nn::DropoutForward(config_.dropout, rng, &cache_.conv_dropped,
+                     &cache_.dropout_mask);
+  gru_.Forward(cache_.conv_dropped, &cache_.gru, &cache_.hidden);
+  fc_.ForwardRows(cache_.hidden, &cache_.unary);
   util::Vector prior;
   util::Matrix transition_potential, emission;
   BuildPotentials(cache_.unary, &prior, &transition_potential, &emission);

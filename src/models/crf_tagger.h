@@ -19,7 +19,7 @@ namespace lncl::models {
 // bi-gram dependencies...").
 //
 // Model-interface semantics:
-//   * Predict / ForwardTrain return the exact per-token posterior
+//   * PredictBatch / ForwardTrain return the exact per-token posterior
 //     *marginals* computed by forward-backward (row-stochastic, so they
 //     compose with every evaluator in eval/).
 //   * BackwardSoftTarget trains the standard sequence NLL
@@ -48,7 +48,9 @@ class CrfTagger : public Model {
     return static_cast<int>(x.tokens.size());
   }
 
-  util::Matrix Predict(const data::Instance& x) const override;
+  // One instance at a time: unary scores, then forward-backward.
+  void PredictBatch(const std::vector<const data::Instance*>& xs,
+                    std::vector<util::Matrix>* out) const override;
   const util::Matrix& ForwardTrain(const data::Instance& x,
                                    util::Rng* rng) override;
   double BackwardSoftTarget(const util::Matrix& q, float w) override;
@@ -62,10 +64,9 @@ class CrfTagger : public Model {
                               data::EmbeddingPtr embeddings);
 
  private:
-  // Neural pipeline up to the unary scores U (T x K). Training mode caches
-  // intermediates; eval mode leaves the cache untouched.
-  void UnaryForward(const data::Instance& x, bool train, util::Rng* rng,
-                    util::Matrix* unary) const;
+  // Evaluation-mode neural pipeline (no dropout) up to the unary scores
+  // U (T x K).
+  void UnaryForward(const data::Instance& x, util::Matrix* unary) const;
 
   // Potentials for the chain smoother: prior_m = exp(start_m + U(0, m)) is
   // folded as prior x emission; emission rows are exp(U(t, .) - rowmax).
@@ -95,7 +96,7 @@ class CrfTagger : public Model {
     util::Matrix marginals;  // T x K posterior marginals
     util::Matrix xi_sum;     // K x K summed pairwise posteriors
   };
-  mutable Cache cache_;
+  Cache cache_;  // of the last ForwardTrain
 };
 
 }  // namespace lncl::models

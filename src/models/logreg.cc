@@ -14,27 +14,18 @@ LogisticRegression::LogisticRegression(int num_classes,
     : embeddings_(std::move(embeddings)),
       fc_("logreg.fc", embeddings_->dim(), num_classes, rng) {}
 
-util::Vector LogisticRegression::Features(const data::Instance& x) const {
-  util::Matrix embedded;
-  embeddings_->Lookup(x.tokens, &embedded);
-  util::Vector feat(embeddings_->dim(), 0.0f);
-  if (embedded.rows() == 0) return feat;
-  for (int t = 0; t < embedded.rows(); ++t) {
-    const float* row = embedded.Row(t);
-    for (int d = 0; d < embedded.cols(); ++d) feat[d] += row[d];
+void LogisticRegression::Features(const data::Instance& x,
+                                  util::Matrix* embedded, float* feat) const {
+  embeddings_->Lookup(x.tokens, embedded);
+  const int dim = embeddings_->dim();
+  std::fill(feat, feat + dim, 0.0f);
+  if (embedded->rows() == 0) return;
+  for (int t = 0; t < embedded->rows(); ++t) {
+    const float* row = embedded->Row(t);
+    for (int d = 0; d < dim; ++d) feat[d] += row[d];
   }
-  const float inv = 1.0f / static_cast<float>(embedded.rows());
-  for (float& v : feat) v *= inv;
-  return feat;
-}
-
-util::Matrix LogisticRegression::Predict(const data::Instance& x) const {
-  util::Vector logits, probs;
-  fc_.Forward(Features(x), &logits);
-  nn::Softmax(logits, &probs);
-  util::Matrix out(1, num_classes());
-  std::copy(probs.begin(), probs.end(), out.Row(0));
-  return out;
+  const float inv = 1.0f / static_cast<float>(embedded->rows());
+  for (int d = 0; d < dim; ++d) feat[d] *= inv;
 }
 
 void LogisticRegression::PredictBatch(
@@ -51,18 +42,8 @@ void LogisticRegression::PredictBatch(
   util::Matrix& logits = scope.NewMatrix();
   util::Matrix& probs = scope.NewMatrix();
 
-  // Same accumulation order as Features(), written into row i of the stack.
   for (size_t i = 0; i < xs.size(); ++i) {
-    embeddings_->Lookup(xs[i]->tokens, &embedded);
-    float* feat = feats.Row(static_cast<int>(i));
-    std::fill(feat, feat + dim, 0.0f);
-    if (embedded.rows() == 0) continue;
-    for (int t = 0; t < embedded.rows(); ++t) {
-      const float* row = embedded.Row(t);
-      for (int d = 0; d < embedded.cols(); ++d) feat[d] += row[d];
-    }
-    const float inv = 1.0f / static_cast<float>(embedded.rows());
-    for (int d = 0; d < dim; ++d) feat[d] *= inv;
+    Features(*xs[i], &embedded, feats.Row(static_cast<int>(i)));
   }
 
   fc_.ForwardRows(feats, &logits);
@@ -77,7 +58,9 @@ void LogisticRegression::PredictBatch(
 
 const util::Matrix& LogisticRegression::ForwardTrain(const data::Instance& x,
                                                      util::Rng*) {
-  feat_ = Features(x);
+  feat_.resize(embeddings_->dim());
+  util::Matrix embedded;
+  Features(x, &embedded, feat_.data());
   util::Vector logits, probs;
   fc_.Forward(feat_, &logits);
   nn::Softmax(logits, &probs);

@@ -19,10 +19,9 @@ class LogisticRegression : public Model {
   int num_classes() const override { return fc_.out_dim(); }
   int NumItems(const data::Instance&) const override { return 1; }
 
-  util::Matrix Predict(const data::Instance& x) const override;
   // Batched prediction: mean-pooled features stacked into one B x D matrix,
-  // then a single fc GEMM + row softmax. Bit-identical to looping Predict
-  // (no bucketing needed — only the pooling loop depends on length).
+  // then a single fc GEMM + row softmax (no bucketing needed — only the
+  // pooling loop depends on length).
   void PredictBatch(const std::vector<const data::Instance*>& xs,
                     std::vector<util::Matrix>* out) const override;
   const util::Matrix& ForwardTrain(const data::Instance& x,
@@ -34,7 +33,9 @@ class LogisticRegression : public Model {
   static ModelFactory Factory(int num_classes, data::EmbeddingPtr embeddings);
 
  private:
-  util::Vector Features(const data::Instance& x) const;
+  // Mean of x's embedding rows into feat[0, dim); `embedded` is scratch.
+  void Features(const data::Instance& x, util::Matrix* embedded,
+                float* feat) const;
 
   data::EmbeddingPtr embeddings_;
   nn::Linear fc_;

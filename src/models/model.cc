@@ -7,22 +7,10 @@
 
 namespace lncl::models {
 
-void Model::PredictBatch(const std::vector<const data::Instance*>& xs,
-                         std::vector<util::Matrix>* out) const {
-  out->resize(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    (*out)[i] = Predict(*xs[i]);
-  }
-}
-
-std::vector<util::Matrix> Model::PredictBatch(
-    const data::Dataset& dataset, const std::vector<int>& indices) const {
-  std::vector<const data::Instance*> xs;
-  xs.reserve(indices.size());
-  for (int idx : indices) xs.push_back(&dataset.instances[idx]);
+util::Matrix Model::Predict(const data::Instance& x) const {
   std::vector<util::Matrix> out;
-  PredictBatch(xs, &out);
-  return out;
+  PredictBatch({&x}, &out);
+  return std::move(out[0]);
 }
 
 std::vector<util::Matrix> Model::PredictBatch(

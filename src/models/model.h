@@ -24,10 +24,11 @@ namespace lncl::models {
 // then exactly one of the Backward* methods, which accumulates parameter
 // gradients; the optimizer's Step() later consumes them.
 //
-// Threading: the const methods (Predict) are safe to call concurrently on
-// one instance — layer scratch buffers are thread-local — which is what the
-// parallel E-step relies on. The mutable training protocol is not: the
-// sharded trainer gives each worker thread its own model (the master or a
+// Threading: the const methods (PredictBatch, and Predict on top of it) are
+// safe to call concurrently on one instance — layer scratch lives in
+// thread-local buffers and the per-thread util::Workspace arena — which is
+// what the parallel E-step relies on. The mutable training protocol is not:
+// the sharded trainer gives each worker thread its own model (the master or a
 // replica) and swaps per-slot gradient buffers into it, merging them in
 // fixed slot order (see core/trainer.h and DESIGN.md §5).
 class Model {
@@ -37,24 +38,21 @@ class Model {
   virtual int num_classes() const = 0;
   virtual int NumItems(const data::Instance& x) const = 0;
 
-  // Evaluation-mode prediction (no dropout): items x K row-stochastic matrix.
-  virtual util::Matrix Predict(const data::Instance& x) const = 0;
-
-  // Batched evaluation-mode prediction: (*out)[i] is the prediction for
-  // *xs[i]. The base implementation loops Predict; TextCnn, NerTagger, and
-  // LogisticRegression override it with length-bucketed packed kernels
-  // (embedding gather + [B*L, .] GEMMs + time-major recurrence) that produce
-  // results byte-for-byte equal to the per-instance path — the batch
-  // dimension only adds GEMM rows, it never reorders any reduction
-  // (tests/batch_predict_test.cc). Thread-safety matches Predict: batch
-  // temporaries live in the per-thread util::Workspace arena.
+  // Evaluation-mode prediction (no dropout), the only inference entry:
+  // (*out)[i] is the items x K row-stochastic prediction for *xs[i]. TextCnn,
+  // NerTagger, and LogisticRegression run length-bucketed packed kernels
+  // (embedding gather + [B*L, .] GEMMs + time-major recurrence); the batch
+  // dimension only adds GEMM rows and never reorders a reduction, so an
+  // instance's prediction does not depend on its batch-mates
+  // (tests/batch_predict_test.cc). Batch temporaries live in the per-thread
+  // util::Workspace arena.
   virtual void PredictBatch(const std::vector<const data::Instance*>& xs,
-                            std::vector<util::Matrix>* out) const;
+                            std::vector<util::Matrix>* out) const = 0;
 
-  // Convenience forms over a dataset: predictions for
-  // dataset.instances[indices[...]] / for every instance.
-  std::vector<util::Matrix> PredictBatch(const data::Dataset& dataset,
-                                         const std::vector<int>& indices) const;
+  // PredictBatch on a batch of one.
+  util::Matrix Predict(const data::Instance& x) const;
+
+  // Predictions for every instance of a dataset.
   std::vector<util::Matrix> PredictBatch(const data::Dataset& dataset) const;
 
   // Training-mode forward. The returned reference stays valid until the next
@@ -72,9 +70,9 @@ class Model {
 
   virtual std::vector<nn::Parameter*> Params() = 0;
 
-  // Toggles the post-training int8 serving mode for subsequent Predict /
-  // PredictBatch calls (see nn/quantize.h). The default is a no-op: models
-  // without a quantizable stack simply keep serving fp32. Quantization
+  // Toggles the post-training int8 serving mode for subsequent predictions
+  // (see nn/quantize.h). The default is a no-op: models without a
+  // quantizable stack simply keep serving fp32. Quantization
   // happens eagerly inside the call, so it must not race concurrent
   // predictions — the trainers toggle it from the single-threaded serving
   // entry points (core::LogicLncl::PredictStudentBatch and friends), never

@@ -25,29 +25,6 @@ NerTagger::NerTagger(const NerTaggerConfig& config,
   }
 }
 
-void NerTagger::RecurrentForward(const util::Matrix& input,
-                                 nn::Gru::Cache* gru_cache,
-                                 nn::Lstm::Cache* lstm_cache,
-                                 util::Matrix* hidden) const {
-  if (gru_ != nullptr) {
-    gru_->Forward(input, gru_cache, hidden);
-  } else {
-    lstm_->Forward(input, lstm_cache, hidden);
-  }
-}
-
-util::Matrix NerTagger::Predict(const data::Instance& x) const {
-  util::Matrix embedded, conv_out, hidden, logits, probs;
-  embeddings_->Lookup(x.tokens, &embedded);
-  conv_.Forward(embedded, &conv_out, util::Act::kRelu);
-  nn::Gru::Cache gru_cache;
-  nn::Lstm::Cache lstm_cache;
-  RecurrentForward(conv_out, &gru_cache, &lstm_cache, &hidden);
-  fc_.ForwardRows(hidden, &logits);
-  nn::SoftmaxRows(logits, &probs);
-  return probs;
-}
-
 void NerTagger::PredictBatch(const std::vector<const data::Instance*>& xs,
                              std::vector<util::Matrix>* out) const {
   out->resize(xs.size());
@@ -76,7 +53,7 @@ void NerTagger::PredictBatch(const std::vector<const data::Instance*>& xs,
   for (const LengthBucket& bucket : BucketByLength(xs)) {
     const int t = bucket.length;
     if (t == 0) {
-      // Predict on an empty instance yields a 0 x K matrix.
+      // An empty instance has no items: a 0 x K prediction.
       for (int m : bucket.members) (*out)[m] = util::Matrix(0, k_cls);
       continue;
     }
@@ -123,8 +100,11 @@ const util::Matrix& NerTagger::ForwardTrain(const data::Instance& x,
   cache_.conv_dropped = cache_.conv_relu;
   nn::DropoutForward(config_.dropout, rng, &cache_.conv_dropped,
                      &cache_.dropout_mask);
-  RecurrentForward(cache_.conv_dropped, &cache_.gru, &cache_.lstm,
-                   &cache_.hidden);
+  if (gru_ != nullptr) {
+    gru_->Forward(cache_.conv_dropped, &cache_.gru, &cache_.hidden);
+  } else {
+    lstm_->Forward(cache_.conv_dropped, &cache_.lstm, &cache_.hidden);
+  }
   util::Matrix logits;
   fc_.ForwardRows(cache_.hidden, &logits);
   nn::SoftmaxRows(logits, &cache_.probs);

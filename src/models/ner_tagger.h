@@ -38,11 +38,9 @@ class NerTagger : public Model {
     return static_cast<int>(x.tokens.size());
   }
 
-  util::Matrix Predict(const data::Instance& x) const override;
   // Length-bucketed batched prediction: packed embedding gather, one conv
   // GEMM per bucket, time-major batched recurrence, and one fc GEMM over all
-  // token rows. Bit-identical to looping Predict
-  // (tests/batch_predict_test.cc).
+  // token rows.
   void PredictBatch(const std::vector<const data::Instance*>& xs,
                     std::vector<util::Matrix>* out) const override;
   const util::Matrix& ForwardTrain(const data::Instance& x,
@@ -59,11 +57,6 @@ class NerTagger : public Model {
                               data::EmbeddingPtr embeddings);
 
  private:
-  // Recurrent forward over `input`, into hidden (and the training caches).
-  void RecurrentForward(const util::Matrix& input, nn::Gru::Cache* gru_cache,
-                        nn::Lstm::Cache* lstm_cache,
-                        util::Matrix* hidden) const;
-
   void BackwardFromLogits(const util::Matrix& grad_logits);
 
   NerTaggerConfig config_;

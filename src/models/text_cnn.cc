@@ -31,45 +31,6 @@ TextCnn::TextCnn(const TextCnnConfig& config, data::EmbeddingPtr embeddings,
   }
 }
 
-void TextCnn::FeatureForward(const data::Instance& x, util::Vector* feat,
-                             std::vector<util::Matrix>* conv_post,
-                             std::vector<std::vector<int>>* argmax,
-                             util::Matrix* embedded) const {
-  util::Matrix local_embedded;
-  util::Matrix* emb = embedded != nullptr ? embedded : &local_embedded;
-  if (trainable_ != nullptr) {
-    trainable_->Forward(x.tokens, emb);
-  } else {
-    embeddings_->Lookup(x.tokens, emb);
-  }
-
-  const int f = config_.feature_maps;
-  feat->assign(convs_.size() * f, 0.0f);
-  for (size_t wi = 0; wi < convs_.size(); ++wi) {
-    util::Matrix local_post;
-    util::Matrix* post =
-        conv_post != nullptr ? &(*conv_post)[wi] : &local_post;
-    convs_[wi]->Forward(*emb, post, util::Act::kRelu);
-    util::Vector pooled;
-    std::vector<int> local_arg;
-    std::vector<int>* arg = argmax != nullptr ? &(*argmax)[wi] : &local_arg;
-    nn::MaxOverTimeForward(*post, &pooled, arg);
-    std::copy(pooled.begin(), pooled.end(),
-              feat->begin() + static_cast<long>(wi) * f);
-  }
-}
-
-util::Matrix TextCnn::Predict(const data::Instance& x) const {
-  util::Vector feat;
-  FeatureForward(x, &feat, nullptr, nullptr, nullptr);
-  util::Vector logits, probs;
-  fc_.Forward(feat, &logits);
-  nn::Softmax(logits, &probs);
-  util::Matrix out(1, config_.num_classes);
-  std::copy(probs.begin(), probs.end(), out.Row(0));
-  return out;
-}
-
 void TextCnn::PredictBatch(const std::vector<const data::Instance*>& xs,
                            std::vector<util::Matrix>* out) const {
   out->resize(xs.size());
@@ -129,7 +90,7 @@ void TextCnn::PredictBatch(const std::vector<const data::Instance*>& xs,
   }
 
   // One fc GEMM + softmax over every instance of the batch (rows are
-  // independent, so this matches Predict's per-instance Forward + Softmax).
+  // independent, so batch-mates never change a row).
   fc_.ForwardRows(feats, &logits);
   nn::SoftmaxRows(logits, &probs);
   for (size_t i = 0; i < xs.size(); ++i) {
@@ -143,13 +104,25 @@ void TextCnn::PredictBatch(const std::vector<const data::Instance*>& xs,
 const util::Matrix& TextCnn::ForwardTrain(const data::Instance& x,
                                           util::Rng* rng) {
   cache_.tokens = x.tokens;
+  if (trainable_ != nullptr) {
+    trainable_->Forward(x.tokens, &cache_.embedded);
+  } else {
+    embeddings_->Lookup(x.tokens, &cache_.embedded);
+  }
   // resize, not assign: the cached matrices keep their allocations across
   // steps (Resize reuses capacity).
   cache_.conv_post.resize(convs_.size());
   cache_.argmax.resize(convs_.size());
-  util::Vector feat;
-  FeatureForward(x, &feat, &cache_.conv_post, &cache_.argmax,
-                 &cache_.embedded);
+  const int f = config_.feature_maps;
+  util::Vector feat(convs_.size() * f, 0.0f);
+  util::Vector pooled;
+  for (size_t wi = 0; wi < convs_.size(); ++wi) {
+    convs_[wi]->Forward(cache_.embedded, &cache_.conv_post[wi],
+                        util::Act::kRelu);
+    nn::MaxOverTimeForward(cache_.conv_post[wi], &pooled, &cache_.argmax[wi]);
+    std::copy(pooled.begin(), pooled.end(),
+              feat.begin() + static_cast<long>(wi) * f);
+  }
   nn::DropoutForward(config_.dropout, rng, &feat, &cache_.dropout_mask);
   cache_.feat_dropped = feat;
 

@@ -36,10 +36,8 @@ class TextCnn : public Model {
   int num_classes() const override { return config_.num_classes; }
   int NumItems(const data::Instance&) const override { return 1; }
 
-  util::Matrix Predict(const data::Instance& x) const override;
-  // Length-bucketed batched prediction: one packed embedding gather, one
-  // convolution GEMM, and one fc GEMM per bucket instead of per instance.
-  // Bit-identical to looping Predict (tests/batch_predict_test.cc).
+  // Length-bucketed batched prediction: one packed embedding gather and one
+  // convolution GEMM per bucket, then one fc GEMM over the whole batch.
   void PredictBatch(const std::vector<const data::Instance*>& xs,
                     std::vector<util::Matrix>* out) const override;
   const util::Matrix& ForwardTrain(const data::Instance& x,
@@ -56,14 +54,6 @@ class TextCnn : public Model {
                               data::EmbeddingPtr embeddings);
 
  private:
-  // Embeddings + convolution + pooling shared by train/eval paths. Fills
-  // `feat` (pre-dropout pooled features); per-window activations/argmaxes go
-  // to the output arrays when non-null (training needs them for backward).
-  void FeatureForward(const data::Instance& x, util::Vector* feat,
-                      std::vector<util::Matrix>* conv_post,
-                      std::vector<std::vector<int>>* argmax,
-                      util::Matrix* embedded) const;
-
   // Backward from dL/dlogits using the cache of the last ForwardTrain.
   void BackwardFromLogits(const util::Vector& grad_logits);
 

@@ -29,107 +29,42 @@ Gru::Gru(const std::string& name, int in_dim, int hidden_dim, util::Rng* rng)
 
 namespace {
 
-// Per-thread scratch: the input-side gate projections for the whole
-// sequence (forward) and the per-step pre-activation gradients (backward).
-// thread_local keeps const Forward safe under the parallel E-step.
-thread_local util::Matrix tls_gxz, tls_gxr, tls_gxc;
+// Per-thread scratch for Backward's per-step pre-activation gradients.
+// thread_local keeps the layer safe under the parallel trainer.
 thread_local util::Matrix tls_dz, tls_dr, tls_dc, tls_hprev, tls_rh;
 
 }  // namespace
 
-// Both forward passes below run every gate product in the NN kernel form
-// against k-major weight panels served by the per-thread pack cache (see
-// util::gemm::PackedOpB): the inner loop updates h_dim independent
-// accumulators with stride-1 loads, and the panels are repacked once per
-// optimizer step rather than once per call — previously each Forward paid
-// six TransposeInto copies, the dominant per-call cost of the batched
-// m-step. The kernels compute each output row independently of the total
-// row count, so row b of a batched recurrent product in ForwardPacked is
-// bit-identical to Forward's one-row product on lane b — the packed path
-// stays byte-for-byte equal to the per-instance path. The input-side gate
-// biases ride the GEMM epilogue, so the per-step gate loops add only the
-// recurrent term.
-
-void Gru::Forward(const util::Matrix& x, Cache* cache,
-                  util::Matrix* h_out) const {
-  LNCL_DCHECK(x.cols() == in_dim());
-  const int t_len = x.rows();
-  const int h_dim = hidden_dim();
-  cache->h.ResizeNoZero(t_len, h_dim);
-  cache->z.ResizeNoZero(t_len, h_dim);
-  cache->r.ResizeNoZero(t_len, h_dim);
-  cache->c.ResizeNoZero(t_len, h_dim);
-
-  // Input-side gate pre-activations (bias included) for every timestep in
-  // one GEMM each: GX_g = X * W_g^T + b_g. Only the h x h recurrent
-  // products remain sequential.
-  util::GemmEx(1.0f, x, util::Trans::kNo, wz_.value, util::Trans::kYes, 0.0f,
-               &tls_gxz, bz_.value.Row(0), util::Act::kNone);
-  util::GemmEx(1.0f, x, util::Trans::kNo, wr_.value, util::Trans::kYes, 0.0f,
-               &tls_gxr, br_.value.Row(0), util::Act::kNone);
-  util::GemmEx(1.0f, x, util::Trans::kNo, wc_.value, util::Trans::kYes, 0.0f,
-               &tls_gxc, bc_.value.Row(0), util::Act::kNone);
-
-  // Recurrent weight panels, hoisted out of the step loop; the loop body
-  // only issues non-packing kernel calls, so the pointers stay valid.
-  int ldu = 0;
-  const float* uzp = util::gemm::PackedOpB(uz_.value, util::Trans::kYes, &ldu);
-  const float* urp = util::gemm::PackedOpB(ur_.value, util::Trans::kYes, &ldu);
-  const float* ucp = util::gemm::PackedOpB(uc_.value, util::Trans::kYes, &ldu);
-
-  util::Vector h_prev(h_dim, 0.0f);
-  util::Vector tmp_b(h_dim), rh(h_dim);
-  const auto recur = [h_dim](const float* u, const util::Vector& v,
-                             util::Vector* out) {
-    util::gemm::GemmEx(1, h_dim, h_dim, 1.0f, v.data(), h_dim,
-                       util::Trans::kNo, u, h_dim, util::Trans::kNo, 0.0f,
-                       out->data(), h_dim, nullptr, util::Act::kNone);
-  };
-  for (int t = 0; t < t_len; ++t) {
-    float* z = cache->z.Row(t);
-    float* r = cache->r.Row(t);
-    float* c = cache->c.Row(t);
-    float* h = cache->h.Row(t);
-
-    // z_t
-    const float* gxz = tls_gxz.Row(t);
-    recur(uzp, h_prev, &tmp_b);
-    for (int k = 0; k < h_dim; ++k) {
-      z[k] = Sigmoid(gxz[k] + tmp_b[k]);
-    }
-    // r_t
-    const float* gxr = tls_gxr.Row(t);
-    recur(urp, h_prev, &tmp_b);
-    for (int k = 0; k < h_dim; ++k) {
-      r[k] = Sigmoid(gxr[k] + tmp_b[k]);
-    }
-    // c_t
-    const float* gxc = tls_gxc.Row(t);
-    for (int k = 0; k < h_dim; ++k) rh[k] = r[k] * h_prev[k];
-    recur(ucp, rh, &tmp_b);
-    for (int k = 0; k < h_dim; ++k) {
-      c[k] = std::tanh(gxc[k] + tmp_b[k]);
-    }
-    // h_t
-    for (int k = 0; k < h_dim; ++k) {
-      h[k] = (1.0f - z[k]) * h_prev[k] + z[k] * c[k];
-      h_prev[k] = h[k];
-    }
-  }
-  *h_out = cache->h;
-}
+// Every gate product runs in the NN kernel form against k-major weight
+// panels from the per-thread pack cache (see util::gemm::PackedOpB): the
+// inner loop updates h_dim independent accumulators with stride-1 loads, and
+// a panel is repacked once per optimizer step rather than once per call.
+// The recurrent panels are looked up once per call; the step loop issues
+// only raw kernel calls, which never pack, so the pointers stay valid. The
+// kernels compute each output row independently of the row count, so lane
+// b of a batch is bit-identical to the same sequence run alone. The
+// input-side gate biases ride the GEMM epilogue, so the per-step gate loops
+// add only the recurrent term.
 
 void Gru::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
-                        util::Matrix* h_packed) const {
+                        util::Matrix* h_packed, Cache* cache) const {
   LNCL_DCHECK(x_packed.rows() == batch * t_len);
   LNCL_DCHECK(t_len == 0 || x_packed.cols() == in_dim());
+  LNCL_DCHECK(cache == nullptr || batch == 1);
   const int h_dim = hidden_dim();
   h_packed->ResizeNoZero(batch * t_len, h_dim);
+  if (cache != nullptr) {
+    cache->h.ResizeNoZero(t_len, h_dim);
+    cache->z.ResizeNoZero(t_len, h_dim);
+    cache->r.ResizeNoZero(t_len, h_dim);
+    cache->c.ResizeNoZero(t_len, h_dim);
+  }
   if (batch == 0 || t_len == 0) return;
 
   util::WorkspaceScope scope;
   // Input-side gate pre-activations (bias fused) for every (instance, step)
-  // row at once — the same per-row GEMMs as Forward, just over more rows.
+  // row at once: GX_g = X * W_g^T + b_g. Only the h x h recurrent products
+  // remain sequential.
   util::Matrix& gx_z = scope.NewMatrix();
   util::Matrix& gx_r = scope.NewMatrix();
   util::Matrix& gx_c = scope.NewMatrix();
@@ -140,67 +75,84 @@ void Gru::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
   util::GemmEx(1.0f, x_packed, util::Trans::kNo, wc_.value, util::Trans::kYes,
                0.0f, &gx_c, bc_.value.Row(0), util::Act::kNone);
 
+  int ldu = 0;
+  const float* uzp = util::gemm::PackedOpB(uz_.value, util::Trans::kYes, &ldu);
+  const float* urp = util::gemm::PackedOpB(ur_.value, util::Trans::kYes, &ldu);
+  const float* ucp = util::gemm::PackedOpB(uc_.value, util::Trans::kYes, &ldu);
+
+  // Base pointers are taken once: mutable Matrix access draws a version
+  // ticket per call (util/matrix.h). Gate outputs go to the cache's row t
+  // at step t (batch 1), or to row b of per-step [batch, H] buffers.
+  const float* const gxz = gx_z.data();
+  const float* const gxr = gx_r.data();
+  const float* const gxc = gx_c.data();
+  float* const z = cache != nullptr ? cache->z.data()
+                                    : scope.NewMatrix(batch, h_dim).data();
+  float* const r = cache != nullptr ? cache->r.data()
+                                    : scope.NewMatrix(batch, h_dim).data();
+  float* const c = cache != nullptr ? cache->c.data()
+                                    : scope.NewMatrix(batch, h_dim).data();
   util::Matrix& h_prev = scope.NewMatrix();
-  h_prev.Resize(batch, h_dim);  // zero initial state, as in Forward
-  util::Matrix& zs = scope.NewMatrix(batch, h_dim);
-  util::Matrix& rs = scope.NewMatrix(batch, h_dim);
-  util::Matrix& cs = scope.NewMatrix(batch, h_dim);
-  util::Matrix& rh = scope.NewMatrix(batch, h_dim);
-  util::Matrix& tmp = scope.NewMatrix();
+  h_prev.Resize(batch, h_dim);  // zero initial state
+  float* const hp = h_prev.data();
+  float* const rh = scope.NewMatrix(batch, h_dim).data();
+  float* const tmp = scope.NewMatrix(batch, h_dim).data();
+  float* const h = h_packed->data();
+  const auto row = [h_dim](auto* base, int i) {
+    return base + static_cast<size_t>(i) * h_dim;
+  };
+  // tmp = A * U^T for the [batch, H] state A: row b is the one-row product
+  // of lane b.
+  const auto recur = [&](const float* u, const float* a) {
+    util::gemm::GemmEx(batch, h_dim, h_dim, 1.0f, a, h_dim, util::Trans::kNo,
+                       u, ldu, util::Trans::kNo, 0.0f, tmp, h_dim, nullptr,
+                       util::Act::kNone);
+  };
   for (int t = 0; t < t_len; ++t) {
-    // z_t for all lanes: row b of H_prev * Uz^T is exactly Forward's one-row
-    // recurrent product — the batch dimension only adds kernel rows, and the
-    // Uz panel comes from the same pack cache.
-    util::Gemm(1.0f, h_prev, util::Trans::kNo, uz_.value, util::Trans::kYes,
-               0.0f, &tmp);
+    const int row0 = cache != nullptr ? t : 0;
+    // z_t
+    recur(uzp, hp);
     for (int b = 0; b < batch; ++b) {
-      const float* gxz = gx_z.Row(b * t_len + t);
-      const float* tmp_b = tmp.Row(b);
-      float* z = zs.Row(b);
-      for (int k = 0; k < h_dim; ++k) {
-        z[k] = Sigmoid(gxz[k] + tmp_b[k]);
-      }
+      const float* g = row(gxz, b * t_len + t);
+      const float* u = row(tmp, b);
+      float* zb = row(z, row0 + b);
+      for (int k = 0; k < h_dim; ++k) zb[k] = Sigmoid(g[k] + u[k]);
     }
     // r_t
-    util::Gemm(1.0f, h_prev, util::Trans::kNo, ur_.value, util::Trans::kYes,
-               0.0f, &tmp);
+    recur(urp, hp);
     for (int b = 0; b < batch; ++b) {
-      const float* gxr = gx_r.Row(b * t_len + t);
-      const float* tmp_b = tmp.Row(b);
-      float* r = rs.Row(b);
-      for (int k = 0; k < h_dim; ++k) {
-        r[k] = Sigmoid(gxr[k] + tmp_b[k]);
-      }
+      const float* g = row(gxr, b * t_len + t);
+      const float* u = row(tmp, b);
+      float* rb = row(r, row0 + b);
+      for (int k = 0; k < h_dim; ++k) rb[k] = Sigmoid(g[k] + u[k]);
     }
     // c_t
     for (int b = 0; b < batch; ++b) {
-      const float* r = rs.Row(b);
-      const float* hp = h_prev.Row(b);
-      float* rhb = rh.Row(b);
-      for (int k = 0; k < h_dim; ++k) rhb[k] = r[k] * hp[k];
+      const float* rb = row(r, row0 + b);
+      const float* hb = row(hp, b);
+      float* rhb = row(rh, b);
+      for (int k = 0; k < h_dim; ++k) rhb[k] = rb[k] * hb[k];
     }
-    util::Gemm(1.0f, rh, util::Trans::kNo, uc_.value, util::Trans::kYes, 0.0f,
-               &tmp);
+    recur(ucp, rh);
     for (int b = 0; b < batch; ++b) {
-      const float* gxc = gx_c.Row(b * t_len + t);
-      const float* tmp_b = tmp.Row(b);
-      float* c = cs.Row(b);
-      for (int k = 0; k < h_dim; ++k) {
-        c[k] = std::tanh(gxc[k] + tmp_b[k]);
-      }
+      const float* g = row(gxc, b * t_len + t);
+      const float* u = row(tmp, b);
+      float* cb = row(c, row0 + b);
+      for (int k = 0; k < h_dim; ++k) cb[k] = std::tanh(g[k] + u[k]);
     }
     // h_t
     for (int b = 0; b < batch; ++b) {
-      const float* z = zs.Row(b);
-      const float* c = cs.Row(b);
-      float* hp = h_prev.Row(b);
-      float* h = h_packed->Row(b * t_len + t);
+      const float* zb = row(z, row0 + b);
+      const float* cb = row(c, row0 + b);
+      float* hb = row(hp, b);
+      float* ht = row(h, b * t_len + t);
       for (int k = 0; k < h_dim; ++k) {
-        h[k] = (1.0f - z[k]) * hp[k] + z[k] * c[k];
-        hp[k] = h[k];
+        ht[k] = (1.0f - zb[k]) * hb[k] + zb[k] * cb[k];
+        hb[k] = ht[k];
       }
     }
   }
+  if (cache != nullptr) cache->h = *h_packed;
 }
 
 void Gru::Backward(const util::Matrix& x, const Cache& cache,

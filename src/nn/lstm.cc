@@ -1,5 +1,6 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/activations.h"
@@ -37,84 +38,31 @@ Lstm::Lstm(const std::string& name, int in_dim, int hidden_dim,
 
 namespace {
 
-// Per-thread scratch (see gru.cc for the rationale).
-thread_local util::Matrix tls_gxi, tls_gxf, tls_gxo, tls_gxg;
+// Per-thread scratch for Backward (see gru.cc for the rationale).
 thread_local util::Matrix tls_di, tls_df, tls_do, tls_dg, tls_hprev;
 
 }  // namespace
 
-void Lstm::Forward(const util::Matrix& x, Cache* cache,
-                   util::Matrix* h_out) const {
-  LNCL_DCHECK(x.cols() == in_dim());
-  const int t_len = x.rows();
-  const int h_dim = hidden_dim();
-  cache->h.ResizeNoZero(t_len, h_dim);
-  cache->c.ResizeNoZero(t_len, h_dim);
-  cache->i.ResizeNoZero(t_len, h_dim);
-  cache->f.ResizeNoZero(t_len, h_dim);
-  cache->o.ResizeNoZero(t_len, h_dim);
-  cache->g.ResizeNoZero(t_len, h_dim);
-
-  // Every gate product runs in the NN kernel form against k-major weight
-  // panels from the per-thread pack cache, with the input-side gate biases
-  // fused into the GEMM epilogue; see gru.cc for the vectorization,
-  // repack-once-per-step, and bit-identity rationale.
-  util::GemmEx(1.0f, x, util::Trans::kNo, wi_.value, util::Trans::kYes, 0.0f,
-               &tls_gxi, bi_.value.Row(0), util::Act::kNone);
-  util::GemmEx(1.0f, x, util::Trans::kNo, wf_.value, util::Trans::kYes, 0.0f,
-               &tls_gxf, bf_.value.Row(0), util::Act::kNone);
-  util::GemmEx(1.0f, x, util::Trans::kNo, wo_.value, util::Trans::kYes, 0.0f,
-               &tls_gxo, bo_.value.Row(0), util::Act::kNone);
-  util::GemmEx(1.0f, x, util::Trans::kNo, wg_.value, util::Trans::kYes, 0.0f,
-               &tls_gxg, bg_.value.Row(0), util::Act::kNone);
-
-  // Recurrent panels hoisted out of the step loop (the loop issues only
-  // non-packing kernel calls, so the pointers stay valid).
-  int ldu = 0;
-  const float* uip = util::gemm::PackedOpB(ui_.value, util::Trans::kYes, &ldu);
-  const float* ufp = util::gemm::PackedOpB(uf_.value, util::Trans::kYes, &ldu);
-  const float* uop = util::gemm::PackedOpB(uo_.value, util::Trans::kYes, &ldu);
-  const float* ugp = util::gemm::PackedOpB(ug_.value, util::Trans::kYes, &ldu);
-
-  util::Vector h_prev(h_dim, 0.0f), c_prev(h_dim, 0.0f);
-  util::Vector b(h_dim);
-  auto gate = [&](const float* u, const float* gx, float* out,
-                  bool tanh_act) {
-    util::gemm::GemmEx(1, h_dim, h_dim, 1.0f, h_prev.data(), h_dim,
-                       util::Trans::kNo, u, h_dim, util::Trans::kNo, 0.0f,
-                       b.data(), h_dim, nullptr, util::Act::kNone);
-    for (int k = 0; k < h_dim; ++k) {
-      const float pre = gx[k] + b[k];
-      out[k] = tanh_act ? std::tanh(pre) : Sigmoid(pre);
-    }
-  };
-  for (int t = 0; t < t_len; ++t) {
-    float* i = cache->i.Row(t);
-    float* f = cache->f.Row(t);
-    float* o = cache->o.Row(t);
-    float* g = cache->g.Row(t);
-    float* c = cache->c.Row(t);
-    float* h = cache->h.Row(t);
-    gate(uip, tls_gxi.Row(t), i, false);
-    gate(ufp, tls_gxf.Row(t), f, false);
-    gate(uop, tls_gxo.Row(t), o, false);
-    gate(ugp, tls_gxg.Row(t), g, true);
-    for (int k = 0; k < h_dim; ++k) {
-      c[k] = f[k] * c_prev[k] + i[k] * g[k];
-      h[k] = o[k] * std::tanh(c[k]);
-      c_prev[k] = c[k];
-      h_prev[k] = h[k];
-    }
-  }
-  *h_out = cache->h;
-}
-
+// Every gate product runs in the NN kernel form against k-major weight
+// panels from the per-thread pack cache, with the input-side gate biases
+// fused into the GEMM epilogue and the recurrent panels looked up once per
+// call; see gru.cc for the vectorization, repack-once-per-step, and
+// bit-identity rationale.
 void Lstm::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
-                         util::Matrix* h_packed) const {
+                         util::Matrix* h_packed, Cache* cache) const {
   LNCL_DCHECK(x_packed.rows() == batch * t_len);
   LNCL_DCHECK(t_len == 0 || x_packed.cols() == in_dim());
+  LNCL_DCHECK(cache == nullptr || batch == 1);
   const int h_dim = hidden_dim();
   h_packed->ResizeNoZero(batch * t_len, h_dim);
+  if (cache != nullptr) {
+    cache->h.ResizeNoZero(t_len, h_dim);
+    cache->c.ResizeNoZero(t_len, h_dim);
+    cache->i.ResizeNoZero(t_len, h_dim);
+    cache->f.ResizeNoZero(t_len, h_dim);
+    cache->o.ResizeNoZero(t_len, h_dim);
+    cache->g.ResizeNoZero(t_len, h_dim);
+  }
   if (batch == 0 || t_len == 0) return;
 
   util::WorkspaceScope scope;
@@ -131,53 +79,74 @@ void Lstm::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
   util::GemmEx(1.0f, x_packed, util::Trans::kNo, wg_.value, util::Trans::kYes,
                0.0f, &gx_g, bg_.value.Row(0), util::Act::kNone);
 
+  int ldu = 0;
+  const float* uip = util::gemm::PackedOpB(ui_.value, util::Trans::kYes, &ldu);
+  const float* ufp = util::gemm::PackedOpB(uf_.value, util::Trans::kYes, &ldu);
+  const float* uop = util::gemm::PackedOpB(uo_.value, util::Trans::kYes, &ldu);
+  const float* ugp = util::gemm::PackedOpB(ug_.value, util::Trans::kYes, &ldu);
+
+  // Base pointers are taken once: mutable Matrix access draws a version
+  // ticket per call (util/matrix.h). Gate outputs go to the cache's row t
+  // at step t (batch 1), or to row b of per-step [batch, H] buffers.
+  float* const i_out = cache != nullptr ? cache->i.data()
+                                        : scope.NewMatrix(batch, h_dim).data();
+  float* const f_out = cache != nullptr ? cache->f.data()
+                                        : scope.NewMatrix(batch, h_dim).data();
+  float* const o_out = cache != nullptr ? cache->o.data()
+                                        : scope.NewMatrix(batch, h_dim).data();
+  float* const g_out = cache != nullptr ? cache->g.data()
+                                        : scope.NewMatrix(batch, h_dim).data();
   util::Matrix& h_prev = scope.NewMatrix();
   util::Matrix& c_prev = scope.NewMatrix();
-  h_prev.Resize(batch, h_dim);  // zero initial states, as in Forward
+  h_prev.Resize(batch, h_dim);  // zero initial states
   c_prev.Resize(batch, h_dim);
-  util::Matrix& is = scope.NewMatrix(batch, h_dim);
-  util::Matrix& fs = scope.NewMatrix(batch, h_dim);
-  util::Matrix& os = scope.NewMatrix(batch, h_dim);
-  util::Matrix& gs = scope.NewMatrix(batch, h_dim);
-  util::Matrix& tmp = scope.NewMatrix();
-  // Row b of H_prev * Uᵀ is exactly Forward's one-row recurrent product
-  // (same pack-cache panel); the elementwise gate expression is Forward's,
-  // verbatim.
-  auto gate = [&](const Parameter& u, const util::Matrix& gx,
-                  util::Matrix* out, bool tanh_act, int t) {
-    util::Gemm(1.0f, h_prev, util::Trans::kNo, u.value, util::Trans::kYes,
-               0.0f, &tmp);
+  float* const hp = h_prev.data();
+  float* const cp = c_prev.data();
+  float* const tmp = scope.NewMatrix(batch, h_dim).data();
+  float* const h = h_packed->data();
+  const auto row = [h_dim](auto* base, int r) {
+    return base + static_cast<size_t>(r) * h_dim;
+  };
+  // Row b of H_prev * Uᵀ is lane b's one-row recurrent product.
+  const auto gate = [&](const float* u, const util::Matrix& gx, float* out,
+                        bool tanh_act, int t, int row0) {
+    util::gemm::GemmEx(batch, h_dim, h_dim, 1.0f, hp, h_dim, util::Trans::kNo,
+                       u, ldu, util::Trans::kNo, 0.0f, tmp, h_dim, nullptr,
+                       util::Act::kNone);
     for (int b = 0; b < batch; ++b) {
-      const float* gxr = gx.Row(b * t_len + t);
-      const float* tb = tmp.Row(b);
-      float* o = out->Row(b);
+      const float* gxr = row(gx.data(), b * t_len + t);
+      const float* tb = row(tmp, b);
+      float* ob = row(out, row0 + b);
       for (int k = 0; k < h_dim; ++k) {
         const float pre = gxr[k] + tb[k];
-        o[k] = tanh_act ? std::tanh(pre) : Sigmoid(pre);
+        ob[k] = tanh_act ? std::tanh(pre) : Sigmoid(pre);
       }
     }
   };
   for (int t = 0; t < t_len; ++t) {
-    gate(ui_, gx_i, &is, false, t);
-    gate(uf_, gx_f, &fs, false, t);
-    gate(uo_, gx_o, &os, false, t);
-    gate(ug_, gx_g, &gs, true, t);
+    const int row0 = cache != nullptr ? t : 0;
+    gate(uip, gx_i, i_out, false, t, row0);
+    gate(ufp, gx_f, f_out, false, t, row0);
+    gate(uop, gx_o, o_out, false, t, row0);
+    gate(ugp, gx_g, g_out, true, t, row0);
     for (int b = 0; b < batch; ++b) {
-      const float* i = is.Row(b);
-      const float* f = fs.Row(b);
-      const float* o = os.Row(b);
-      const float* g = gs.Row(b);
-      float* cp = c_prev.Row(b);
-      float* hp = h_prev.Row(b);
-      float* h = h_packed->Row(b * t_len + t);
+      const float* i = row(i_out, row0 + b);
+      const float* f = row(f_out, row0 + b);
+      const float* o = row(o_out, row0 + b);
+      const float* g = row(g_out, row0 + b);
+      float* cb = row(cp, b);
+      float* hb = row(hp, b);
+      float* ht = row(h, b * t_len + t);
       for (int k = 0; k < h_dim; ++k) {
-        const float c = f[k] * cp[k] + i[k] * g[k];
-        h[k] = o[k] * std::tanh(c);
-        cp[k] = c;
-        hp[k] = h[k];
+        const float c = f[k] * cb[k] + i[k] * g[k];
+        ht[k] = o[k] * std::tanh(c);
+        cb[k] = c;
+        hb[k] = ht[k];
       }
     }
+    if (cache != nullptr) std::copy(cp, cp + h_dim, cache->c.Row(t));
   }
+  if (cache != nullptr) cache->h = *h_packed;
 }
 
 void Lstm::Backward(const util::Matrix& x, const Cache& cache,

@@ -18,8 +18,9 @@ namespace lncl::nn {
 //   c_t = f_t . c_{t-1} + i_t . g_t
 //   h_t = o_t . tanh(c_t)
 //
-// The drop-in alternative to nn::Gru (same Forward/Backward surface with its
-// own Cache), used by models::LstmTagger for the recurrent-cell ablation.
+// The drop-in alternative to nn::Gru (same ForwardPacked/Forward/Backward
+// surface with its own Cache), used by models::NerTagger for the
+// recurrent-cell ablation.
 // Initial hidden and cell states are zero; the forget-gate bias is
 // initialized to +1, the standard trick for healthy gradient flow.
 class Lstm {
@@ -38,14 +39,18 @@ class Lstm {
   Lstm(const Lstm&) = delete;
   Lstm& operator=(const Lstm&) = delete;
 
-  void Forward(const util::Matrix& x, Cache* cache, util::Matrix* h_out) const;
-
-  // Batched inference over `batch` equal-length sequences packed row-major
-  // into x_packed ((batch * t) x in_dim, instance-major); h_packed gets the
-  // hidden states in the same layout, bit-identical per instance to Forward
+  // The one forward: `batch` equal-length sequences packed row-major into
+  // x_packed ((batch * t) x in_dim, instance-major), hidden states into
+  // h_packed in the same layout; a cache (batch 1 only) keeps the gates and
+  // states for Backward. Lane b is bit-identical to the sequence run alone
   // (see nn::Gru::ForwardPacked for the argument).
   void ForwardPacked(const util::Matrix& x_packed, int batch, int t,
-                     util::Matrix* h_packed) const;
+                     util::Matrix* h_packed, Cache* cache = nullptr) const;
+
+  // Training forward of one sequence (ForwardPacked on a batch of one).
+  void Forward(const util::Matrix& x, Cache* cache, util::Matrix* h_out) const {
+    ForwardPacked(x, 1, x.rows(), h_out, cache);
+  }
 
   // grad_h: T x H = dL/dh_t for every step. Accumulates parameter grads;
   // writes dL/dx when grad_x is non-null.

@@ -1,8 +1,10 @@
 // Byte-for-byte equivalence of the batched prediction pipeline
-// (Model::PredictBatch and everything layered on it) against the
-// per-instance Predict path. The batched kernels only add GEMM rows and
-// never reorder a reduction, so the contract is bit-identity — these tests
-// compare with memcmp, not tolerances.
+// (Model::PredictBatch and everything layered on it) against an independent
+// one-instance reference: the training forward of the same model built with
+// dropout 0, at which rate DropoutForward draws nothing and scales nothing.
+// The batched kernels only add GEMM rows and never reorder a reduction, so
+// the contract is bit-identity — these tests compare with memcmp, not
+// tolerances.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -70,13 +72,18 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what,
       << what << " bytes differ at " << i;
 }
 
-void ExpectBatchMatchesLooped(const models::Model& model,
-                              const std::vector<data::Instance>& xs) {
+// Every instance of the batch against ForwardTrain on it alone (the model
+// must have dropout 0), and against Predict, the batch of one.
+void ExpectBatchMatchesTrainForward(models::Model* model,
+                                    const std::vector<data::Instance>& xs) {
   std::vector<util::Matrix> batched;
-  model.PredictBatch(Pointers(xs), &batched);
+  model->PredictBatch(Pointers(xs), &batched);
   ASSERT_EQ(batched.size(), xs.size());
+  Rng rng(1);
   for (size_t i = 0; i < xs.size(); ++i) {
-    ExpectBitEqual(model.Predict(xs[i]), batched[i], "prediction", i);
+    const Matrix train_forward = model->ForwardTrain(xs[i], &rng);
+    ExpectBitEqual(train_forward, batched[i], "prediction", i);
+    ExpectBitEqual(model->Predict(xs[i]), batched[i], "batch of one", i);
   }
 }
 
@@ -109,23 +116,25 @@ TEST(BucketByLengthTest, DeterministicOrderAndCap) {
 
 // ------------------------------------------------------------------ TextCnn
 
-TEST(BatchPredictTest, TextCnnMatchesLooped) {
+TEST(BatchPredictTest, TextCnnMatchesTrainForward) {
   Rng rng(101);
   auto emb = MakeEmbeddings(50, 8, &rng);
   models::TextCnnConfig mcfg;
   mcfg.feature_maps = 8;
+  mcfg.dropout = 0.0;
   models::TextCnn model(mcfg, emb, &rng);
-  ExpectBatchMatchesLooped(model, MixedLengthBatch(50, &rng));
+  ExpectBatchMatchesTrainForward(&model, MixedLengthBatch(50, &rng));
 }
 
-TEST(BatchPredictTest, TextCnnTrainableEmbeddingsMatchesLooped) {
+TEST(BatchPredictTest, TextCnnTrainableEmbeddingsMatchesTrainForward) {
   Rng rng(102);
   auto emb = MakeEmbeddings(50, 8, &rng);
   models::TextCnnConfig mcfg;
   mcfg.feature_maps = 8;
+  mcfg.dropout = 0.0;
   mcfg.trainable_embeddings = true;
   models::TextCnn model(mcfg, emb, &rng);
-  ExpectBatchMatchesLooped(model, MixedLengthBatch(50, &rng));
+  ExpectBatchMatchesTrainForward(&model, MixedLengthBatch(50, &rng));
 }
 
 TEST(BatchPredictTest, TextCnnCrossesBucketCap) {
@@ -133,44 +142,47 @@ TEST(BatchPredictTest, TextCnnCrossesBucketCap) {
   auto emb = MakeEmbeddings(50, 8, &rng);
   models::TextCnnConfig mcfg;
   mcfg.feature_maps = 8;
+  mcfg.dropout = 0.0;
   models::TextCnn model(mcfg, emb, &rng);
   std::vector<data::Instance> xs;
   for (int i = 0; i < models::kMaxPredictBatch + 17; ++i) {
     xs.push_back(MakeInstance(6, 50, &rng));
   }
-  ExpectBatchMatchesLooped(model, xs);
+  ExpectBatchMatchesTrainForward(&model, xs);
 }
 
 // ---------------------------------------------------------------- NerTagger
 
-TEST(BatchPredictTest, NerTaggerGruMatchesLooped) {
+TEST(BatchPredictTest, NerTaggerGruMatchesTrainForward) {
   Rng rng(104);
   auto emb = MakeEmbeddings(40, 6, &rng);
   models::NerTaggerConfig mcfg;
   mcfg.conv_features = 16;
   mcfg.gru_hidden = 8;
+  mcfg.dropout = 0.0;
   models::NerTagger model(mcfg, emb, &rng);
-  ExpectBatchMatchesLooped(model, MixedLengthBatch(40, &rng));
+  ExpectBatchMatchesTrainForward(&model, MixedLengthBatch(40, &rng));
 }
 
-TEST(BatchPredictTest, NerTaggerLstmMatchesLooped) {
+TEST(BatchPredictTest, NerTaggerLstmMatchesTrainForward) {
   Rng rng(105);
   auto emb = MakeEmbeddings(40, 6, &rng);
   models::NerTaggerConfig mcfg;
   mcfg.conv_features = 16;
   mcfg.gru_hidden = 8;
+  mcfg.dropout = 0.0;
   mcfg.recurrent = models::NerTaggerConfig::Recurrent::kLstm;
   models::NerTagger model(mcfg, emb, &rng);
-  ExpectBatchMatchesLooped(model, MixedLengthBatch(40, &rng));
+  ExpectBatchMatchesTrainForward(&model, MixedLengthBatch(40, &rng));
 }
 
 // ----------------------------------------------------- LogisticRegression
 
-TEST(BatchPredictTest, LogRegMatchesLooped) {
+TEST(BatchPredictTest, LogRegMatchesTrainForward) {
   Rng rng(106);
   auto emb = MakeEmbeddings(40, 6, &rng);
   models::LogisticRegression model(2, emb, &rng);
-  ExpectBatchMatchesLooped(model, MixedLengthBatch(40, &rng));
+  ExpectBatchMatchesTrainForward(&model, MixedLengthBatch(40, &rng));
 }
 
 // ------------------------------------------------------------- empty batch

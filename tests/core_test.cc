@@ -265,6 +265,59 @@ TEST(SentimentRuleTest, MarkerAtSentenceEndIsPassThrough) {
   EXPECT_FLOAT_EQ(out(0, 1), 0.6f);
 }
 
+TEST(SentimentRuleTest, ContrastIndexPastEndIsPassThrough) {
+  SentimentButRule rule(nullptr, /*marker_token=*/7);
+  data::Instance x;
+  x.tokens = {1, 3, 7};
+  Matrix q(1, 2);
+  q(0, 0) = 0.4f;
+  q(0, 1) = 0.6f;
+  // The bound is checked before the marker is read (ASan would flag it).
+  for (const int index : {3, 5}) {
+    x.contrast_index = index;
+    const Matrix out = rule.Project(x, q, 5.0);
+    EXPECT_EQ(out(0, 0), 0.4f) << "contrast_index=" << index;
+    EXPECT_EQ(out(0, 1), 0.6f) << "contrast_index=" << index;
+  }
+}
+
+TEST(SentimentRuleTest, InstanceRewrittenInPlaceFollowsNewTokens) {
+  // Whether a grounding is formed is read from the tokens at each call: an
+  // instance slot reused for another sentence projects like a fresh copy.
+  Rng rng(9);
+  auto emb = std::make_shared<data::EmbeddingTable>(12, 4);
+  for (int v = 1; v < 12; ++v) {
+    for (int d = 0; d < 4; ++d) {
+      emb->table()(v, d) = static_cast<float>(rng.Gaussian());
+    }
+  }
+  models::TextCnnConfig mcfg;
+  mcfg.feature_maps = 4;
+  const models::TextCnn cnn(mcfg, emb, &rng);
+  const int but = 7;
+  SentimentButRule rule(&cnn, but);
+  Matrix q(1, 2);
+  q(0, 0) = 0.5f;
+  q(0, 1) = 0.5f;
+
+  data::Instance x;
+  x.tokens = {1, 2, 3, 4, 5, 6};
+  EXPECT_EQ(rule.Project(x, q, 5.0)(0, 1), 0.5f);  // no marker: unchanged
+
+  x.tokens = {1, 2, but, 4, 5, 6, 8, 9};
+  x.contrast_index = 2;
+  const data::Instance fresh = x;
+  const Matrix rewritten = rule.Project(x, q, 5.0);
+  const Matrix want = rule.Project(fresh, q, 5.0);
+  EXPECT_NE(want(0, 1), 0.5f);  // the grounded rule moves q
+  EXPECT_EQ(rewritten(0, 0), want(0, 0));
+  EXPECT_EQ(rewritten(0, 1), want(0, 1));
+
+  x.tokens = {1, 2, 3, 4, 5, 6, 8, 9};
+  x.contrast_index = -1;
+  EXPECT_EQ(rule.Project(x, q, 5.0)(0, 1), 0.5f);  // marker gone again
+}
+
 // --------------------------------------------------- Logic-LNCL end-to-end --
 
 class LogicLnclSmallTest : public testing::Test {

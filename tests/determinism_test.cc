@@ -21,6 +21,7 @@
 #include "crowd/simulator.h"
 #include "data/ner_gen.h"
 #include "data/sentiment_gen.h"
+#include "models/crf_tagger.h"
 #include "models/ner_tagger.h"
 #include "models/text_cnn.h"
 #include "util/gemm_kernel.h"
@@ -118,9 +119,11 @@ std::string FitHash(const FitSnapshot& snap) {
 }
 
 // Golden hashes pin a fit's bits across commits, where the tests comparing
-// thread counts only look inside one build. Each is checked at 1, 3 and 4
-// threads (at 3 the kSlots = 8 slots do not divide evenly over the workers).
-// A change to any of them is a change of training trajectory or of serving
+// thread counts only look inside one build: the GRU-tagger and TextCnn fits
+// at 1, 3 and 4 threads (at 3 the kSlots = 8 slots do not divide evenly over
+// the workers), and at 1 and 4 threads the paths no benchmark workload runs
+// (the per-instance E-step and teacher, the LSTM tagger, the CRF tagger). A
+// change to any of them is a change of training trajectory or of serving
 // numerics; it must be deliberate and re-recorded here.
 struct GoldenHashes {
   const char* fit;           // FitHash
@@ -214,8 +217,12 @@ class SentimentDeterminismTest : public testing::Test {
 
   // 3-epoch TextCnn fit with the A-but-B rule (dropout 0.5, Adadelta). The
   // rule consults the model being trained, so the learner takes a pre-built
-  // model; `replica_factory` only adds training workers.
-  FitSnapshot RunButRule(int threads, bool replica_factory) const {
+  // model; `replica_factory` only adds training workers. With batch_predict
+  // off the E-step predicts and projects one instance per call, and
+  // `teacher` comes from the per-instance PredictTeacher (the Predict and
+  // Project wrappers).
+  FitSnapshot RunButRule(int threads, bool replica_factory,
+                         bool batch_predict = true) const {
     core::LogicLnclConfig config;
     config.epochs = 3;
     config.batch_size = 32;
@@ -224,6 +231,7 @@ class SentimentDeterminismTest : public testing::Test {
     config.optimizer.kind = "adadelta";
     config.optimizer.lr = 1.0;
     config.threads = threads;
+    config.batch_predict = batch_predict;
     Rng rng(1);
     std::unique_ptr<models::Model> model = factory_(&rng);
     core::SentimentButRule rule(model.get(), corpus_.but_token);
@@ -231,7 +239,14 @@ class SentimentDeterminismTest : public testing::Test {
                             replica_factory ? factory_ : nullptr);
     core::LogicLnclResult result =
         learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
-    return Snapshot(&learner, std::move(result), corpus_.test);
+    FitSnapshot snap = Snapshot(&learner, std::move(result), corpus_.test);
+    if (!batch_predict) {
+      snap.teacher.clear();
+      for (const data::Instance& x : corpus_.test.instances) {
+        snap.teacher.push_back(learner.PredictTeacher(x));
+      }
+    }
+    return snap;
   }
 
   data::SentimentCorpus corpus_;
@@ -253,12 +268,23 @@ TEST_F(SentimentDeterminismTest, RepeatedRunsBitIdentical) {
   ExpectBitIdentical(a, b);
 }
 
+constexpr GoldenHashes kButRuleGolden = {
+    "95e65f271a9503c2", "e178ad656e9b2414", "637059670e10435c"};
+
 TEST_F(SentimentDeterminismTest, ButRuleFitMatchesGoldenHashes) {
-  const GoldenHashes golden = {"95e65f271a9503c2", "e178ad656e9b2414",
-                                "637059670e10435c"};
   for (const int threads : {1, 3, 4}) {
-    ExpectGolden(RunButRule(threads, /*replica_factory=*/true), golden,
-                 threads);
+    ExpectGolden(RunButRule(threads, /*replica_factory=*/true),
+                 kButRuleGolden, threads);
+  }
+}
+
+TEST_F(SentimentDeterminismTest, PerInstanceButRuleFitMatchesGoldenHashes) {
+  // The per-instance E-step and teacher reproduce the batched goldens:
+  // batch_predict only changes how many instances one call handles.
+  for (const int threads : {1, 4}) {
+    ExpectGolden(RunButRule(threads, /*replica_factory=*/true,
+                            /*batch_predict=*/false),
+                 kButRuleGolden, threads);
   }
 }
 
@@ -311,7 +337,7 @@ class NerDeterminismTest : public testing::Test {
     projector_ = core::MakeNerRuleProjector();
   }
 
-  FitSnapshot Run(int threads) const {
+  static core::LogicLnclConfig Config(int threads) {
     core::LogicLnclConfig config;
     config.epochs = 3;
     config.batch_size = 16;
@@ -321,12 +347,18 @@ class NerDeterminismTest : public testing::Test {
     config.optimizer.kind = "adam";
     config.optimizer.lr = 0.002;
     config.threads = threads;
+    return config;
+  }
+
+  FitSnapshot Run(int threads,
+                  const models::ModelFactory& factory) const {
     Rng rng(1);
-    core::LogicLncl learner(config, factory_, projector_.get());
+    core::LogicLncl learner(Config(threads), factory, projector_.get());
     core::LogicLnclResult result =
         learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
     return Snapshot(&learner, std::move(result), corpus_.test);
   }
+  FitSnapshot Run(int threads) const { return Run(threads, factory_); }
 
   data::NerCorpus corpus_;
   std::unique_ptr<crowd::AnnotationSet> annotations_;
@@ -346,6 +378,58 @@ TEST_F(NerDeterminismTest, MatchesGoldenHashes) {
                                 "d60950bf6f2498bc"};
   for (const int threads : {1, 3, 4}) {
     ExpectGolden(Run(threads), golden, threads);
+  }
+}
+
+TEST_F(NerDeterminismTest, LstmTaggerMatchesGoldenHashes) {
+  // The same fit with the LSTM cell of the recurrent-cell ablation.
+  models::NerTaggerConfig mcfg;
+  mcfg.conv_features = 16;
+  mcfg.gru_hidden = 8;
+  mcfg.dropout = 0.5;
+  mcfg.recurrent = models::NerTaggerConfig::Recurrent::kLstm;
+  const models::ModelFactory lstm =
+      models::NerTagger::Factory(mcfg, corpus_.embeddings);
+  const GoldenHashes golden = {"100a3cb7bb15d50e", "2bfd63ed2066877d",
+                                "c011a614a0103448"};
+  for (const int threads : {1, 4}) {
+    ExpectGolden(Run(threads, lstm), golden, threads);
+  }
+}
+
+TEST_F(NerDeterminismTest, CrfTaggerMatchesGoldenHashes) {
+  // A 2-epoch CRF-tagger fit, then its marginals (PredictBatch) and Viterbi
+  // paths (Decode) on the test split.
+  models::CrfTaggerConfig mcfg;
+  mcfg.conv_features = 16;
+  mcfg.gru_hidden = 8;
+  mcfg.dropout = 0.5;
+  const models::ModelFactory crf =
+      models::CrfTagger::Factory(mcfg, corpus_.embeddings);
+  for (const int threads : {1, 4}) {
+    core::LogicLnclConfig config = Config(threads);
+    config.epochs = 2;
+    config.patience = 2;
+    Rng rng(1);
+    core::LogicLncl learner(config, crf, projector_.get());
+    FitSnapshot snap;
+    snap.result = learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
+    snap.params = SnapshotParams(learner.model());
+    snap.qf = learner.qf();
+    const auto* tagger =
+        static_cast<const models::CrfTagger*>(learner.model());
+    uint64_t paths = 14695981039346656037ull;
+    for (const data::Instance& x : corpus_.test.instances) {
+      const std::vector<int> path = tagger->Decode(x);
+      const size_t n = path.size();
+      paths = Fnv1a(&n, sizeof(n), paths);
+      paths = Fnv1a(path.data(), n * sizeof(int), paths);
+    }
+    EXPECT_EQ(FitHash(snap), "a268aad9dbb8a88a") << "threads=" << threads;
+    EXPECT_EQ(Hex(HashMatrices(learner.model()->PredictBatch(corpus_.test))),
+              "39bfb19ee7741eae")
+        << "threads=" << threads;
+    EXPECT_EQ(Hex(paths), "9d13b2ec0aecb232") << "threads=" << threads;
   }
 }
 

@@ -678,6 +678,178 @@ INSTANTIATE_TEST_SUITE_P(
                                      Conv1d::Padding::kValid),
                      testing::Bool()));
 
+// Naive gate pre-activation, the oracle for the recurrent forwards: the
+// input-side product as one std::fma chain over ascending k plus the bias
+// (the GEMM epilogue), plus the recurrent product as a second, bias-free
+// chain, summed as the gate loops sum them.
+float NaiveGatePre(const Parameter& w, const Parameter& u, const Parameter& b,
+                   const float* x, const float* h_prev, int j) {
+  float gx = 0.0f;
+  for (int k = 0; k < w.value.cols(); ++k) {
+    gx = std::fma(x[k], w.value(j, k), gx);
+  }
+  gx += b.value(0, j);
+  float gh = 0.0f;
+  for (int k = 0; k < u.value.cols(); ++k) {
+    gh = std::fma(h_prev[k], u.value(j, k), gh);
+  }
+  return gx + gh;
+}
+
+// Naive GRU over one sequence: every gate, candidate, and state row.
+Gru::Cache NaiveGruForward(Gru* gru, const Matrix& x) {
+  const std::vector<Parameter*> p = gru->Params();  // wz uz bz wr ur br wc..
+  const int t_len = x.rows();
+  const int h_dim = gru->hidden_dim();
+  Gru::Cache want{Matrix(t_len, h_dim), Matrix(t_len, h_dim),
+                  Matrix(t_len, h_dim), Matrix(t_len, h_dim)};
+  std::vector<float> h_prev(h_dim, 0.0f), rh(h_dim);
+  for (int t = 0; t < t_len; ++t) {
+    const float* xt = x.Row(t);
+    for (int j = 0; j < h_dim; ++j) {
+      want.z(t, j) =
+          Sigmoid(NaiveGatePre(*p[0], *p[1], *p[2], xt, h_prev.data(), j));
+      want.r(t, j) =
+          Sigmoid(NaiveGatePre(*p[3], *p[4], *p[5], xt, h_prev.data(), j));
+      rh[j] = want.r(t, j) * h_prev[j];
+    }
+    for (int j = 0; j < h_dim; ++j) {
+      want.c(t, j) =
+          std::tanh(NaiveGatePre(*p[6], *p[7], *p[8], xt, rh.data(), j));
+      want.h(t, j) = (1.0f - want.z(t, j)) * h_prev[j] +
+                     want.z(t, j) * want.c(t, j);
+    }
+    std::copy(want.h.Row(t), want.h.Row(t) + h_dim, h_prev.begin());
+  }
+  return want;
+}
+
+// Naive LSTM over one sequence: every gate and state row.
+Lstm::Cache NaiveLstmForward(Lstm* lstm, const Matrix& x) {
+  const std::vector<Parameter*> p = lstm->Params();  // wi ui bi wf uf bf ..
+  const int t_len = x.rows();
+  const int h_dim = lstm->hidden_dim();
+  Lstm::Cache want;
+  for (Matrix* m : {&want.h, &want.c, &want.i, &want.f, &want.o, &want.g}) {
+    *m = Matrix(t_len, h_dim);
+  }
+  std::vector<float> h_prev(h_dim, 0.0f), c_prev(h_dim, 0.0f);
+  for (int t = 0; t < t_len; ++t) {
+    const float* xt = x.Row(t);
+    for (int j = 0; j < h_dim; ++j) {
+      want.i(t, j) =
+          Sigmoid(NaiveGatePre(*p[0], *p[1], *p[2], xt, h_prev.data(), j));
+      want.f(t, j) =
+          Sigmoid(NaiveGatePre(*p[3], *p[4], *p[5], xt, h_prev.data(), j));
+      want.o(t, j) =
+          Sigmoid(NaiveGatePre(*p[6], *p[7], *p[8], xt, h_prev.data(), j));
+      want.g(t, j) =
+          std::tanh(NaiveGatePre(*p[9], *p[10], *p[11], xt, h_prev.data(), j));
+      want.c(t, j) = want.f(t, j) * c_prev[j] + want.i(t, j) * want.g(t, j);
+      want.h(t, j) = want.o(t, j) * std::tanh(want.c(t, j));
+    }
+    std::copy(want.h.Row(t), want.h.Row(t) + h_dim, h_prev.begin());
+    std::copy(want.c.Row(t), want.c.Row(t) + h_dim, c_prev.begin());
+  }
+  return want;
+}
+
+bool SameMatrix(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         SameBits(a.data(), b.data(), a.size());
+}
+
+// Runs `check(t, lanes, packed)` under both kernel kinds for each sequence
+// length t, with `lanes` three random (t x in_dim) sequences and `packed`
+// their instance-major stack.
+template <typename Check>
+void ForEachRecurrentCase(int in_dim, Rng* rng, Check check) {
+  std::vector<util::gemm::Kind> kinds = {util::gemm::Kind::kScalar};
+  if (util::gemm::SimdCompiled()) kinds.push_back(util::gemm::Kind::kSimd);
+  for (const util::gemm::Kind kind : kinds) {
+    util::gemm::SetActiveKindForTest(kind);
+    for (const int t : {0, 1, 2, 7}) {
+      SCOPED_TRACE(testing::Message()
+                   << util::gemm::KindName(kind) << " t=" << t);
+      std::vector<Matrix> lanes;
+      Matrix packed(3 * t, in_dim);
+      for (int b = 0; b < 3; ++b) {
+        lanes.push_back(RandomMatrix(t, in_dim, rng));
+        for (int r = 0; r < t; ++r) {
+          std::memcpy(packed.Row(b * t + r), lanes.back().Row(r),
+                      in_dim * sizeof(float));
+        }
+      }
+      check(t, lanes, packed);
+    }
+  }
+  util::gemm::SetActiveKindForTest(util::gemm::ParseKindEnv());
+}
+
+void RandomizeBiases(const std::vector<Parameter*>& params, Rng* rng) {
+  for (Parameter* p : params) {
+    if (p->value.rows() == 1) p->value = RandomMatrix(1, p->value.cols(), rng);
+  }
+}
+
+TEST(GruTest, ForwardsMatchNaiveOracle) {
+  const int in_dim = 5;
+  const int h_dim = 19;  // one full SIMD vector plus a masked tail
+  Rng rng(515);
+  Gru gru("g", in_dim, h_dim, &rng);
+  RandomizeBiases(gru.Params(), &rng);
+  const auto check = [&](int t, const std::vector<Matrix>& lanes,
+                         const Matrix& packed) {
+    Matrix h_packed;
+    gru.ForwardPacked(packed, 3, t, &h_packed);
+    ASSERT_EQ(h_packed.rows(), 3 * t);
+    for (int b = 0; b < 3; ++b) {
+      const Gru::Cache want = NaiveGruForward(&gru, lanes[b]);
+      Gru::Cache cache;
+      Matrix h;
+      gru.Forward(lanes[b], &cache, &h);
+      EXPECT_TRUE(SameMatrix(h, want.h)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.h, want.h)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.z, want.z)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.r, want.r)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.c, want.c)) << "lane " << b;
+      EXPECT_TRUE(SameBits(h_packed.Row(b * t), want.h.data(), want.h.size()))
+          << "lane " << b;
+    }
+  };
+  ForEachRecurrentCase(in_dim, &rng, check);
+}
+
+TEST(LstmTest, ForwardsMatchNaiveOracle) {
+  const int in_dim = 5;
+  const int h_dim = 19;
+  Rng rng(516);
+  Lstm lstm("l", in_dim, h_dim, &rng);
+  RandomizeBiases(lstm.Params(), &rng);
+  const auto check = [&](int t, const std::vector<Matrix>& lanes,
+                         const Matrix& packed) {
+    Matrix h_packed;
+    lstm.ForwardPacked(packed, 3, t, &h_packed);
+    ASSERT_EQ(h_packed.rows(), 3 * t);
+    for (int b = 0; b < 3; ++b) {
+      const Lstm::Cache want = NaiveLstmForward(&lstm, lanes[b]);
+      Lstm::Cache cache;
+      Matrix h;
+      lstm.Forward(lanes[b], &cache, &h);
+      EXPECT_TRUE(SameMatrix(h, want.h)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.h, want.h)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.c, want.c)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.i, want.i)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.f, want.f)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.o, want.o)) << "lane " << b;
+      EXPECT_TRUE(SameMatrix(cache.g, want.g)) << "lane " << b;
+      EXPECT_TRUE(SameBits(h_packed.Row(b * t), want.h.data(), want.h.size()))
+          << "lane " << b;
+    }
+  };
+  ForEachRecurrentCase(in_dim, &rng, check);
+}
+
 TEST(GruTest, GradientCheckParameters) {
   Rng rng(41);
   Gru gru("gru", 3, 4, &rng);
