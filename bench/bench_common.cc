@@ -3,10 +3,8 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 
-#include "util/check.h"
 #include "util/threadpool.h"
 
 namespace lncl::bench {
@@ -284,70 +282,6 @@ void PrintInt8Gate(const Int8Gate& gate) {
             << util::FormatFixed(
                    (gate.int8_score - gate.fp32_score) * 100.0, 3)
             << ")\n";
-}
-
-namespace {
-void WriteFitJson(std::ostream& os, const TimedFit& fit) {
-  const core::PhaseSeconds& p = fit.result.phase_seconds;
-  os << "    {\"mode\": \"" << fit.mode << "\", "
-     << "\"audit\": " << (LNCL_AUDIT_ENABLED ? "true" : "false") << ", "
-     << "\"result_digest\": \"" << FitDigest(fit.result) << "\", "
-     << "\"best_dev_score\": " << util::FormatFixed(
-            fit.result.best_dev_score, 10) << ", "
-     << "\"fit_seconds\": " << util::FormatFixed(p.total, 4) << ", "
-     << "\"epochs_run\": " << fit.result.epochs_run << ", "
-     << "\"phase_seconds\": {"
-     << "\"m_step\": " << util::FormatFixed(p.m_step, 4) << ", "
-     << "\"confusion\": " << util::FormatFixed(p.confusion, 4) << ", "
-     << "\"e_step\": " << util::FormatFixed(p.e_step, 4) << ", "
-     << "\"dev_eval\": " << util::FormatFixed(p.dev_eval, 4) << "}}";
-}
-}  // namespace
-
-void EmitBenchJson(const std::string& id, double bench_seconds,
-                   const std::vector<TimedFit>& fits, const Int8Gate* int8) {
-  std::filesystem::create_directories("results");
-  const std::string path = "results/BENCH_" + id + ".json";
-  std::ofstream os(path);
-  if (!os) {
-    std::cout << "[failed to open " << path << "]\n";
-    return;
-  }
-  os << "{\n  \"bench\": \"" << id << "\",\n"
-     << "  \"bench_seconds\": " << util::FormatFixed(bench_seconds, 4)
-     << ",\n  \"timed_fits\": [\n";
-  for (size_t i = 0; i < fits.size(); ++i) {
-    WriteFitJson(os, fits[i]);
-    os << (i + 1 < fits.size() ? ",\n" : "\n");
-  }
-  os << "  ]";
-  double batched = 0.0, per_instance = 0.0;
-  for (const TimedFit& fit : fits) {
-    if (fit.mode == "batched") batched = fit.result.phase_seconds.total;
-    if (fit.mode == "per_instance") {
-      per_instance = fit.result.phase_seconds.total;
-    }
-  }
-  if (batched > 0.0 && per_instance > 0.0) {
-    os << ",\n  \"speedup_end_to_end\": "
-       << util::FormatFixed(per_instance / batched, 3);
-    std::cout << "end-to-end fit speedup (per_instance / batched): "
-              << util::FormatFixed(per_instance / batched, 2) << "x\n";
-  }
-  if (int8 != nullptr) {
-    os << ",\n  \"int8_gate\": {"
-       << "\"argmax_agreement\": "
-       << util::FormatFixed(int8->argmax_agreement, 6) << ", "
-       << "\"rows\": " << int8->rows << ", "
-       << "\"fp32_score\": " << util::FormatFixed(int8->fp32_score, 10)
-       << ", "
-       << "\"int8_score\": " << util::FormatFixed(int8->int8_score, 10)
-       << ", "
-       << "\"score_delta\": "
-       << util::FormatFixed(int8->int8_score - int8->fp32_score, 10) << "}";
-  }
-  os << "\n}\n";
-  std::cout << "[bench json written to " << path << "]\n";
 }
 
 }  // namespace lncl::bench

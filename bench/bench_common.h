@@ -103,16 +103,6 @@ void PrintConfigBanner(const std::string& bench, const Scale& scale,
 // under the current working directory).
 void EmitTable(util::Table* table, const std::string& id);
 
-// One end-to-end Logic-LNCL fit timed under a prediction-pipeline mode:
-// "batched" = LogicLnclConfig.batch_predict on (each E-step slot predicts
-// and projects in one length-bucketed PredictBatch / ProjectBatch call),
-// "per_instance" = off (one instance per call, the pre-batching baseline).
-// Dev evaluation is batched in both modes.
-struct TimedFit {
-  std::string mode;
-  core::LogicLnclResult result;
-};
-
 // One-line wall-clock breakdown of a fit (phase_seconds).
 void PrintPhaseSeconds(const std::string& label,
                        const core::PhaseSeconds& phases);
@@ -121,8 +111,8 @@ void PrintPhaseSeconds(const std::string& label,
 // best epoch, and the full per-epoch dev/loss curves), as a 16-hex-digit
 // string. Any single-ulp divergence anywhere in the training trajectory
 // changes the curves, so equal digests across two binaries witness that
-// they computed bit-identical fits. scripts/bench_audit_overhead.sh uses
-// this to assert that -DLNCL_AUDIT=ON only reads: same seed, same digest.
+// they computed bit-identical fits. Every bench history record carries the
+// digest of its timed fit.
 std::string FitDigest(const core::LogicLnclResult& result);
 
 // Int8-vs-fp32 serving gate: scores the same fitted model through
@@ -143,16 +133,6 @@ Int8Gate MeasureInt8Gate(
 
 // One-line report of the gate.
 void PrintInt8Gate(const Int8Gate& gate);
-
-// Writes results/BENCH_<id>.json: the bench-wide wall time plus, per timed
-// fit, the end-to-end Fit seconds, the per-phase breakdown, whether the
-// binary was an audit build, and FitDigest of the result. When both a
-// "batched" and a "per_instance" fit are present, also records their
-// end-to-end speedup (per_instance total / batched total). When `int8` is
-// non-null, records the quantized-serving gate next to the fits.
-void EmitBenchJson(const std::string& id, double bench_seconds,
-                   const std::vector<TimedFit>& fits,
-                   const Int8Gate* int8 = nullptr);
 
 }  // namespace lncl::bench
 

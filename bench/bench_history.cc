@@ -123,7 +123,7 @@ void WriteCounters(std::ostream& os, const obs::Prof::SpanAgg& agg) {
 }  // namespace
 
 bool AppendBenchHistory(const std::string& id, double wall_seconds,
-                        const std::vector<TimedFit>& fits,
+                        const core::LogicLnclResult* fit,
                         const Int8Gate* int8, const std::string& path) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
@@ -137,7 +137,7 @@ bool AppendBenchHistory(const std::string& id, double wall_seconds,
     return false;
   }
   // The "fit" PhaseSpan aggregate is the headline counter set: it covers
-  // exactly the timed end-to-end fits a Prof session bracketed.
+  // exactly the timed end-to-end fit a Prof session bracketed.
   const obs::Prof::SpanAgg fit_counters = obs::Prof::SnapshotSpan("fit");
   const obs::MemSample mem = obs::ReadSelfStatus();
   os << "{\"schema\": \"lncl.bench.v1\", \"bench\": \"" << id << "\""
@@ -155,11 +155,10 @@ bool AppendBenchHistory(const std::string& id, double wall_seconds,
      << ", \"wall_seconds\": " << Num(wall_seconds) << ", \"counters\": ";
   WriteCounters(os, fit_counters);
   os << ", \"fits\": [";
-  for (size_t i = 0; i < fits.size(); ++i) {
-    const TimedFit& fit = fits[i];
-    const core::PhaseSeconds& p = fit.result.phase_seconds;
-    os << (i ? ", " : "") << "{\"mode\": \"" << fit.mode << "\""
-       << ", \"digest\": \"" << FitDigest(fit.result) << "\""
+  if (fit != nullptr) {
+    const core::PhaseSeconds& p = fit->phase_seconds;
+    os << "{\"mode\": \"batched\""
+       << ", \"digest\": \"" << FitDigest(*fit) << "\""
        << ", \"fit_seconds\": " << Num(p.total)
        << ", \"phase_seconds\": {\"m_step\": " << Num(p.m_step)
        << ", \"confusion\": " << Num(p.confusion)
@@ -176,10 +175,6 @@ bool AppendBenchHistory(const std::string& id, double wall_seconds,
     return true;
   }
   return false;
-}
-
-bool AppendBenchHistory(const std::string& id, double wall_seconds) {
-  return AppendBenchHistory(id, wall_seconds, {}, nullptr);
 }
 
 }  // namespace lncl::bench

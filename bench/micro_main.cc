@@ -8,7 +8,7 @@
 //
 // Any google-benchmark flag still applies (--benchmark_filter, etc.).
 // Each run also appends a wall-time + peak-RSS record to
-// results/BENCH_history.jsonl (schema lncl.bench.v1) for bench_compare.py.
+// results/BENCH_history.jsonl (schema lncl.bench.v1).
 #include <benchmark/benchmark.h>
 
 #include <filesystem>

@@ -256,75 +256,42 @@ void Run(int argc, char** argv) {
               << " p=" << util::FormatFixed(inf.p_one_sided, 4) << "\n";
   }
 
-  // ---- Timed end-to-end fit: batched pipeline vs the per-instance path.
-  // Same seed for both, so the trajectories (and therefore the work done per
-  // epoch) are bit-identical; only the prediction pipeline differs.
-  //
-  // --telemetry (default on) turns the timed fits into the telemetry
-  // showcase: metrics registry enabled, a Perfetto-loadable trace of both
-  // fits, and a per-epoch run log attached to the batched one. All of it is
-  // observation-only, so the batched/per_instance digest equality in
-  // results/BENCH_table2.json is unaffected.
-  // --prof (default: follow --telemetry) additionally arms perf-counter
-  // span attribution (obs::Prof) over the timed fits and writes the
-  // per-span counter aggregates to results/prof_table2.json.
-  const bool telemetry = config.GetBool("telemetry", true);
-  const bool prof = config.GetBool("prof", telemetry);
-  std::unique_ptr<obs::JsonlRunLogger> run_log;
-  if (telemetry) {
-    obs::Metrics::Enable(true);
-    obs::Metrics::Reset();
-    obs::Trace::Start("results/trace_table2.json");
-    run_log = std::make_unique<obs::JsonlRunLogger>(
-        "results/runlog_table2.jsonl", "table2/batched");
-  }
-  if (prof) obs::Prof::Start();
-  std::cout << "--- timed Logic-LNCL fit (same seed, batched vs "
-               "per-instance) ---\n";
-  std::vector<TimedFit> fits;
-  Int8Gate int8_gate;
-  for (const bool batched : {false, true}) {
-    util::Rng rng(424242);
-    std::unique_ptr<models::Model> model = cnn(&rng);
-    core::SentimentButRule rule(model.get(), setup.corpus.but_token);
-    core::LogicLnclConfig lcfg = SentimentLnclConfig(scale);
-    lcfg.batch_predict = batched;
-    if (batched && run_log != nullptr) lcfg.run_observer = run_log.get();
-    core::LogicLncl m(lcfg, std::move(model), &rule, cnn);
-    core::LogicLnclResult res;
-    {
-      LNCL_TRACE_SPAN_ARG("timed_fit", "batched", batched ? 1 : 0);
-      res = m.Fit(train, ann, dev, &rng);
-    }
-    const std::string mode = batched ? "batched" : "per_instance";
-    PrintPhaseSeconds("Logic-LNCL fit (" + mode + ")", res.phase_seconds);
-    fits.push_back({mode, res});
-    if (batched) {
-      // Quantized-serving accuracy gate on the fitted model (see
-      // LogicLnclConfig.quantized_predict): both arms score the test split.
-      int8_gate = MeasureInt8Gate(&m, test, [&](
-          const std::vector<util::Matrix>& p) {
+  // ---- Timed end-to-end fit, the telemetry showcase: metrics registry
+  // enabled, a Perfetto-loadable trace, a per-epoch run log, and
+  // perf-counter span attribution (obs::Prof, results/prof_table2.json).
+  // All of it only observes, so the fit is bit-identical to a plain one.
+  obs::Metrics::Enable(true);
+  obs::Metrics::Reset();
+  obs::Trace::Start("results/trace_table2.json");
+  obs::Prof::Start();
+  obs::JsonlRunLogger run_log("results/runlog_table2.jsonl", "table2");
+  std::cout << "--- timed Logic-LNCL fit ---\n";
+  util::Rng rng(424242);
+  std::unique_ptr<models::Model> model = cnn(&rng);
+  core::SentimentButRule rule(model.get(), setup.corpus.but_token);
+  core::LogicLnclConfig lcfg = SentimentLnclConfig(scale);
+  lcfg.run_observer = &run_log;
+  core::LogicLncl m(lcfg, std::move(model), &rule, cnn);
+  const core::LogicLnclResult res = m.Fit(train, ann, dev, &rng);
+  PrintPhaseSeconds("Logic-LNCL fit", res.phase_seconds);
+  // Quantized-serving accuracy gate on the fitted model (see
+  // LogicLnclConfig.quantized_predict): both arms score the test split.
+  const Int8Gate int8_gate =
+      MeasureInt8Gate(&m, test, [&](const std::vector<util::Matrix>& p) {
         return eval::PosteriorAccuracy(p, test);
       });
-      PrintInt8Gate(int8_gate);
-    }
-  }
-  if (prof) {
-    obs::Prof::Stop();
-    obs::Prof::WriteJson("results/prof_table2.json");
-    std::cout << "[prof: results/prof_table2.json (hw counters "
-              << (obs::Prof::HwCountersAvailable() ? "on" : "unavailable")
-              << ")]\n";
-  }
-  if (telemetry) {
-    obs::SampleMemStatsToMetrics();
-    obs::Trace::Stop();
-    obs::Metrics::WriteSnapshotJson("results/metrics_table2.json");
-    std::cout << "[telemetry: results/trace_table2.json "
-                 "results/runlog_table2.jsonl results/metrics_table2.json]\n";
-  }
-  EmitBenchJson("table2", bench_timer.Seconds(), fits, &int8_gate);
-  AppendBenchHistory("table2", bench_timer.Seconds(), fits, &int8_gate);
+  PrintInt8Gate(int8_gate);
+  obs::Prof::Stop();
+  obs::Prof::WriteJson("results/prof_table2.json");
+  obs::SampleMemStatsToMetrics();
+  obs::Trace::Stop();
+  obs::Metrics::WriteSnapshotJson("results/metrics_table2.json");
+  std::cout << "[telemetry: results/trace_table2.json "
+               "results/runlog_table2.jsonl results/metrics_table2.json "
+               "results/prof_table2.json (hw counters "
+            << (obs::Prof::HwCountersAvailable() ? "on" : "unavailable")
+            << ")]\n";
+  AppendBenchHistory("table2", bench_timer.Seconds(), &res, &int8_gate);
 }
 
 }  // namespace

@@ -268,69 +268,39 @@ void Run(int argc, char** argv) {
               << " p=" << util::FormatFixed(pred.p_one_sided, 4) << "\n";
   }
 
-  // ---- Timed end-to-end fit: batched pipeline vs the per-instance path.
-  // Same seed for both, so the trajectories (and therefore the work done per
-  // epoch) are bit-identical; only the prediction pipeline differs.
-  // --telemetry (default on) additionally records a trace of both fits, a
-  // per-epoch run log of the batched one, and a metrics snapshot — all
-  // observation-only (digest equality in BENCH_table3.json is unaffected).
-  // --prof (default: follow --telemetry) arms perf-counter span attribution
-  // over the timed fits (results/prof_table3.json).
-  const bool telemetry = config.GetBool("telemetry", true);
-  const bool prof = config.GetBool("prof", telemetry);
-  std::unique_ptr<obs::JsonlRunLogger> run_log;
-  if (telemetry) {
-    obs::Metrics::Enable(true);
-    obs::Metrics::Reset();
-    obs::Trace::Start("results/trace_table3.json");
-    run_log = std::make_unique<obs::JsonlRunLogger>(
-        "results/runlog_table3.jsonl", "table3/batched");
-  }
-  if (prof) obs::Prof::Start();
-  std::cout << "--- timed Logic-LNCL fit (same seed, batched vs "
-               "per-instance) ---\n";
-  std::vector<TimedFit> fits;
-  Int8Gate int8_gate;
-  for (const bool batched : {false, true}) {
-    util::Rng rng(424242);
-    core::LogicLnclConfig lcfg = NerLnclConfig(scale);
-    lcfg.batch_predict = batched;
-    if (batched && run_log != nullptr) lcfg.run_observer = run_log.get();
-    core::LogicLncl m(lcfg, tagger, projector.get());
-    core::LogicLnclResult res;
-    {
-      LNCL_TRACE_SPAN_ARG("timed_fit", "batched", batched ? 1 : 0);
-      res = m.Fit(train, ann, dev, &rng);
-    }
-    const std::string mode = batched ? "batched" : "per_instance";
-    PrintPhaseSeconds("Logic-LNCL fit (" + mode + ")", res.phase_seconds);
-    fits.push_back({mode, res});
-    if (batched) {
-      // Quantized-serving gate: strict-span F1 of int8 vs fp32 serving on
-      // the test split (LogicLnclConfig.quantized_predict).
-      int8_gate = MeasureInt8Gate(&m, test, [&](
-          const std::vector<util::Matrix>& p) {
+  // ---- Timed end-to-end fit under full telemetry: a trace, a per-epoch
+  // run log, a metrics snapshot, and perf-counter span attribution
+  // (results/prof_table3.json). All of it only observes.
+  obs::Metrics::Enable(true);
+  obs::Metrics::Reset();
+  obs::Trace::Start("results/trace_table3.json");
+  obs::Prof::Start();
+  obs::JsonlRunLogger run_log("results/runlog_table3.jsonl", "table3");
+  std::cout << "--- timed Logic-LNCL fit ---\n";
+  util::Rng rng(424242);
+  core::LogicLnclConfig lcfg = NerLnclConfig(scale);
+  lcfg.run_observer = &run_log;
+  core::LogicLncl m(lcfg, tagger, projector.get());
+  const core::LogicLnclResult res = m.Fit(train, ann, dev, &rng);
+  PrintPhaseSeconds("Logic-LNCL fit", res.phase_seconds);
+  // Quantized-serving gate: strict-span F1 of int8 vs fp32 serving on the
+  // test split (LogicLnclConfig.quantized_predict).
+  const Int8Gate int8_gate =
+      MeasureInt8Gate(&m, test, [&](const std::vector<util::Matrix>& p) {
         return eval::PosteriorSpanF1(p, test).f1;
       });
-      PrintInt8Gate(int8_gate);
-    }
-  }
-  if (prof) {
-    obs::Prof::Stop();
-    obs::Prof::WriteJson("results/prof_table3.json");
-    std::cout << "[prof: results/prof_table3.json (hw counters "
-              << (obs::Prof::HwCountersAvailable() ? "on" : "unavailable")
-              << ")]\n";
-  }
-  if (telemetry) {
-    obs::SampleMemStatsToMetrics();
-    obs::Trace::Stop();
-    obs::Metrics::WriteSnapshotJson("results/metrics_table3.json");
-    std::cout << "[telemetry: results/trace_table3.json "
-                 "results/runlog_table3.jsonl results/metrics_table3.json]\n";
-  }
-  EmitBenchJson("table3", bench_timer.Seconds(), fits, &int8_gate);
-  AppendBenchHistory("table3", bench_timer.Seconds(), fits, &int8_gate);
+  PrintInt8Gate(int8_gate);
+  obs::Prof::Stop();
+  obs::Prof::WriteJson("results/prof_table3.json");
+  obs::SampleMemStatsToMetrics();
+  obs::Trace::Stop();
+  obs::Metrics::WriteSnapshotJson("results/metrics_table3.json");
+  std::cout << "[telemetry: results/trace_table3.json "
+               "results/runlog_table3.jsonl results/metrics_table3.json "
+               "results/prof_table3.json (hw counters "
+            << (obs::Prof::HwCountersAvailable() ? "on" : "unavailable")
+            << ")]\n";
+  AppendBenchHistory("table3", bench_timer.Seconds(), &res, &int8_gate);
 }
 
 }  // namespace

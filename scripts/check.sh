@@ -34,15 +34,14 @@
 # warning-clean under -Wall -Wextra -Wshadow.
 #
 # Between lint and the sweeps, a trace-smoke step runs a tiny table2 bench
-# with telemetry on and validates the emitted artifacts: the trace file must
-# parse as Chrome trace-event JSON with span events, every run-log line
-# must parse as JSON carrying the lncl.em_run.v1 schema, the prof file must
-# carry lncl.prof.v1 span aggregates, and the bench-history append must be a
-# well-formed lncl.bench.v1 record. The same smoke run then drives the
-# profiling tools end to end: prof_report.py renders the merged per-phase
-# table and bench_compare.py gates the smoke history (skip-pass without a
-# baseline). Both tools' fixture self-tests run with the lint pass —
-# bench_compare's includes the injected-20%-slowdown fixture that must fail.
+# and validates the artifacts of its timed fit: the trace file must parse as
+# Chrome trace-event JSON with span events, every run-log line must parse as
+# JSON carrying the lncl.em_run.v1 schema, the prof file must carry
+# lncl.prof.v1 span aggregates, and the bench-history append must be a
+# well-formed lncl.bench.v1 record holding exactly one (batched) fit. The
+# same smoke run then drives tools/prof_report.py end to end: the merged
+# per-span table with the per-epoch run-log table, and the trace alone. The
+# report's fixture self-test runs with the lint pass.
 #
 #   scripts/check.sh              # lint + trace smoke + all three sweeps
 #   scripts/check.sh audit        # lint + trace smoke + audit sweep only
@@ -53,11 +52,10 @@ root=$(pwd)
 
 scripts/lint.sh
 
-echo "===== profiling-tool self-tests ====="
+echo "===== telemetry report self-test ====="
 python3 tools/prof_report.py --self-test
-python3 tools/bench_compare.py --self-test
 
-echo "===== trace smoke (tiny telemetry-on table2 run) ====="
+echo "===== trace smoke (tiny table2 run) ====="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)" --target table2_sentiment
 smoke=$(mktemp -d)
@@ -110,18 +108,18 @@ rec = history[0]
 assert rec["schema"] == "lncl.bench.v1", rec
 assert rec["bench"] == "table2" and rec["prof_active"] is True, rec
 assert rec["peak_rss_kb"] > 0 and rec["wall_seconds"] > 0, rec
-assert rec["fits"] and all(f["digest"] for f in rec["fits"]), rec
+assert len(rec["fits"]) == 1, f"expected one timed fit: {rec['fits']}"
+assert rec["fits"][0]["mode"] == "batched" and rec["fits"][0]["digest"], rec
 
 print(f"trace smoke ok: {len(spans)} spans, {len(lines)} run-log records, "
       f"prof spans {sorted(prof['spans'])}, 1 history record")
 EOF
-echo "----- prof smoke: report + history gate on the smoke artifacts -----"
+echo "----- report smoke: merged report + run log, then the trace alone -----"
 python3 tools/prof_report.py --trace "$smoke/results/trace_table2.json" \
   --prof "$smoke/results/prof_table2.json" \
-  --metrics "$smoke/results/metrics_table2.json"
-python3 tools/bench_compare.py \
-  --history "$smoke/results/BENCH_history.jsonl" \
-  --baseline "$smoke/results/no_baseline.json"
+  --metrics "$smoke/results/metrics_table2.json" \
+  --runlog "$smoke/results/runlog_table2.jsonl"
+python3 tools/prof_report.py --trace "$smoke/results/trace_table2.json"
 rm -rf "$smoke"
 trap - EXIT
 

@@ -10,9 +10,9 @@
 // workspace.pool_matrices, workspace.pool_bytes_high_water) — the malloc-side
 // and arena-side views of the same footprint.
 //
-// HostFingerprint() identifies the machine for results/BENCH_history.jsonl
-// records so tools/bench_compare.py only ever diffs runs against a baseline
-// from the same host (comparing wall times across machines is noise).
+// HostFingerprint() identifies the machine in results/BENCH_history.jsonl
+// records, so wall times are only ever read against runs from the same host
+// (comparing them across machines is noise).
 //
 // All of it degrades gracefully off-Linux or in jailed mounts: samples come
 // back with ok=false / zeros and the fingerprint falls back to "unknown".

@@ -13,7 +13,7 @@
 //    therefore costs nothing measurable until a bench or tool opts in.
 //  * No perturbation. Metrics only count; they never touch the numbers a
 //    fit computes, so a telemetry-enabled run is bit-identical to a plain
-//    one (asserted via FitDigest by scripts/bench_obs_overhead.sh).
+//    one (tests/obs_test.cc compares the two fits bit for bit).
 //  * Deterministic merge. Each metric stripes its state over kMaxShards
 //    per-thread slots (a thread keeps one shard index for life, handed out
 //    in first-use order) and snapshots merge the shards in fixed slot-index

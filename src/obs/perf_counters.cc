@@ -274,7 +274,6 @@ std::atomic<bool> g_prof_active{false};
 }  // namespace
 
 bool Prof::Start() {
-#if LNCL_PROF_ENABLED
   bool expected = false;
   if (!g_prof_active.compare_exchange_strong(expected, true)) return false;
   {
@@ -286,9 +285,6 @@ bool Prof::Start() {
   // one-time warning) surfaces at session start, not mid-fit.
   PerfCounters::PerThread();
   return true;
-#else
-  return false;
-#endif
 }
 
 bool Prof::Stop() {
@@ -301,19 +297,11 @@ bool Prof::active() {
 }
 
 bool Prof::HwCountersAvailable() {
-#if LNCL_PROF_ENABLED
   return PerfCounters::PerThread().hw_available();
-#else
-  return false;
-#endif
 }
 
 bool Prof::SwCountersAvailable() {
-#if LNCL_PROF_ENABLED
   return PerfCounters::PerThread().sw_available();
-#else
-  return false;
-#endif
 }
 
 void Prof::RecordSpan(const char* name, const CounterValues& delta) {
@@ -361,7 +349,6 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 bool Prof::WriteJson(const std::string& path) {
-#if LNCL_PROF_ENABLED
   std::ofstream os(path);
   if (!os) return false;
   const bool hw = g_hw_ever_available.load(std::memory_order_relaxed);
@@ -391,10 +378,6 @@ bool Prof::WriteJson(const std::string& path) {
   os << "  }\n";
   os << "}\n";
   return static_cast<bool>(os);
-#else
-  (void)path;
-  return false;
-#endif
 }
 
 }  // namespace lncl::obs

@@ -16,18 +16,18 @@
 // that group unavailable — reads report zeros for its counters and one
 // process-wide warning is printed — while the software group keeps counting,
 // and vice versa. Nothing in the fit path ever depends on a counter value, so
-// a profiled fit is bit-identical to a plain one (FitDigest-checked by
-// scripts/bench_obs_overhead.sh).
+// a profiled fit is bit-identical to a plain one (determinism_test pins the
+// golden hashes of fits run inside Trace and Prof sessions).
 //
-// Prof is the session gate, mirroring Trace: the LNCL_PROF compile switch
-// (CMake option, default ON) compiles the span hooks in; Prof::Start()
-// arms them at runtime. While active, every PhaseSpan / TraceSpan reads the
-// calling thread's groups at entry and exit and accumulates the delta into a
-// per-span-name aggregate, so Stop() + WriteJson() yield cycles/IPC/miss-rate
-// attribution for the whole fit→epoch→{m_step,confusion,e_step,dev_eval}
-// tree. tools/prof_report.py joins this with the trace (self times) and the
-// metrics snapshot (GEMM FLOPs → achieved GFLOP/s vs the BENCH_micro
-// roofline) into the per-phase profiling table.
+// Prof is the session gate, mirroring Trace: the span hooks are always
+// compiled in, and Prof::Start() arms them at runtime. While active, every
+// PhaseSpan / TraceSpan reads the calling thread's groups at entry and exit
+// and accumulates the delta into a per-span-name aggregate, so Stop() +
+// WriteJson() yield cycles/IPC/miss-rate attribution for the whole
+// fit→epoch→{m_step,confusion,e_step,dev_eval} tree. tools/prof_report.py
+// joins this with the trace (self times) and the metrics snapshot (GEMM
+// FLOPs → achieved GFLOP/s vs the BENCH_micro roofline) into the per-phase
+// profiling table.
 //
 // Like the rest of obs/, this header is freestanding (standard library only)
 // so util/ and bench/ can use it without dependency cycles. The raw
@@ -38,12 +38,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#if defined(LNCL_PROF)
-#define LNCL_PROF_ENABLED 1
-#else
-#define LNCL_PROF_ENABLED 0
-#endif
 
 namespace lncl::obs {
 
@@ -110,8 +104,8 @@ void ForceOpenErrnoForTest(int err);
 // RecordSpan is called by the span destructors in trace.h/cc.
 class Prof {
  public:
-  // Arms span attribution. False when profiling is compiled out
-  // (-DLNCL_PROF=OFF) or a session is already active. Clears aggregates.
+  // Arms span attribution. False when a session is already active. Clears
+  // aggregates.
   static bool Start();
 
   // Disarms. Aggregates survive until the next Start() so reporting can
@@ -121,7 +115,7 @@ class Prof {
   static bool active();
 
   // True when the calling thread's group of that kind opened (forces the
-  // open). Always false when compiled out.
+  // open).
   static bool HwCountersAvailable();
   static bool SwCountersAvailable();
 
@@ -139,7 +133,7 @@ class Prof {
 
   // Writes the session as JSON (schema lncl.prof.v1): availability flags
   // plus one object per span with raw counters, ipc, and cache_miss_rate.
-  // False on I/O failure or when profiling is compiled out.
+  // False on I/O failure.
   static bool WriteJson(const std::string& path);
 
   // Span hook (internal). Accumulates a completed span's counter delta.

@@ -13,8 +13,8 @@
 // observer is attached, which is the null-sink default).
 //
 // JsonlRunLogger is the stock observer: one JSON object per line
-// (schema "lncl.em_run.v1"), consumable by tools/trace_summary.py, the
-// bench harness, and tests (tests/obs_test.cc golden-schema check). Loggers
+// (schema "lncl.em_run.v1"), consumable by tools/prof_report.py --runlog,
+// the bench harness, and tests (tests/obs_test.cc golden-schema check). Loggers
 // flush after every line and register themselves process-wide so
 // FlushRunLogs() — called by util::CheckFailure on the abort path — can
 // drain whatever an interrupted fit managed to log; a crashed run always

@@ -21,8 +21,6 @@ int64_t NowNs() {
       .count();
 }
 
-#if LNCL_TRACE_ENABLED
-
 // Per-thread event capacity. 1<<16 complete events cover a paper-scale fit
 // (a few spans per minibatch/slot/epoch) with room to spare; overflow is
 // counted and reported, never reallocated — the buffer's data pointer must
@@ -75,11 +73,7 @@ std::string FormatUs(double us) {
   return std::string(buf);
 }
 
-#endif  // LNCL_TRACE_ENABLED
-
 }  // namespace
-
-#if LNCL_TRACE_ENABLED
 
 namespace trace_internal {
 
@@ -171,41 +165,24 @@ uint64_t Trace::dropped_events() {
   return dropped;
 }
 
-#else  // !LNCL_TRACE_ENABLED
-
-bool Trace::Start(const std::string&) { return false; }
-bool Trace::Stop() { return false; }
-bool Trace::active() { return false; }
-uint64_t Trace::dropped_events() { return 0; }
-
-#endif  // LNCL_TRACE_ENABLED
-
 PhaseSpan::PhaseSpan(const char* name, double* accum)
     : name_(name), accum_(accum), start_ns_(NowNs()), start_us_(-1.0) {
-#if LNCL_TRACE_ENABLED
   if (Trace::active()) start_us_ = trace_internal::NowUs();
-#endif
-#if LNCL_PROF_ENABLED
   if (Prof::active()) {
     prof_start_ = PerfCounters::PerThread().Read();
     prof_on_ = true;
   }
-#endif
 }
 
 PhaseSpan::~PhaseSpan() {
   *accum_ += static_cast<double>(NowNs() - start_ns_) * 1e-9;
-#if LNCL_TRACE_ENABLED
   if (start_us_ >= 0.0 && Trace::active()) {
     trace_internal::RecordComplete(
         name_, start_us_, trace_internal::NowUs() - start_us_, nullptr, 0);
   }
-#endif
-#if LNCL_PROF_ENABLED
   if (prof_on_ && Prof::active()) {
     Prof::RecordSpan(name_, PerfCounters::PerThread().Read() - prof_start_);
   }
-#endif
 }
 
 }  // namespace lncl::obs

@@ -10,45 +10,34 @@
 // timestamps relative to session start, one tid per recording thread) that
 // chrome://tracing and ui.perfetto.dev load directly.
 //
-// Gating mirrors util/check.h's LNCL_AUDIT pattern, with one difference:
-// the compile switch (-DLNCL_TRACE, CMake option LNCL_TRACE, default ON)
-// defaults to compiled-in because the idle cost is one relaxed atomic load
-// per span — the runtime flag (Trace::Start/Stop) is the everyday switch,
-// and -DLNCL_TRACE=OFF exists to prove/remove even that residue. Spans only
-// observe; a traced fit is bit-identical to a plain one (FitDigest-checked
-// by scripts/bench_obs_overhead.sh).
+// Spans are always compiled in; the runtime session (Trace::Start/Stop) is
+// the switch, and an idle span costs one relaxed atomic load. Spans only
+// observe: a traced fit is bit-identical to a plain one (determinism_test
+// pins the golden hashes of fits run inside Trace and Prof sessions).
 //
-// PhaseSpan is the always-compiled sibling that additionally accumulates
+// PhaseSpan is the sibling that additionally accumulates
 // its elapsed seconds into a caller-owned double. The Fit epoch loop uses
 // it for the m_step / confusion / e_step / dev_eval phases, so
 // LogicLnclResult::phase_seconds is derived from the very spans the trace
 // shows instead of a parallel Stopwatch::Lap() bookkeeping chain.
 
-// When profiling is compiled in (-DLNCL_PROF, default ON) and a Prof
-// session is active, every span — TraceSpan and PhaseSpan alike — also
-// reads the calling thread's perf counter groups at entry/exit and feeds
-// the delta to Prof::RecordSpan, giving the whole span tree IPC and
-// cache-miss attribution on top of wall time. Same bit-identity contract:
-// counters observe, they never steer.
+// When a Prof session is active, every span — TraceSpan and PhaseSpan
+// alike — also reads the calling thread's perf counter groups at entry/exit
+// and feeds the delta to Prof::RecordSpan, giving the whole span tree IPC
+// and cache-miss attribution on top of wall time. Same bit-identity
+// contract: counters observe, they never steer.
 
 #include <cstdint>
 #include <string>
 
 #include "obs/perf_counters.h"
 
-#if defined(LNCL_TRACE)
-#define LNCL_TRACE_ENABLED 1
-#else
-#define LNCL_TRACE_ENABLED 0
-#endif
-
 namespace lncl::obs {
 
 class Trace {
  public:
   // Begins a recording session that will be written to `path` by Stop().
-  // Returns false (and records nothing) when tracing is compiled out or a
-  // session is already active.
+  // Returns false (and records nothing) when a session is already active.
   static bool Start(const std::string& path);
 
   // Ends the session and flushes the JSON file. Returns false when no
@@ -60,8 +49,6 @@ class Trace {
   // Events discarded because a thread's buffer filled (per session).
   static uint64_t dropped_events();
 };
-
-#if LNCL_TRACE_ENABLED
 
 namespace trace_internal {
 
@@ -84,12 +71,10 @@ class TraceSpan {
   TraceSpan(const char* name, const char* arg_name, int64_t arg)
       : name_(name), arg_name_(arg_name), arg_(arg) {
     if (Trace::active()) start_us_ = trace_internal::NowUs();
-#if LNCL_PROF_ENABLED
     if (Prof::active()) {
       prof_start_ = PerfCounters::PerThread().Read();
       prof_on_ = true;
     }
-#endif
   }
   ~TraceSpan() {
     if (start_us_ >= 0.0 && Trace::active()) {
@@ -97,11 +82,9 @@ class TraceSpan {
           name_, start_us_, trace_internal::NowUs() - start_us_, arg_name_,
           arg_);
     }
-#if LNCL_PROF_ENABLED
     if (prof_on_ && Prof::active()) {
       Prof::RecordSpan(name_, PerfCounters::PerThread().Read() - prof_start_);
     }
-#endif
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -112,10 +95,8 @@ class TraceSpan {
   const char* arg_name_;
   int64_t arg_;
   double start_us_ = -1.0;
-#if LNCL_PROF_ENABLED
   CounterValues prof_start_;
   bool prof_on_ = false;
-#endif
 };
 
 #define LNCL_TRACE_CONCAT_(a, b) a##b
@@ -126,16 +107,9 @@ class TraceSpan {
   ::lncl::obs::TraceSpan LNCL_TRACE_CONCAT(lncl_trace_span_, __LINE__)( \
       name, arg_name, arg)
 
-#else  // !LNCL_TRACE_ENABLED
-
-#define LNCL_TRACE_SPAN(name) static_cast<void>(0)
-#define LNCL_TRACE_SPAN_ARG(name, arg_name, arg) static_cast<void>(0)
-
-#endif  // LNCL_TRACE_ENABLED
-
 // Phase timer: always accumulates elapsed seconds into *accum on
 // destruction (this is how PhaseSeconds is measured), and doubles as a
-// trace span when a session is active and tracing is compiled in.
+// trace span when a session is active.
 class PhaseSpan {
  public:
   PhaseSpan(const char* name, double* accum);
@@ -149,10 +123,8 @@ class PhaseSpan {
   double* accum_;
   int64_t start_ns_;
   double start_us_;  // trace timestamp; < 0 when not tracing
-#if LNCL_PROF_ENABLED
   CounterValues prof_start_;
   bool prof_on_ = false;
-#endif
 };
 
 }  // namespace lncl::obs

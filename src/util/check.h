@@ -26,7 +26,7 @@
 // no-op: zero code, zero reads, operands kept "used" so -Wall -Wextra
 // -Werror builds stay clean either way. Audit builds must therefore be
 // bit-identical in output to plain builds — the checks only read
-// (scripts/bench_audit_overhead.sh asserts this on the table2/table3 fits).
+// (scripts/check.sh's audit sweep runs determinism_test's golden hashes).
 
 #include <string>
 #include <vector>

@@ -1,7 +1,8 @@
-// GitRevision() of the bench history writer (bench/bench_history.h): it
-// reads the revision from the current directory's repository without
-// forking git, including checkouts whose .git is a file (worktrees and
-// submodules), which must not be mistaken for an enclosing repository.
+// The bench history writer (bench/bench_history.h): AppendBenchHistory's
+// lncl.bench.v1 record, and GitRevision(), which reads the revision from the
+// current directory's repository without forking git, including checkouts
+// whose .git is a file (worktrees and submodules), which must not be
+// mistaken for an enclosing repository.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "bench_history.h"
 
@@ -16,6 +18,60 @@ namespace lncl::bench {
 namespace {
 
 namespace fs = std::filesystem;
+
+size_t Count(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(AppendBenchHistoryTest, OneRecordPerCallWithTheTimedFit) {
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("bench_history_test_" + std::to_string(::getpid()) + ".jsonl");
+  fs::remove(path);
+  core::LogicLnclResult fit;
+  fit.best_dev_score = 0.8125;
+  fit.best_epoch = 1;
+  fit.dev_curve = {0.75, 0.8125};
+  fit.loss_curve = {0.5, 0.25};
+  fit.phase_seconds.total = 1.5;
+  Int8Gate gate;
+  gate.argmax_agreement = 0.5;
+  ASSERT_TRUE(AppendBenchHistory("unit", 2.0, &fit, &gate, path.string()));
+  ASSERT_TRUE(AppendBenchHistory("unit", 2.0, &fit, nullptr, path.string()));
+  ASSERT_TRUE(AppendBenchHistory("unit", 2.0, nullptr, nullptr,
+                                 path.string()));
+
+  std::vector<std::string> lines;
+  std::ifstream is(path);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  fs::remove(path);
+  ASSERT_EQ(lines.size(), 3u);
+  const std::string head =
+      "{\"schema\": \"lncl.bench.v1\", \"bench\": \"unit\", ";
+  for (const std::string& line : lines) {
+    EXPECT_EQ(line.rfind(head, 0), 0u) << line;
+  }
+  // A bench with a timed fit records exactly that fit, under its digest.
+  const std::string digest = "\"digest\": \"" + FitDigest(fit) + "\"";
+  for (const std::string& line : {lines[0], lines[1]}) {
+    EXPECT_EQ(Count(line, "\"mode\""), 1u) << line;
+    EXPECT_NE(line.find("\"fits\": [{\"mode\": \"batched\", " + digest),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_NE(lines[2].find("\"fits\": []"), std::string::npos) << lines[2];
+  // The int8 gate is recorded if and only if one is passed.
+  EXPECT_NE(lines[0].find("\"int8_argmax_agreement\": 0.5}"),
+            std::string::npos)
+      << lines[0];
+  EXPECT_EQ(lines[1].find("int8_argmax_agreement"), std::string::npos);
+  EXPECT_EQ(lines[2].find("int8_argmax_agreement"), std::string::npos);
+}
 
 constexpr char kHash[] = "0123456789abcdef0123456789abcdef01234567";
 constexpr char kEnclosing[] = "fedcba9876543210fedcba9876543210fedcba98";

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,6 +25,9 @@
 #include "models/crf_tagger.h"
 #include "models/ner_tagger.h"
 #include "models/text_cnn.h"
+#include "obs/perf_counters.h"
+#include "obs/run_log.h"
+#include "obs/trace.h"
 #include "util/gemm_kernel.h"
 #include "util/rng.h"
 
@@ -121,10 +125,12 @@ std::string FitHash(const FitSnapshot& snap) {
 // Golden hashes pin a fit's bits across commits, where the tests comparing
 // thread counts only look inside one build: the GRU-tagger and TextCnn fits
 // at 1, 3 and 4 threads (at 3 the kSlots = 8 slots do not divide evenly over
-// the workers), and at 1 and 4 threads the paths no benchmark workload runs
-// (the per-instance E-step and teacher, the LSTM tagger, the CRF tagger). A
-// change to any of them is a change of training trajectory or of serving
-// numerics; it must be deliberate and re-recorded here.
+// the workers), at 1 and 4 threads the paths no benchmark workload runs
+// (the per-instance E-step and teacher, the LSTM tagger, the CRF tagger),
+// and at threads = 0 (the serial trajectory of LogicLnclConfig's default,
+// which the table benches run) both plain and instrumented. A change to any
+// of them is a change of training trajectory or of serving numerics; it
+// must be deliberate and re-recorded here.
 struct GoldenHashes {
   const char* fit;           // FitHash
   const char* teacher;       // PredictTeacherBatch, fp32
@@ -138,6 +144,27 @@ void ExpectGolden(const FitSnapshot& snap, const GoldenHashes& golden,
       << "threads=" << threads;
   EXPECT_EQ(Hex(HashMatrices(snap.teacher_int8)), golden.teacher_int8)
       << "threads=" << threads;
+}
+
+// Runs `fit` inside Trace and Prof sessions, handing it a JsonlRunLogger to
+// attach as the run observer. Spans, counters and run logs only observe, so
+// the snapshot must match the plain fit's golden hashes.
+FitSnapshot Instrumented(
+    const std::function<FitSnapshot(obs::RunObserver*)>& fit) {
+  const std::string trace = testing::TempDir() + "/determinism_trace.json";
+  const std::string run_log = testing::TempDir() + "/determinism_run.jsonl";
+  EXPECT_TRUE(obs::Trace::Start(trace));
+  EXPECT_TRUE(obs::Prof::Start());
+  FitSnapshot snap;
+  {
+    obs::JsonlRunLogger logger(run_log, "determinism");
+    snap = fit(&logger);
+  }
+  EXPECT_TRUE(obs::Prof::Stop());
+  EXPECT_TRUE(obs::Trace::Stop());
+  std::remove(trace.c_str());
+  std::remove(run_log.c_str());
+  return snap;
 }
 
 void ExpectBitIdentical(const FitSnapshot& a, const FitSnapshot& b) {
@@ -222,7 +249,8 @@ class SentimentDeterminismTest : public testing::Test {
   // `teacher` comes from the per-instance PredictTeacher (the Predict and
   // Project wrappers).
   FitSnapshot RunButRule(int threads, bool replica_factory,
-                         bool batch_predict = true) const {
+                         bool batch_predict = true,
+                         obs::RunObserver* observer = nullptr) const {
     core::LogicLnclConfig config;
     config.epochs = 3;
     config.batch_size = 32;
@@ -232,6 +260,7 @@ class SentimentDeterminismTest : public testing::Test {
     config.optimizer.lr = 1.0;
     config.threads = threads;
     config.batch_predict = batch_predict;
+    config.run_observer = observer;
     Rng rng(1);
     std::unique_ptr<models::Model> model = factory_(&rng);
     core::SentimentButRule rule(model.get(), corpus_.but_token);
@@ -286,6 +315,18 @@ TEST_F(SentimentDeterminismTest, PerInstanceButRuleFitMatchesGoldenHashes) {
                             /*batch_predict=*/false),
                  kButRuleGolden, threads);
   }
+}
+
+TEST_F(SentimentDeterminismTest, SerialButRuleFitMatchesGoldenHashes) {
+  const GoldenHashes golden = {"0b11d0c24d426937", "bd6a8d39e22fbd81",
+                                "1a451d7ad6903992"};
+  ExpectGolden(RunButRule(0, /*replica_factory=*/true), golden, 0);
+  SCOPED_TRACE("inside Trace and Prof sessions, with a run log");
+  ExpectGolden(Instrumented([this](obs::RunObserver* observer) {
+                 return RunButRule(0, /*replica_factory=*/true,
+                                   /*batch_predict=*/true, observer);
+               }),
+               golden, 0);
 }
 
 TEST_F(SentimentDeterminismTest, ReplicaFactoryOnlyAddsWorkers) {
@@ -350,10 +391,12 @@ class NerDeterminismTest : public testing::Test {
     return config;
   }
 
-  FitSnapshot Run(int threads,
-                  const models::ModelFactory& factory) const {
+  FitSnapshot Run(int threads, const models::ModelFactory& factory,
+                  obs::RunObserver* observer = nullptr) const {
+    core::LogicLnclConfig config = Config(threads);
+    config.run_observer = observer;
     Rng rng(1);
-    core::LogicLncl learner(Config(threads), factory, projector_.get());
+    core::LogicLncl learner(config, factory, projector_.get());
     core::LogicLnclResult result =
         learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
     return Snapshot(&learner, std::move(result), corpus_.test);
@@ -379,6 +422,17 @@ TEST_F(NerDeterminismTest, MatchesGoldenHashes) {
   for (const int threads : {1, 3, 4}) {
     ExpectGolden(Run(threads), golden, threads);
   }
+}
+
+TEST_F(NerDeterminismTest, SerialFitMatchesGoldenHashes) {
+  const GoldenHashes golden = {"4a38d9a5dd636524", "de485915238973ec",
+                                "690e12d77d3f6877"};
+  ExpectGolden(Run(0), golden, 0);
+  SCOPED_TRACE("inside Trace and Prof sessions, with a run log");
+  ExpectGolden(Instrumented([this](obs::RunObserver* observer) {
+                 return Run(0, factory_, observer);
+               }),
+               golden, 0);
 }
 
 TEST_F(NerDeterminismTest, LstmTaggerMatchesGoldenHashes) {

@@ -263,7 +263,6 @@ TEST(MetricsTest, CounterTotalsSortedByName) {
 
 // ------------------------------------------------------------ trace events
 
-#if LNCL_TRACE_ENABLED
 TEST(TraceTest, EmitsWellFormedChromeTraceJson) {
   const std::string path = TempPath("obs_trace_test.json");
   ASSERT_TRUE(obs::Trace::Start(path));
@@ -302,7 +301,6 @@ TEST(TraceTest, InactiveTraceRecordsNothing) {
   { obs::PhaseSpan phase("still_times", &accum); }
   EXPECT_GT(accum, 0.0);  // PhaseSpan timing works without a trace session
 }
-#endif  // LNCL_TRACE_ENABLED
 
 // ---------------------------------------------------------------- run logs
 
@@ -344,7 +342,7 @@ TEST(RunLogTest, JsonlGoldenSchema) {
 
   // Golden schema: every record carries the envelope; epoch records carry
   // the full diagnostic set. Renaming a key is a schema break — update the
-  // consumers (tools/trace_summary.py, scripts/check.sh) with this test.
+  // consumers (tools/prof_report.py, scripts/check.sh) with this test.
   for (const std::string& line : lines) {
     EXPECT_TRUE(JsonChecker(line).Valid()) << line;
     EXPECT_NE(line.find("\"schema\": \"lncl.em_run.v1\""), std::string::npos);
@@ -440,19 +438,15 @@ TEST_F(TelemetryFitTest, FullTelemetryDoesNotPerturbFit) {
   obs::Metrics::Enable(true);
   obs::Metrics::Reset();
   RecordingObserver observer;
-#if LNCL_TRACE_ENABLED
   const std::string trace_path = TempPath("obs_fit_trace.json");
   ASSERT_TRUE(obs::Trace::Start(trace_path));
-#endif
   const Snapshot instrumented = Run(&observer);
-#if LNCL_TRACE_ENABLED
   obs::Trace::Stop();
   const std::string trace = ReadFile(trace_path);
   EXPECT_TRUE(JsonChecker(trace).Valid());
   EXPECT_NE(trace.find("\"e_step_shard\""), std::string::npos);
   EXPECT_NE(trace.find("\"m_step\""), std::string::npos);
   std::remove(trace_path.c_str());
-#endif
   obs::Metrics::Enable(false);
 
   // Bit-identity: exact double/float equality, not closeness.

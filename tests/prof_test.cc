@@ -133,7 +133,6 @@ TEST(PerfCountersTest, ReadIsMonotoneWhenAvailable) {
 
 // ------------------------------------------------------------ session gate
 
-#if LNCL_PROF_ENABLED
 TEST(ProfTest, StartStopGateAndAggregation) {
   EXPECT_FALSE(obs::Prof::active());
   ASSERT_TRUE(obs::Prof::Start());
@@ -194,7 +193,6 @@ TEST(ProfTest, SpansAttributeWhileActive) {
               0u);
   }
 }
-#endif  // LNCL_PROF_ENABLED
 
 // ---------------------------------------------------------- memory stats
 
@@ -257,21 +255,15 @@ class MidFitToggleObserver : public obs::RunObserver {
       trace_paths_.push_back(trace_stem_ + std::to_string(record.epoch) +
                              ".json");
       obs::Trace::Start(trace_paths_.back());
-#if LNCL_PROF_ENABLED
       obs::Prof::Start();
-#endif
     } else {
       obs::Trace::Stop();
-#if LNCL_PROF_ENABLED
       obs::Prof::Stop();
-#endif
     }
   }
   void OnFitEnd(const obs::FitSummary&) override {
     obs::Trace::Stop();  // no-op when the last toggle already stopped it
-#if LNCL_PROF_ENABLED
     obs::Prof::Stop();
-#endif
   }
 
   const std::vector<std::string>& trace_paths() const { return trace_paths_; }
@@ -335,7 +327,6 @@ TEST_F(MidFitToggleTest, TogglingSessionsMidFitIsBitIdentical) {
   EXPECT_EQ(plain.best_dev_score, toggled.best_dev_score);
   EXPECT_EQ(plain.early_stopped, toggled.early_stopped);
 
-#if LNCL_TRACE_ENABLED
   // Epochs 0 and 2 each started a session; both files must exist (the
   // second epoch's Stop flushed the first, OnFitEnd the second).
   ASSERT_GE(observer.trace_paths().size(), 1u);
@@ -344,7 +335,6 @@ TEST_F(MidFitToggleTest, TogglingSessionsMidFitIsBitIdentical) {
     EXPECT_NE(text.find("\"traceEvents\""), std::string::npos) << path;
     std::remove(path.c_str());
   }
-#endif
 }
 
 }  // namespace
