@@ -1,8 +1,10 @@
 #include "logic/sequence_rules.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "util/chain.h"
 #include "util/check.h"
 
 namespace lncl::logic {
@@ -26,67 +28,22 @@ void SequenceRuleProjector::ProjectBatch(
   }
   LNCL_AUDIT_FINITE(psi);
 
-  auto normalize = [](std::vector<double>* v) {
-    double sum = 0.0;
-    for (double x : *v) sum += x;
-    if (sum <= 1e-300) {
-      const double u = 1.0 / static_cast<double>(v->size());
-      for (double& x : *v) x = u;
-    } else {
-      for (double& x : *v) x /= sum;
-    }
-  };
-
-  for (size_t i = 0; i < qs->size(); ++i) {
-    // Read through a const view: mutable element access draws a version
-    // ticket per call (util/matrix.h).
-    const util::Matrix& q = (*qs)[i];
-    const int t_len = q.rows();
+  // The shared chain smoother under a unit prior: prior * q(0, .) is q(0, .)
+  // exactly, so these are the marginals of the chain MRF above.
+  const util::Vector ones(k, 1.0f);
+  util::Matrix out;
+  for (util::Matrix& q : *qs) {
     LNCL_DCHECK(q.cols() == k);
     // Input rows are unary potentials, not necessarily normalized (the DP
     // renormalizes at every step) — so only finiteness is contracted here;
     // the output marginals below must be exact simplexes.
     LNCL_AUDIT_FINITE(q);
-    if (t_len == 0) continue;
-
-    // Forward pass.
-    std::vector<std::vector<double>> alpha(
-        t_len, std::vector<double>(k, 0.0));
-    for (int c = 0; c < k; ++c) alpha[0][c] = q(0, c);
-    normalize(&alpha[0]);
-    for (int t = 1; t < t_len; ++t) {
-      for (int b = 0; b < k; ++b) {
-        double s = 0.0;
-        for (int a = 0; a < k; ++a) s += alpha[t - 1][a] * psi(a, b);
-        alpha[t][b] = q(t, b) * s;
-      }
-      normalize(&alpha[t]);
-    }
-
-    // Backward pass.
-    std::vector<std::vector<double>> beta(t_len, std::vector<double>(k, 1.0));
-    for (int t = t_len - 2; t >= 0; --t) {
-      for (int a = 0; a < k; ++a) {
-        double s = 0.0;
-        for (int b = 0; b < k; ++b) {
-          s += psi(a, b) * q(t + 1, b) * beta[t + 1][b];
-        }
-        beta[t][a] = s;
-      }
-      normalize(&beta[t]);
-    }
-
-    util::Matrix out(t_len, k);
-    for (int t = 0; t < t_len; ++t) {
-      std::vector<double> marg(k);
-      for (int c = 0; c < k; ++c) marg[c] = alpha[t][c] * beta[t][c];
-      normalize(&marg);
-      for (int c = 0; c < k; ++c) out(t, c) = static_cast<float>(marg[c]);
-    }
+    if (q.rows() == 0) continue;
+    util::ChainForwardBackward(ones, psi, q, &out, nullptr);
     // Eqs. 18-19: the forward-backward marginals must come out normalized
     // (each token's row a simplex) and finite.
     LNCL_AUDIT_SIMPLEX(out);
-    (*qs)[i] = std::move(out);
+    std::swap(q, out);  // out keeps q's buffer for the next sequence
   }
 }
 

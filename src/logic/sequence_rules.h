@@ -17,9 +17,11 @@ namespace lncl::logic {
 //   q_b(t_1..t_T) ∝ prod_i q_a(t_i) * prod_{i>1} exp(-C * pen(t_{i-1}, t_i))
 //
 // whose per-token marginals this class computes exactly with the
-// forward-backward algorithm — the "dynamic programming for efficient
-// computation in Equation 15" the paper refers to. Messages are renormalized
-// at every step, so sequences of any length are numerically safe.
+// forward-backward algorithm of util::ChainForwardBackward (unit prior,
+// transition potentials exp(-C * pen)) — the "dynamic programming for
+// efficient computation in Equation 15" the paper refers to. Messages are
+// renormalized at every step, so sequences of any length are numerically
+// safe.
 class SequenceRuleProjector : public RuleProjector {
  public:
   // pair_penalty: K x K, entry (a, b) = penalty of transition a -> b.

@@ -6,11 +6,12 @@ namespace lncl::util {
 
 // Exact smoothing on a discrete hidden Markov chain.
 //
-// Inputs: initial distribution `prior` (K), row-stochastic transition matrix
-// `transition` (K x K), and per-step emission likelihoods `emission`
-// (T x K; entry (t, m) = p(observations at step t | state m), any positive
-// scale). Outputs: posterior state marginals gamma (T x K) and, when
-// `xi_sum` is non-null, the summed pairwise posteriors
+// Inputs: initial weights `prior` (K), nonnegative transition potentials
+// `transition` (K x K; rows need not sum to one, as for the rule
+// projector's exp(-C * penalty)), and per-step emission likelihoods
+// `emission` (T x K; entry (t, m) = p(observations at step t | state m),
+// any positive scale). Outputs: posterior state marginals gamma (T x K)
+// and, when `xi_sum` is non-null, the summed pairwise posteriors
 // sum_t p(s_t = a, s_{t+1} = b | obs) accumulated *into* xi_sum (callers
 // zero it once and accumulate across instances for an EM M-step).
 //
