@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "util/threadpool.h"
 
@@ -282,6 +284,45 @@ void PrintInt8Gate(const Int8Gate& gate) {
             << util::FormatFixed(
                    (gate.int8_score - gate.fp32_score) * 100.0, 3)
             << ")\n";
+}
+
+std::string FindExperimentsMd() {
+  std::error_code ec;
+  std::filesystem::path dir = std::filesystem::current_path(ec);
+  if (ec) return "";
+  for (; !dir.empty(); dir = dir.parent_path()) {
+    const std::filesystem::path md = dir / "EXPERIMENTS.md";
+    if (std::filesystem::is_regular_file(md, ec)) return md.string();
+    if (dir == dir.parent_path()) break;
+  }
+  return "";
+}
+
+int ReportShapeChecks(std::vector<ShapeCheck>* checks,
+                      const std::string& experiments_md) {
+  std::stringstream text;
+  if (std::ifstream is{experiments_md}) text << is.rdbuf();
+  const std::string named = text.str();
+  if (named.empty() && !checks->empty()) {
+    std::cout << "[no EXPERIMENTS.md found: no failing shape check is a "
+                 "named deviation]\n";
+  }
+  int status = 0;
+  for (ShapeCheck& c : *checks) {
+    const bool listed =
+        named.find("deviation `" + c.name + "`") != std::string::npos;
+    c.deviation = !c.pass && listed;
+    if (!c.pass && !listed) status = 1;
+    std::cout << "shape check " << c.name << ": "
+              << (c.pass ? "pass" : c.deviation ? "FAIL (named deviation)"
+                                                : "FAIL (not a named deviation)");
+    for (const auto& [label, value] : c.values) {
+      std::cout << " " << label << "=" << util::FormatFixed(value, 2);
+    }
+    if (c.pass && listed) std::cout << " [passes, yet named as a deviation]";
+    std::cout << "\n";
+  }
+  return status;
 }
 
 }  // namespace lncl::bench

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/logic_lncl.h"
@@ -133,6 +134,28 @@ Int8Gate MeasureInt8Gate(
 
 // One-line report of the gate.
 void PrintInt8Gate(const Int8Gate& gate);
+
+// A shape claim of the paper (EXPERIMENTS.md) evaluated on a bench's run
+// means: `values` are the means it compares, in percent. A failing check is
+// a `deviation` when EXPERIMENTS.md names it with the words
+// "deviation `<name>`" (followed there by its measured values).
+struct ShapeCheck {
+  std::string name;
+  std::vector<std::pair<std::string, double>> values;
+  bool pass = false;
+  bool deviation = false;
+};
+
+// EXPERIMENTS.md of the current directory or of its nearest ancestor that
+// has one; empty when none does.
+std::string FindExperimentsMd();
+
+// Marks the failing checks that `experiments_md` names as deviations and
+// prints one verdict line per check. Returns the bench's exit status: 0
+// unless some check failed without being named (an unreadable file names
+// none).
+int ReportShapeChecks(std::vector<ShapeCheck>* checks,
+                      const std::string& experiments_md = FindExperimentsMd());
 
 }  // namespace lncl::bench
 

@@ -124,7 +124,9 @@ void WriteCounters(std::ostream& os, const obs::Prof::SpanAgg& agg) {
 
 bool AppendBenchHistory(const std::string& id, double wall_seconds,
                         const core::LogicLnclResult* fit,
-                        const Int8Gate* int8, const std::string& path) {
+                        const Int8Gate* int8,
+                        const std::vector<ShapeCheck>* checks,
+                        const std::string& path) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
   if (!parent.empty()) {
@@ -166,6 +168,21 @@ bool AppendBenchHistory(const std::string& id, double wall_seconds,
        << ", \"dev_eval\": " << Num(p.dev_eval) << "}}";
   }
   os << "]";
+  if (checks != nullptr) {
+    os << ", \"shape_checks\": [";
+    for (size_t i = 0; i < checks->size(); ++i) {
+      const ShapeCheck& c = (*checks)[i];
+      os << (i > 0 ? ", " : "") << "{\"name\": \"" << c.name
+         << "\", \"values\": {";
+      for (size_t v = 0; v < c.values.size(); ++v) {
+        os << (v > 0 ? ", " : "") << "\"" << c.values[v].first
+           << "\": " << Num(c.values[v].second);
+      }
+      os << "}, \"pass\": " << (c.pass ? "true" : "false")
+         << ", \"deviation\": " << (c.deviation ? "true" : "false") << "}";
+    }
+    os << "]";
+  }
   if (int8 != nullptr) {
     os << ", \"int8_argmax_agreement\": " << Num(int8->argmax_agreement);
   }

@@ -18,6 +18,9 @@
 //    "counters": {"spans": 1, "cycles": 0, ..., "ipc": 0.0, ...},
 //    "fits": [{"mode": "batched", "digest": "...", "fit_seconds": 0.2,
 //              "phase_seconds": {"m_step": ..., ...}}],
+//    "shape_checks": [{"name": "table3....", "values": {"teacher_pred":
+//                      68.1, ...}, "pass": true, "deviation": false}],
+//                                             // only when checks != nullptr
 //    "int8_argmax_agreement": 1.0}            // only when int8 != nullptr
 //
 // Benches with no timed fit (figs, micro) pass no fit; the record then
@@ -26,6 +29,7 @@
 // "per_instance" fit.
 
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -41,11 +45,13 @@ std::string GitRevision();
 
 // Appends one lncl.bench.v1 record. `fit` is the bench's timed Logic-LNCL
 // fit, run with LogicLnclConfig.batch_predict at its default ("batched");
-// null for benches without one. Returns false when the file cannot be
-// opened/written (the bench itself is unaffected).
+// null for benches without one. `checks` are the bench's evaluated shape
+// checks (ReportShapeChecks), null for benches without any. Returns false
+// when the file cannot be opened/written (the bench itself is unaffected).
 bool AppendBenchHistory(const std::string& id, double wall_seconds,
                         const core::LogicLnclResult* fit = nullptr,
                         const Int8Gate* int8 = nullptr,
+                        const std::vector<ShapeCheck>* checks = nullptr,
                         const std::string& path =
                             "results/BENCH_history.jsonl");
 

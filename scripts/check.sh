@@ -18,7 +18,12 @@
 #                      row-stochastic confusions, finite gradients, poisoned
 #                      workspace arenas), plus the expect-fail death tests
 #                      in audit_test
-#   address,undefined  ASan + UBSan
+#   address,undefined,float-cast-overflow
+#                      ASan + UBSan, plus the float-to-int cast check that
+#                      GCC's "undefined" group leaves out (a NaN or
+#                      out-of-range float reaching an int conversion); every
+#                      finding is fatal (-fno-sanitize-recover=all, set by
+#                      CMakeLists.txt for any LNCL_SANITIZE build)
 #   thread             TSan (exercises the deterministic parallel training
 #                      paths in determinism_test / util_test and the
 #                      per-thread chain-smoother buffers in inference_test
@@ -123,7 +128,7 @@ python3 tools/prof_report.py --trace "$smoke/results/trace_table2.json"
 rm -rf "$smoke"
 trap - EXIT
 
-sweeps=("audit" "address,undefined" "thread")
+sweeps=("audit" "address,undefined,float-cast-overflow" "thread")
 if [ $# -ge 1 ]; then
   sweeps=("$@")
 fi
@@ -154,7 +159,7 @@ for sweep in "${sweeps[@]}"; do
   ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
   echo "----- ${san}: batched-prediction equivalence + determinism -----"
   ctest --test-dir "$build" --output-on-failure -R 'batch_predict|determinism'
-  if [ "$san" = "address,undefined" ]; then
+  if [ "$san" = "address,undefined,float-cast-overflow" ]; then
     echo "----- ${san}: full suite under LNCL_GEMM_KERNEL=scalar -----"
     LNCL_GEMM_KERNEL=scalar ctest --test-dir "$build" \
       --output-on-failure -j "$(nproc)"

@@ -1,7 +1,6 @@
 #include "logic/sequence_rules.h"
 
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "util/chain.h"
@@ -43,7 +42,7 @@ void SequenceRuleProjector::ProjectBatch(
     // Eqs. 18-19: the forward-backward marginals must come out normalized
     // (each token's row a simplex) and finite.
     LNCL_AUDIT_SIMPLEX(out);
-    std::swap(q, out);  // out keeps q's buffer for the next sequence
+    q = out;  // same shape: the copy reuses q's buffer
   }
 }
 

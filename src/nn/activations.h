@@ -1,12 +1,8 @@
 #pragma once
 
-#include <cmath>
-
 #include "util/matrix.h"
 
 namespace lncl::nn {
-
-inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 // In-place ReLU on pre-activations; the pre-activation matrix must be kept by
 // the caller if a backward pass follows (see ReluBackward).
@@ -19,9 +15,15 @@ void ReluForward(util::Vector* x);
 void ReluBackward(const util::Matrix& post, util::Matrix* grad);
 void ReluBackward(const util::Vector& post, util::Vector* grad);
 
-// Elementwise tanh / sigmoid forward (in place).
-void TanhForward(util::Vector* x);
-void SigmoidForward(util::Vector* x);
+// y[i] = tanh(x[i]) and y[i] = 1 / (1 + e^-x[i]) for i < n; x == y is
+// allowed. Each element runs one fixed sequence of IEEE float operations
+// (Cody–Waite reduction by ln 2 and fixed polynomials; no libm call and no
+// data-dependent branch), so the loops vectorize and an element's bits
+// depend only on its input: not on n, its position in the row, the vector
+// width, or the host's libm. Error against the exact value is at most 2 ulp
+// for tanh and 3 ulp for sigmoid; NaN gives NaN, ±inf the limits, and tanh
+// is exactly odd and exactly ±1 for |x| >= 20 (tests/nn_test.cc).
+void TanhRow(const float* x, float* y, int n);
+void SigmoidRow(const float* x, float* y, int n);
 
 }  // namespace lncl::nn
-

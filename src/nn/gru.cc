@@ -1,7 +1,5 @@
 #include "nn/gru.h"
 
-#include <cmath>
-
 #include "nn/activations.h"
 #include "util/check.h"
 #include "util/gemm_kernel.h"
@@ -108,42 +106,37 @@ void Gru::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
                        u, ldu, util::Trans::kNo, 0.0f, tmp, h_dim, nullptr,
                        util::Act::kNone);
   };
+  // A gate's pre-activations at step t (input side plus tmp) for every lane,
+  // written to the contiguous [batch, H] block `out`, which one row call then
+  // activates in place.
+  const auto pre = [&](const float* gx, int t, float* out) {
+    for (int b = 0; b < batch; ++b) {
+      const float* g = row(gx, b * t_len + t);
+      const float* u = row(tmp, b);
+      float* o = row(out, b);
+      for (int k = 0; k < h_dim; ++k) o[k] = g[k] + u[k];
+    }
+  };
+  const int block = batch * h_dim;
   for (int t = 0; t < t_len; ++t) {
     const int row0 = cache != nullptr ? t : 0;
-    // z_t
+    float* const zt = row(z, row0);
+    float* const rt = row(r, row0);
+    float* const ct = row(c, row0);
     recur(uzp, hp);
-    for (int b = 0; b < batch; ++b) {
-      const float* g = row(gxz, b * t_len + t);
-      const float* u = row(tmp, b);
-      float* zb = row(z, row0 + b);
-      for (int k = 0; k < h_dim; ++k) zb[k] = Sigmoid(g[k] + u[k]);
-    }
-    // r_t
+    pre(gxz, t, zt);
+    SigmoidRow(zt, zt, block);
     recur(urp, hp);
-    for (int b = 0; b < batch; ++b) {
-      const float* g = row(gxr, b * t_len + t);
-      const float* u = row(tmp, b);
-      float* rb = row(r, row0 + b);
-      for (int k = 0; k < h_dim; ++k) rb[k] = Sigmoid(g[k] + u[k]);
-    }
-    // c_t
-    for (int b = 0; b < batch; ++b) {
-      const float* rb = row(r, row0 + b);
-      const float* hb = row(hp, b);
-      float* rhb = row(rh, b);
-      for (int k = 0; k < h_dim; ++k) rhb[k] = rb[k] * hb[k];
-    }
+    pre(gxr, t, rt);
+    SigmoidRow(rt, rt, block);
+    for (int i = 0; i < block; ++i) rh[i] = rt[i] * hp[i];
     recur(ucp, rh);
-    for (int b = 0; b < batch; ++b) {
-      const float* g = row(gxc, b * t_len + t);
-      const float* u = row(tmp, b);
-      float* cb = row(c, row0 + b);
-      for (int k = 0; k < h_dim; ++k) cb[k] = std::tanh(g[k] + u[k]);
-    }
+    pre(gxc, t, ct);
+    TanhRow(ct, ct, block);
     // h_t
     for (int b = 0; b < batch; ++b) {
-      const float* zb = row(z, row0 + b);
-      const float* cb = row(c, row0 + b);
+      const float* zb = row(zt, b);
+      const float* cb = row(ct, b);
       float* hb = row(hp, b);
       float* ht = row(h, b * t_len + t);
       for (int k = 0; k < h_dim; ++k) {

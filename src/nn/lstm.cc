@@ -1,7 +1,6 @@
 #include "nn/lstm.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "nn/activations.h"
 #include "util/check.h"
@@ -39,7 +38,8 @@ Lstm::Lstm(const std::string& name, int in_dim, int hidden_dim,
 namespace {
 
 // Per-thread scratch for Backward (see gru.cc for the rationale).
-thread_local util::Matrix tls_di, tls_df, tls_do, tls_dg, tls_hprev;
+thread_local util::Matrix tls_di, tls_df, tls_do, tls_dg, tls_hprev,
+    tls_tanh_c;
 
 }  // namespace
 
@@ -103,24 +103,31 @@ void Lstm::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
   float* const hp = h_prev.data();
   float* const cp = c_prev.data();
   float* const tmp = scope.NewMatrix(batch, h_dim).data();
+  float* const tanh_c = scope.NewMatrix(batch, h_dim).data();
   float* const h = h_packed->data();
   const auto row = [h_dim](auto* base, int r) {
     return base + static_cast<size_t>(r) * h_dim;
   };
-  // Row b of H_prev * Uᵀ is lane b's one-row recurrent product.
+  const int block = batch * h_dim;
+  // Row b of H_prev * Uᵀ is lane b's one-row recurrent product. The gate's
+  // pre-activations for every lane fill the contiguous [batch, H] block at
+  // row `row0` of `out`, which one row call then activates in place.
   const auto gate = [&](const float* u, const util::Matrix& gx, float* out,
                         bool tanh_act, int t, int row0) {
     util::gemm::GemmEx(batch, h_dim, h_dim, 1.0f, hp, h_dim, util::Trans::kNo,
                        u, ldu, util::Trans::kNo, 0.0f, tmp, h_dim, nullptr,
                        util::Act::kNone);
+    float* const ot = row(out, row0);
     for (int b = 0; b < batch; ++b) {
       const float* gxr = row(gx.data(), b * t_len + t);
       const float* tb = row(tmp, b);
-      float* ob = row(out, row0 + b);
-      for (int k = 0; k < h_dim; ++k) {
-        const float pre = gxr[k] + tb[k];
-        ob[k] = tanh_act ? std::tanh(pre) : Sigmoid(pre);
-      }
+      float* ob = row(ot, b);
+      for (int k = 0; k < h_dim; ++k) ob[k] = gxr[k] + tb[k];
+    }
+    if (tanh_act) {
+      TanhRow(ot, ot, block);
+    } else {
+      SigmoidRow(ot, ot, block);
     }
   };
   for (int t = 0; t < t_len; ++t) {
@@ -129,18 +136,19 @@ void Lstm::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
     gate(ufp, gx_f, f_out, false, t, row0);
     gate(uop, gx_o, o_out, false, t, row0);
     gate(ugp, gx_g, g_out, true, t, row0);
+    const float* const i = row(i_out, row0);
+    const float* const f = row(f_out, row0);
+    const float* const o = row(o_out, row0);
+    const float* const g = row(g_out, row0);
+    for (int k = 0; k < block; ++k) cp[k] = f[k] * cp[k] + i[k] * g[k];
+    TanhRow(cp, tanh_c, block);
     for (int b = 0; b < batch; ++b) {
-      const float* i = row(i_out, row0 + b);
-      const float* f = row(f_out, row0 + b);
-      const float* o = row(o_out, row0 + b);
-      const float* g = row(g_out, row0 + b);
-      float* cb = row(cp, b);
+      const float* ob = row(o, b);
+      const float* tb = row(tanh_c, b);
       float* hb = row(hp, b);
       float* ht = row(h, b * t_len + t);
       for (int k = 0; k < h_dim; ++k) {
-        const float c = f[k] * cb[k] + i[k] * g[k];
-        ht[k] = o[k] * std::tanh(c);
-        cb[k] = c;
+        ht[k] = ob[k] * tb[k];
         hb[k] = ht[k];
       }
     }
@@ -160,6 +168,9 @@ void Lstm::Backward(const util::Matrix& x, const Cache& cache,
   tls_do.ResizeNoZero(t_len, h_dim);
   tls_dg.ResizeNoZero(t_len, h_dim);
   tls_hprev.ResizeNoZero(t_len, h_dim);
+  // tanh(c_t) through the forward's row function, so both see the same bits.
+  tls_tanh_c.ResizeNoZero(t_len, h_dim);
+  TanhRow(cache.c.data(), tls_tanh_c.data(), t_len * h_dim);
 
   util::Vector dh_next(h_dim, 0.0f), dc_next(h_dim, 0.0f);
   util::Vector d_pre(h_dim), c_prev(h_dim), tmp;
@@ -177,7 +188,7 @@ void Lstm::Backward(const util::Matrix& x, const Cache& cache,
     const float* f = cache.f.Row(t);
     const float* o = cache.o.Row(t);
     const float* g = cache.g.Row(t);
-    const float* c = cache.c.Row(t);
+    const float* tanh_c_t = tls_tanh_c.Row(t);
     const float* gh = grad_h.Row(t);
 
     float* di_pre = tls_di.Row(t);
@@ -186,7 +197,7 @@ void Lstm::Backward(const util::Matrix& x, const Cache& cache,
     float* dg_pre = tls_dg.Row(t);
     for (int k = 0; k < h_dim; ++k) {
       const float dh = gh[k] + dh_next[k];
-      const float tanh_c = std::tanh(c[k]);
+      const float tanh_c = tanh_c_t[k];
       const float dok = dh * tanh_c;
       const float dc = dh * o[k] * (1.0f - tanh_c * tanh_c) + dc_next[k];
       const float dfk = dc * c_prev[k];

@@ -48,8 +48,6 @@ inline float FinishElem(float acc, float alpha, float beta, float cprev,
   if (has_bias) t += bias;
   if (act == Act::kRelu) {
     t = t > 0.0f ? t : 0.0f;  // matches max_ps(t, 0): NaN and -0 both -> +0
-  } else if (act == Act::kTanh) {
-    t = std::tanh(t);
   }
   return t;
 }
@@ -195,8 +193,7 @@ inline VReg VLoadQTail(const int8_t* p, int rem) {
 #endif  // ISA selection
 
 // Vector epilogue over `width` (<= kVecLen) columns starting at column j of
-// row pointer cr: lane-wise FinishElem, with tanh applied scalar-wise after
-// the store (std::tanh has no bit-compatible vector form).
+// row pointer cr: lane-wise FinishElem.
 inline void FinishVec(VReg acc, float alpha, float beta, float* cr, int j,
                       int width, const float* bias, Act act) {
   VReg t = acc;
@@ -216,9 +213,6 @@ inline void FinishVec(VReg acc, float alpha, float beta, float* cr, int j,
     VStore(cr + j, t);
   } else {
     VStoreTail(cr + j, width, t);
-  }
-  if (act == Act::kTanh) {
-    for (int jj = j; jj < j + width; ++jj) cr[jj] = std::tanh(cr[jj]);
   }
 }
 

@@ -15,7 +15,7 @@
 //    element. Both therefore produce bit-identical results, and a result
 //    row never depends on how many other rows the call computed — which is
 //    what keeps the per-instance and batched prediction paths byte-equal.
-//    Fused epilogues (alpha/beta combination, bias broadcast, ReLU/tanh)
+//    Fused epilogues (alpha/beta combination, bias broadcast, ReLU)
 //    run in the same pass over C, with one scalar formula mirrored exactly
 //    by the vector code.
 //

@@ -138,7 +138,7 @@ enum class Trans { kNo, kYes };
 // Fused epilogue activation for GemmEx (util/gemm_kernel.h): applied to
 // each output element after the alpha/beta/bias combination, inside the
 // kernel's single pass over C.
-enum class Act { kNone, kRelu, kTanh };
+enum class Act { kNone, kRelu };
 
 // General matrix multiply, the single optimized entry point every dense
 // kernel funnels through:

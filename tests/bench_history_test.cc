@@ -1,5 +1,6 @@
 // The bench history writer (bench/bench_history.h): AppendBenchHistory's
-// lncl.bench.v1 record, and GitRevision(), which reads the revision from the
+// lncl.bench.v1 record and the shape-check verdicts it carries
+// (ReportShapeChecks), and GitRevision(), which reads the revision from the
 // current directory's repository without forking git, including checkouts
 // whose .git is a file (worktrees and submodules), which must not be
 // mistaken for an enclosing repository.
@@ -41,9 +42,14 @@ TEST(AppendBenchHistoryTest, OneRecordPerCallWithTheTimedFit) {
   fit.phase_seconds.total = 1.5;
   Int8Gate gate;
   gate.argmax_agreement = 0.5;
-  ASSERT_TRUE(AppendBenchHistory("unit", 2.0, &fit, &gate, path.string()));
-  ASSERT_TRUE(AppendBenchHistory("unit", 2.0, &fit, nullptr, path.string()));
-  ASSERT_TRUE(AppendBenchHistory("unit", 2.0, nullptr, nullptr,
+  const std::vector<ShapeCheck> checks = {
+      {"unit.holds", {{"a", 2.5}, {"b", 1.0}}, true, false},
+      {"unit.named", {{"c", 0.5}}, false, true}};
+  ASSERT_TRUE(
+      AppendBenchHistory("unit", 2.0, &fit, &gate, &checks, path.string()));
+  ASSERT_TRUE(
+      AppendBenchHistory("unit", 2.0, &fit, nullptr, nullptr, path.string()));
+  ASSERT_TRUE(AppendBenchHistory("unit", 2.0, nullptr, nullptr, nullptr,
                                  path.string()));
 
   std::vector<std::string> lines;
@@ -71,6 +77,37 @@ TEST(AppendBenchHistoryTest, OneRecordPerCallWithTheTimedFit) {
       << lines[0];
   EXPECT_EQ(lines[1].find("int8_argmax_agreement"), std::string::npos);
   EXPECT_EQ(lines[2].find("int8_argmax_agreement"), std::string::npos);
+  // So are the shape checks, with their values and verdicts.
+  EXPECT_NE(lines[0].find(
+                "\"shape_checks\": [{\"name\": \"unit.holds\", \"values\": "
+                "{\"a\": 2.5, \"b\": 1}, \"pass\": true, \"deviation\": false}, "
+                "{\"name\": \"unit.named\", \"values\": {\"c\": 0.5}, "
+                "\"pass\": false, \"deviation\": true}], "),
+            std::string::npos)
+      << lines[0];
+  EXPECT_EQ(lines[1].find("shape_checks"), std::string::npos);
+  EXPECT_EQ(lines[2].find("shape_checks"), std::string::npos);
+}
+
+TEST(ReportShapeChecksTest, OnlyAnUnnamedFailureFailsTheBench) {
+  const fs::path md =
+      fs::temp_directory_path() /
+      ("shape_checks_test_" + std::to_string(::getpid()) + ".md");
+  std::ofstream(md) << "- deviation `t.named`: measured 1.0 vs 2.0\n";
+  std::vector<ShapeCheck> checks = {{"t.holds", {{"a", 1.0}}, true},
+                                    {"t.named", {{"b", 1.0}}, false}};
+  EXPECT_EQ(ReportShapeChecks(&checks, md.string()), 0);
+  EXPECT_FALSE(checks[0].deviation);
+  EXPECT_TRUE(checks[1].deviation);
+
+  checks.push_back({"t.unnamed", {{"c", 1.0}}, false});
+  EXPECT_EQ(ReportShapeChecks(&checks, md.string()), 1);
+  EXPECT_FALSE(checks[2].deviation);
+  fs::remove(md);
+
+  // Without the file no failure is excused.
+  EXPECT_EQ(ReportShapeChecks(&checks, md.string()), 1);
+  EXPECT_FALSE(checks[1].deviation);
 }
 
 constexpr char kHash[] = "0123456789abcdef0123456789abcdef01234567";

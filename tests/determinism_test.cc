@@ -417,16 +417,16 @@ TEST_F(NerDeterminismTest, OneVsFourThreadsBitIdentical) {
 
 TEST_F(NerDeterminismTest, MatchesGoldenHashes) {
   // 3-epoch conv+GRU fit with transition rules (dropout 0.5, Adam).
-  const GoldenHashes golden = {"7fb7cc9f98d5e89b", "6c91d29c8e145923",
-                                "d60950bf6f2498bc"};
+  const GoldenHashes golden = {"c3b063d358c8e2eb", "6359715677916603",
+                                "14bbf42fe081fd0f"};
   for (const int threads : {1, 3, 4}) {
     ExpectGolden(Run(threads), golden, threads);
   }
 }
 
 TEST_F(NerDeterminismTest, SerialFitMatchesGoldenHashes) {
-  const GoldenHashes golden = {"4a38d9a5dd636524", "de485915238973ec",
-                                "690e12d77d3f6877"};
+  const GoldenHashes golden = {"5afb0f5432aa9c85", "355f9b5d2bbcc1da",
+                                "6dee95cc91c697f9"};
   ExpectGolden(Run(0), golden, 0);
   SCOPED_TRACE("inside Trace and Prof sessions, with a run log");
   ExpectGolden(Instrumented([this](obs::RunObserver* observer) {
@@ -444,8 +444,8 @@ TEST_F(NerDeterminismTest, LstmTaggerMatchesGoldenHashes) {
   mcfg.recurrent = models::NerTaggerConfig::Recurrent::kLstm;
   const models::ModelFactory lstm =
       models::NerTagger::Factory(mcfg, corpus_.embeddings);
-  const GoldenHashes golden = {"100a3cb7bb15d50e", "2bfd63ed2066877d",
-                                "c011a614a0103448"};
+  const GoldenHashes golden = {"4074a76a11983cac", "aa1ea5e4ca80c56b",
+                                "35892d5929505e4f"};
   for (const int threads : {1, 4}) {
     ExpectGolden(Run(threads, lstm), golden, threads);
   }
@@ -479,9 +479,9 @@ TEST_F(NerDeterminismTest, CrfTaggerMatchesGoldenHashes) {
       paths = Fnv1a(&n, sizeof(n), paths);
       paths = Fnv1a(path.data(), n * sizeof(int), paths);
     }
-    EXPECT_EQ(FitHash(snap), "a268aad9dbb8a88a") << "threads=" << threads;
+    EXPECT_EQ(FitHash(snap), "f58bf2901017a2c6") << "threads=" << threads;
     EXPECT_EQ(Hex(HashMatrices(learner.model()->PredictBatch(corpus_.test))),
-              "39bfb19ee7741eae")
+              "70d1c641d842e1e0")
         << "threads=" << threads;
     EXPECT_EQ(Hex(paths), "9d13b2ec0aecb232") << "threads=" << threads;
   }

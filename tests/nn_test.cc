@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <tuple>
 
@@ -76,10 +79,142 @@ TEST(ActivationsTest, ReluForwardBackward) {
   EXPECT_FLOAT_EQ(grad[2], 5.0f);
 }
 
+// One-element row calls: the oracles below and the recurrent layers' naive
+// references activate one value at a time.
+float Sigmoid1(float x) {
+  float y = 0.0f;
+  SigmoidRow(&x, &y, 1);
+  return y;
+}
+
+float Tanh1(float x) {
+  float y = 0.0f;
+  TanhRow(&x, &y, 1);
+  return y;
+}
+
+uint32_t BitsOf(float f) {
+  uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+float FloatOf(uint32_t u) {
+  float f = 0.0f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+// |y - want| in units of the spacing of floats at `want` (2^-149 below the
+// normal range).
+double UlpError(float y, double want) {
+  int exp = 0;
+  std::frexp(want, &exp);
+  const double ulp = std::ldexp(1.0, std::max(exp - 24, -149));
+  return std::fabs(static_cast<double>(y) - want) / ulp;
+}
+
 TEST(ActivationsTest, SigmoidRange) {
-  EXPECT_NEAR(Sigmoid(0.0f), 0.5f, 1e-6);
-  EXPECT_GT(Sigmoid(10.0f), 0.999f);
-  EXPECT_LT(Sigmoid(-10.0f), 0.001f);
+  EXPECT_NEAR(Sigmoid1(0.0f), 0.5f, 1e-6);
+  EXPECT_GT(Sigmoid1(10.0f), 0.999f);
+  EXPECT_LT(Sigmoid1(-10.0f), 0.001f);
+}
+
+TEST(ActivationsTest, RowsWithinUlpBoundsOfDoubleReference) {
+  // Every 1009th float of [0, 20] and its negation.
+  std::vector<float> x;
+  for (uint32_t b = 0; b <= BitsOf(20.0f); b += 1009) {
+    x.push_back(FloatOf(b));
+    x.push_back(-FloatOf(b));
+  }
+  std::vector<float> t(x.size()), s(x.size());
+  TanhRow(x.data(), t.data(), static_cast<int>(x.size()));
+  SigmoidRow(x.data(), s.data(), static_cast<int>(x.size()));
+  double worst_tanh = 0.0, worst_sigmoid = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double xd = x[i];
+    worst_tanh = std::max(worst_tanh, UlpError(t[i], std::tanh(xd)));
+    worst_sigmoid = std::max(worst_sigmoid,
+                             UlpError(s[i], 1.0 / (1.0 + std::exp(-xd))));
+  }
+  EXPECT_LE(worst_tanh, 2.0);
+  EXPECT_LE(worst_sigmoid, 3.0);
+}
+
+TEST(ActivationsTest, RowsSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(Tanh1(nan)));
+  EXPECT_TRUE(std::isnan(Sigmoid1(nan)));
+  EXPECT_EQ(Tanh1(inf), 1.0f);
+  EXPECT_EQ(Tanh1(-inf), -1.0f);
+  EXPECT_EQ(Sigmoid1(inf), 1.0f);
+  EXPECT_EQ(Sigmoid1(-inf), 0.0f);
+  EXPECT_EQ(BitsOf(Tanh1(0.0f)), BitsOf(0.0f));
+  EXPECT_EQ(BitsOf(Tanh1(-0.0f)), BitsOf(-0.0f));
+  for (const float a : {20.0f, 20.5f, 100.0f, 1e30f,
+                        std::numeric_limits<float>::max()}) {
+    EXPECT_EQ(Tanh1(a), 1.0f) << a;
+    EXPECT_EQ(Tanh1(-a), -1.0f) << a;
+  }
+  // Exactly odd over a sweep of [0, 20].
+  for (uint32_t b = 0; b <= BitsOf(20.0f); b += 100003) {
+    const float a = FloatOf(b);
+    ASSERT_EQ(BitsOf(Tanh1(-a)), BitsOf(-Tanh1(a))) << a;
+  }
+}
+
+TEST(ActivationsTest, RowLanesMatchOneElementCalls) {
+  // Every element of a row, whichever lane of the vector body or scalar
+  // tail computes it and at any alignment, in place or not, equals a
+  // one-element call.
+  Rng rng(404);
+  std::vector<float> x(96), y(96), in_place(96);
+  for (int n = 1; n <= 70; ++n) {
+    for (int offset = 0; offset < 16; ++offset) {
+      for (int i = 0; i < n; ++i) {
+        x[offset + i] = static_cast<float>(rng.Uniform(-25.0, 25.0));
+      }
+      for (const bool is_tanh : {true, false}) {
+        const auto row = is_tanh ? TanhRow : SigmoidRow;
+        const auto one = is_tanh ? Tanh1 : Sigmoid1;
+        row(x.data() + offset, y.data() + offset, n);
+        std::copy(x.begin(), x.end(), in_place.begin());
+        row(in_place.data() + offset, in_place.data() + offset, n);
+        for (int i = 0; i < n; ++i) {
+          const uint32_t want = BitsOf(one(x[offset + i]));
+          ASSERT_EQ(BitsOf(y[offset + i]), want)
+              << "tanh=" << is_tanh << " n=" << n << " offset=" << offset
+              << " i=" << i;
+          ASSERT_EQ(BitsOf(in_place[offset + i]), want)
+              << "in place, tanh=" << is_tanh << " n=" << n
+              << " offset=" << offset << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ActivationsTest, RowsMatchGoldenHash) {
+  // The rows' bits over a fixed sweep are part of every recurrent fit's
+  // trajectory; they must not depend on the optimization level, the vector
+  // ISA or the host's libm (the same hash at -O0, and at -O3 with SSE2 and
+  // with AVX-512).
+  std::vector<float> x;
+  for (int i = -3000; i <= 3000; ++i) {
+    x.push_back(static_cast<float>(i) * 0.01f);
+  }
+  std::vector<float> t(x.size()), s(x.size());
+  TanhRow(x.data(), t.data(), static_cast<int>(x.size()));
+  SigmoidRow(x.data(), s.data(), static_cast<int>(x.size()));
+  uint64_t h = 14695981039346656037ull;
+  for (const std::vector<float>* v : {&t, &s}) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(v->data());
+    for (size_t i = 0; i < v->size() * sizeof(float); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(h, 0xc5fc36411ad95765ull);
 }
 
 // ---------------------------------------------------------------- Softmax --
@@ -601,11 +736,7 @@ Matrix NaiveConvForward(const Conv1d& conv, const Matrix& w,
       }
       float v = qw != nullptr ? acc * qw->scale[j] : acc;
       v += bias(0, j);
-      if (act == util::Act::kRelu) {
-        v = v > 0.0f ? v : 0.0f;
-      } else if (act == util::Act::kTanh) {
-        v = std::tanh(v);
-      }
+      if (act == util::Act::kRelu) v = v > 0.0f ? v : 0.0f;
       y(o, j) = v;
     }
   }
@@ -636,8 +767,7 @@ TEST_P(Conv1dForwardOracleTest, ForwardsMatchNaiveClippedWindow) {
   for (const util::gemm::Kind kind : kinds) {
     util::gemm::SetActiveKindForTest(kind);
     for (const int t : {0, 1, 2, 4, 5, 13}) {
-      for (const util::Act act :
-           {util::Act::kNone, util::Act::kRelu, util::Act::kTanh}) {
+      for (const util::Act act : {util::Act::kNone, util::Act::kRelu}) {
         SCOPED_TRACE(testing::Message()
                      << util::gemm::KindName(kind) << " t=" << t
                      << " act=" << static_cast<int>(act));
@@ -708,14 +838,14 @@ Gru::Cache NaiveGruForward(Gru* gru, const Matrix& x) {
     const float* xt = x.Row(t);
     for (int j = 0; j < h_dim; ++j) {
       want.z(t, j) =
-          Sigmoid(NaiveGatePre(*p[0], *p[1], *p[2], xt, h_prev.data(), j));
+          Sigmoid1(NaiveGatePre(*p[0], *p[1], *p[2], xt, h_prev.data(), j));
       want.r(t, j) =
-          Sigmoid(NaiveGatePre(*p[3], *p[4], *p[5], xt, h_prev.data(), j));
+          Sigmoid1(NaiveGatePre(*p[3], *p[4], *p[5], xt, h_prev.data(), j));
       rh[j] = want.r(t, j) * h_prev[j];
     }
     for (int j = 0; j < h_dim; ++j) {
       want.c(t, j) =
-          std::tanh(NaiveGatePre(*p[6], *p[7], *p[8], xt, rh.data(), j));
+          Tanh1(NaiveGatePre(*p[6], *p[7], *p[8], xt, rh.data(), j));
       want.h(t, j) = (1.0f - want.z(t, j)) * h_prev[j] +
                      want.z(t, j) * want.c(t, j);
     }
@@ -738,15 +868,15 @@ Lstm::Cache NaiveLstmForward(Lstm* lstm, const Matrix& x) {
     const float* xt = x.Row(t);
     for (int j = 0; j < h_dim; ++j) {
       want.i(t, j) =
-          Sigmoid(NaiveGatePre(*p[0], *p[1], *p[2], xt, h_prev.data(), j));
+          Sigmoid1(NaiveGatePre(*p[0], *p[1], *p[2], xt, h_prev.data(), j));
       want.f(t, j) =
-          Sigmoid(NaiveGatePre(*p[3], *p[4], *p[5], xt, h_prev.data(), j));
+          Sigmoid1(NaiveGatePre(*p[3], *p[4], *p[5], xt, h_prev.data(), j));
       want.o(t, j) =
-          Sigmoid(NaiveGatePre(*p[6], *p[7], *p[8], xt, h_prev.data(), j));
+          Sigmoid1(NaiveGatePre(*p[6], *p[7], *p[8], xt, h_prev.data(), j));
       want.g(t, j) =
-          std::tanh(NaiveGatePre(*p[9], *p[10], *p[11], xt, h_prev.data(), j));
+          Tanh1(NaiveGatePre(*p[9], *p[10], *p[11], xt, h_prev.data(), j));
       want.c(t, j) = want.f(t, j) * c_prev[j] + want.i(t, j) * want.g(t, j);
-      want.h(t, j) = want.o(t, j) * std::tanh(want.c(t, j));
+      want.h(t, j) = want.o(t, j) * Tanh1(want.c(t, j));
     }
     std::copy(want.h.Row(t), want.h.Row(t) + h_dim, h_prev.begin());
     std::copy(want.c.Row(t), want.c.Row(t) + h_dim, c_prev.begin());
