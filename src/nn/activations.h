@@ -21,8 +21,10 @@ void ReluBackward(const util::Vector& post, util::Vector* grad);
 // data-dependent branch), so the loops vectorize and an element's bits
 // depend only on its input: not on n, its position in the row, the vector
 // width, or the host's libm. Error against the exact value is at most 2 ulp
-// for tanh and 3 ulp for sigmoid; NaN gives NaN, ±inf the limits, and tanh
-// is exactly odd and exactly ±1 for |x| >= 20 (tests/nn_test.cc).
+// for tanh and 3 ulp for sigmoid (tested on [-20, 20]), except that sigmoid
+// returns 0 from x = -88.4 down, where the exact value is a subnormal
+// float. NaN gives NaN, ±inf the limits, and tanh is exactly odd and
+// exactly ±1 for |x| >= 20 (tests/nn_test.cc).
 void TanhRow(const float* x, float* y, int n);
 void SigmoidRow(const float* x, float* y, int n);
 
