@@ -1,10 +1,16 @@
 // Reproduces Table II: performance (accuracy, %) on the Sentiment Polarity
 // (MTurk) dataset — prediction accuracy on the test split and inference
 // accuracy on the training split for every compared method, averaged over
-// --runs runs, plus the paper's t-test of Logic-LNCL against AggNet.
+// --runs runs, plus the paper's t-test of Logic-LNCL against AggNet. The
+// table's shape checks (EXPERIMENTS.md) are evaluated on those means; the
+// bench exits non-zero when one fails without being named there as a
+// deviation.
+#include <algorithm>
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "baselines/crowd_layer.h"
 #include "baselines/two_stage.h"
@@ -49,7 +55,80 @@ class Collector {
   std::map<std::string, MethodScores> scores_;
 };
 
-void Run(int argc, char** argv) {
+// "Beat MV": in the paper DS and GLAD inference lead MV by 2.9 and 3.2
+// points; a lead under one point is not a win.
+constexpr double kBeatMvPoints = 1.0;
+// The paper's significance level for its unilateral t-test vs AggNet, in
+// percent like every shape-check value.
+constexpr double kAlphaPct = 5.0;
+
+// Table II's shape claims (EXPERIMENTS.md) on the run means, in percent.
+std::vector<ShapeCheck> Table2ShapeChecks(Collector* collect) {
+  const auto pred = [collect](const std::string& name) {
+    return util::Mean(collect->Get(name).prediction) * 100.0;
+  };
+  const auto inf = [collect](const std::string& name) {
+    return util::Mean(collect->Get(name).inference) * 100.0;
+  };
+  const double teacher = pred("Logic-LNCL-teacher");
+  const double student = pred("Logic-LNCL-student");
+  const double aggnet = pred("AggNet");
+  const double glad_classifier = pred("GLAD-Classifier");
+  const double mv_classifier = pred("MV-Classifier");
+  const double cl_vw = pred("CL (VW)");
+  const double cl_vwb = pred("CL (VW-B)");
+  const double cl_mw = pred("CL (MW)");
+  // Student and teacher share q_f, so they have one inference score.
+  const double ours = inf("Logic-LNCL-teacher");
+  const double aggnet_inf = inf("AggNet");
+  const double mv = inf("MV");
+  const double ds = inf("DS");
+  const double glad = inf("GLAD");
+  const double pm = inf("PM");
+  const double catd = inf("CATD");
+  const MethodScores& t = collect->Get("Logic-LNCL-teacher");
+  const MethodScores& a = collect->Get("AggNet");
+  const double pred_p =
+      util::WelchTTest(t.prediction, a.prediction).p_one_sided * 100.0;
+  const double inf_p =
+      util::WelchTTest(t.inference, a.inference).p_one_sided * 100.0;
+  return {
+      {"table2.teacher_gt_student_gt_aggnet",
+       {{"teacher_pred", teacher},
+        {"student_pred", student},
+        {"aggnet_pred", aggnet}},
+       teacher > student && student > aggnet},
+      {"table2.aggnet_and_glad_above_cl_and_mv",
+       {{"aggnet_pred", aggnet},
+        {"glad_classifier_pred", glad_classifier},
+        {"cl_vw_pred", cl_vw},
+        {"cl_vwb_pred", cl_vwb},
+        {"cl_mw_pred", cl_mw},
+        {"mv_classifier_pred", mv_classifier}},
+       std::min(aggnet, glad_classifier) >
+           std::max({cl_vw, cl_vwb, cl_mw, mv_classifier})},
+      {"table2.inference_above_aggregators_and_aggnet",
+       {{"logic_lncl_inf", ours},
+        {"mv_inf", mv},
+        {"ds_inf", ds},
+        {"glad_inf", glad},
+        {"pm_inf", pm},
+        {"catd_inf", catd},
+        {"aggnet_inf", aggnet_inf}},
+       ours > std::max({mv, ds, glad, pm, catd, aggnet_inf})},
+      {"table2.teacher_significant_vs_aggnet",
+       {{"pred_p_pct", pred_p}, {"inf_p_pct", inf_p}, {"alpha_pct", kAlphaPct}},
+       pred_p < kAlphaPct && inf_p < kAlphaPct},
+      {"table2.model_aggregators_beat_mv",
+       {{"ds_inf", ds},
+        {"glad_inf", glad},
+        {"mv_inf", mv},
+        {"margin", kBeatMvPoints}},
+       ds >= mv + kBeatMvPoints && glad >= mv + kBeatMvPoints},
+  };
+}
+
+int Run(int argc, char** argv) {
   util::Stopwatch bench_timer;
   const util::Config config(argc, argv);
   const Scale scale = SentimentScale(config);
@@ -256,6 +335,11 @@ void Run(int argc, char** argv) {
               << " p=" << util::FormatFixed(inf.p_one_sided, 4) << "\n";
   }
 
+  // Without runs there are no means to check.
+  std::vector<ShapeCheck> checks;
+  if (scale.runs > 0) checks = Table2ShapeChecks(&collect);
+  const int status = ReportShapeChecks(&checks);
+
   // ---- Timed end-to-end fit, the telemetry showcase: metrics registry
   // enabled, a Perfetto-loadable trace, a per-epoch run log, and
   // perf-counter span attribution (obs::Prof, results/prof_table2.json).
@@ -291,7 +375,9 @@ void Run(int argc, char** argv) {
                "results/prof_table2.json (hw counters "
             << (obs::Prof::HwCountersAvailable() ? "on" : "unavailable")
             << ")]\n";
-  AppendBenchHistory("table2", bench_timer.Seconds(), &res, &int8_gate);
+  AppendBenchHistory("table2", bench_timer.Seconds(), &res, &int8_gate,
+                     &checks);
+  return status;
 }
 
 }  // namespace
@@ -299,6 +385,5 @@ void Run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   lncl::util::SetLogLevel(lncl::util::LogLevel::kWarning);
-  lncl::bench::Run(argc, argv);
-  return 0;
+  return lncl::bench::Run(argc, argv);
 }

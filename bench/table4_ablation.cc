@@ -12,9 +12,16 @@
 //   Logic-LNCL student/teacher: the full method.
 //
 // Reported: prediction (test) and inference (train) accuracy / span-F1.
+// The table's shape checks (EXPERIMENTS.md) are evaluated on the run means;
+// the bench exits non-zero when one fails without being named there as a
+// deviation.
+#include <algorithm>
+#include <array>
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "baselines/fixed_target.h"
 #include "baselines/two_stage.h"
@@ -358,7 +365,112 @@ void RunNer(const util::Config& config, const Scale& scale,
   (void)config;
 }
 
-void Run(int argc, char** argv) {
+// ------------------------------------------------------------ Shape checks
+
+// "Craters": in the paper the bad NER rule takes the teacher from its
+// student's 50.71 prediction F1 to 1.23; a drop under 10 F1 is no crater.
+constexpr double kCraterF1 = 10.0;
+
+// The table's rows in print order, with the key their shape-check values
+// carry. The first kAblations rows are the ablations.
+struct RowName {
+  const char* name;
+  const char* key;
+};
+constexpr int kMvRule = 0;
+constexpr int kMvT = 3;
+constexpr int kOtherRulesStudent = 4;
+constexpr int kOtherRulesTeacher = 5;
+constexpr int kAblations = 6;
+constexpr int kTeacher = 7;
+constexpr int kRowCount = 8;
+constexpr RowName kRows[kRowCount] = {
+    {"MV-Rule", "mv_rule"},
+    {"GLAD-Rule", "glad_rule"},
+    {"w/o-Rule", "wo_rule"},
+    {"MV-t", "mv_t"},
+    {"our-other-rules-student", "other_rules_student"},
+    {"our-other-rules-teacher", "other_rules_teacher"},
+    {"Logic-LNCL-student", "student"},
+    {"Logic-LNCL-teacher", "teacher"},
+};
+constexpr const char* kColumns[] = {"sent_pred", "sent_inf", "ner_pred",
+                                    "ner_inf"};
+constexpr int kNerPred = 2;  // index into kColumns
+
+// One row's column means and their average, in percent.
+struct RowMeans {
+  std::array<double, 4> column{};
+  double average = 0.0;
+};
+
+RowMeans Means(Collector* collect, const std::string& name) {
+  const Cell sent = collect->Get(name, "sent");
+  const Cell ner = collect->Get(name, "ner");
+  RowMeans m;
+  m.column = {util::Mean(sent.prediction) * 100.0,
+              util::Mean(sent.inference) * 100.0,
+              util::Mean(ner.prediction) * 100.0,
+              util::Mean(ner.inference) * 100.0};
+  for (const double c : m.column) m.average += c / 4.0;
+  return m;
+}
+
+// Table IV's shape claims (EXPERIMENTS.md) on the run means, in percent.
+std::vector<ShapeCheck> Table4ShapeChecks(Collector* collect) {
+  std::vector<RowMeans> rows;
+  for (const RowName& r : kRows) rows.push_back(Means(collect, r.name));
+  const RowMeans& teacher = rows[kTeacher];
+  const auto avg_key = [](int r) { return std::string(kRows[r].key) + "_avg"; };
+
+  ShapeCheck best_average{"table4.full_teacher_best_average", {}, true};
+  for (int r = 0; r < kRowCount; ++r) {
+    best_average.values.emplace_back(avg_key(r), rows[r].average);
+    if (r != kTeacher && rows[r].average >= teacher.average) {
+      best_average.pass = false;
+    }
+  }
+
+  ShapeCheck tops_columns{"table4.full_teacher_tops_every_column", {}, true};
+  for (int c = 0; c < 4; ++c) {
+    double best = rows[0].column[c];
+    for (int r = 1; r < kAblations; ++r) best = std::max(best, rows[r].column[c]);
+    tops_columns.values.emplace_back(std::string("teacher_") + kColumns[c],
+                                     teacher.column[c]);
+    tops_columns.values.emplace_back(
+        std::string("best_ablation_") + kColumns[c], best);
+    if (teacher.column[c] < best) tops_columns.pass = false;
+  }
+
+  // MV-Rule and MV-t against every other row.
+  double others_lowest = 1e300;
+  for (int r = 0; r < kRowCount; ++r) {
+    if (r != kMvRule && r != kMvT) {
+      others_lowest = std::min(others_lowest, rows[r].average);
+    }
+  }
+  const double mv_highest =
+      std::max(rows[kMvRule].average, rows[kMvT].average);
+
+  const double bad_student = rows[kOtherRulesStudent].column[kNerPred];
+  const double bad_teacher = rows[kOtherRulesTeacher].column[kNerPred];
+  return {
+      best_average,
+      tops_columns,
+      {"table4.mv_rows_weakest",
+       {{avg_key(kMvRule), rows[kMvRule].average},
+        {avg_key(kMvT), rows[kMvT].average},
+        {"others_lowest_avg", others_lowest}},
+       mv_highest < others_lowest},
+      {"table4.bad_rule_craters_ner_teacher",
+       {{"other_rules_student_ner_pred", bad_student},
+        {"other_rules_teacher_ner_pred", bad_teacher},
+        {"margin", kCraterF1}},
+       bad_teacher + kCraterF1 <= bad_student},
+  };
+}
+
+int Run(int argc, char** argv) {
   const util::Config config(argc, argv);
   util::Stopwatch bench_timer;
   Scale sent_scale = SentimentScale(config);
@@ -392,19 +504,23 @@ void Run(int argc, char** argv) {
                   parts > 0 ? util::FormatFixed(total / parts * 100.0, 2)
                             : "-"});
   };
-  add_row("MV-Rule");
-  add_row("GLAD-Rule");
-  add_row("w/o-Rule");
-  add_row("MV-t");
-  add_row("our-other-rules-student");
-  add_row("our-other-rules-teacher");
-  table.AddSeparator();
-  add_row("Logic-LNCL-student");
-  add_row("Logic-LNCL-teacher");
+  for (int r = 0; r < kRowCount; ++r) {
+    if (r == kAblations) table.AddSeparator();
+    add_row(kRows[r].name);
+  }
   EmitTable(&table, "table4_ablation");
   std::cout << "(NER GLAD-Rule row uses AggNet posteriors: GLAD is "
                "inapplicable to sequence tasks, as in the paper.)\n";
-  AppendBenchHistory("table4_ablation", bench_timer.Seconds());
+
+  // Without runs there are no means to check.
+  std::vector<ShapeCheck> checks;
+  if (sent_scale.runs > 0 && ner_scale.runs > 0) {
+    checks = Table4ShapeChecks(&collect);
+  }
+  const int status = ReportShapeChecks(&checks);
+  AppendBenchHistory("table4_ablation", bench_timer.Seconds(), nullptr,
+                     nullptr, &checks);
+  return status;
 }
 
 }  // namespace
@@ -412,6 +528,5 @@ void Run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   lncl::util::SetLogLevel(lncl::util::LogLevel::kWarning);
-  lncl::bench::Run(argc, argv);
-  return 0;
+  return lncl::bench::Run(argc, argv);
 }

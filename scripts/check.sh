@@ -43,14 +43,21 @@
 # Chrome trace-event JSON with span events, every run-log line must parse as
 # JSON carrying the lncl.em_run.v1 schema, the prof file must carry
 # lncl.prof.v1 span aggregates, and the bench-history append must be a
-# well-formed lncl.bench.v1 record holding exactly one (batched) fit. The
+# well-formed lncl.bench.v1 record holding exactly one (batched) fit and an
+# empty shape_checks array (a --runs=0 bench has no means to check). The
 # same smoke run then drives tools/prof_report.py end to end: the merged
 # per-span table with the per-epoch run-log table, and the trace alone. The
 # report's fixture self-test runs with the lint pass.
 #
-#   scripts/check.sh              # lint + trace smoke + all three sweeps
-#   scripts/check.sh audit        # lint + trace smoke + audit sweep only
-#   scripts/check.sh thread       # lint + trace smoke + TSan only
+# A claims step then runs the three paper-table benches (table2_sentiment,
+# table3_ner, table4_ablation) at default scale, in a temporary directory
+# holding a copy of EXPERIMENTS.md so the committed results/ ledger is left
+# alone. Each bench exits non-zero when one of its shape checks fails
+# without EXPERIMENTS.md naming it as a deviation, which fails the step.
+#
+#   scripts/check.sh              # lint + smoke + claims + all three sweeps
+#   scripts/check.sh audit        # lint + smoke + claims + audit sweep only
+#   scripts/check.sh thread       # lint + smoke + claims + TSan only
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
@@ -115,6 +122,7 @@ assert rec["bench"] == "table2" and rec["prof_active"] is True, rec
 assert rec["peak_rss_kb"] > 0 and rec["wall_seconds"] > 0, rec
 assert len(rec["fits"]) == 1, f"expected one timed fit: {rec['fits']}"
 assert rec["fits"][0]["mode"] == "batched" and rec["fits"][0]["digest"], rec
+assert rec["shape_checks"] == [], f"--runs=0 checks nothing: {rec}"
 
 print(f"trace smoke ok: {len(spans)} spans, {len(lines)} run-log records, "
       f"prof spans {sorted(prof['spans'])}, 1 history record")
@@ -126,6 +134,18 @@ python3 tools/prof_report.py --trace "$smoke/results/trace_table2.json" \
   --runlog "$smoke/results/runlog_table2.jsonl"
 python3 tools/prof_report.py --trace "$smoke/results/trace_table2.json"
 rm -rf "$smoke"
+trap - EXIT
+
+echo "===== paper claims (table2, table3, table4 at default scale) ====="
+cmake --build build -j "$(nproc)" --target table2_sentiment table3_ner \
+  table4_ablation
+claims=$(mktemp -d)
+trap 'rm -rf "$claims"' EXIT
+cp EXPERIMENTS.md "$claims/"
+for bench in table2_sentiment table3_ner table4_ablation; do
+  (cd "$claims" && "$root/build/bench/$bench" | grep '^shape check')
+done
+rm -rf "$claims"
 trap - EXIT
 
 sweeps=("audit" "address,undefined,float-cast-overflow" "thread")
