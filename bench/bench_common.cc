@@ -7,7 +7,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "util/threadpool.h"
 
 namespace lncl::bench {
 
@@ -21,7 +20,7 @@ Scale SentimentScale(const util::Config& config) {
   scale.epochs = config.GetInt("epochs", full ? 30 : 15);
   scale.runs = config.GetInt("runs", full ? 50 : 5);
   scale.batch = config.GetInt("batch", 50);
-  scale.intra_threads = config.GetInt("intra_threads", 0);
+  scale.intra_threads = config.GetInt("intra_threads", 1);
   return scale;
 }
 
@@ -40,7 +39,7 @@ Scale NerScale(const util::Config& config) {
   // At reduced scale an epoch has ~10x fewer optimizer steps, so give
   // slow-starting methods (crowd layer, per-annotator nets) more patience.
   scale.patience = config.GetInt("patience", full ? 5 : 8);
-  scale.intra_threads = config.GetInt("intra_threads", 0);
+  scale.intra_threads = config.GetInt("intra_threads", 1);
   return scale;
 }
 
@@ -171,14 +170,6 @@ std::string Pct(const std::vector<double>& xs, bool with_std) {
   const double mean = util::Mean(xs) * 100.0;
   if (!with_std || xs.size() < 2) return util::FormatFixed(mean, 2);
   return util::FormatMeanStd(mean, util::StdDev(xs) * 100.0);
-}
-
-void ForEachRun(const util::Config& config, int runs,
-                const std::function<void(int, uint64_t)>& fn) {
-  const int threads = config.GetInt("threads", 0);
-  util::ThreadPool::ParallelFor(runs, threads, [&fn](int r) {
-    fn(r, 0x5bd1e995UL + 7919ULL * static_cast<uint64_t>(r));
-  });
 }
 
 void PrintConfigBanner(const std::string& bench, const Scale& scale,

@@ -35,11 +35,10 @@ struct Scale {
   int runs = 0;
   int batch = 0;
   int patience = 5;
-  // Deterministic intra-model threads per fit (LogicLnclConfig.threads):
-  // 0 keeps the legacy serial trajectory; >=1 selects the sharded
-  // bit-reproducible path with that many threads. Set --intra_threads when
-  // runs < cores and the per-run parallelism of ForEachRun leaves cores idle.
-  int intra_threads = 0;
+  // Intra-model threads per Logic-LNCL fit (LogicLnclConfig.threads). Every
+  // setting gives bit-identical results; set --intra_threads above 1 when
+  // the benches' per-(method, run) jobs leave cores idle.
+  int intra_threads = 1;
 };
 
 Scale SentimentScale(const util::Config& config);
@@ -90,11 +89,6 @@ struct MethodScores {
 
 // "mean" or "mean ±std" (percent) for a metric vector; "-" when empty.
 std::string Pct(const std::vector<double>& xs, bool with_std = false);
-
-// Runs fn(run_index, seed) for every run, in parallel across a thread pool
-// sized by --threads (default: hardware concurrency).
-void ForEachRun(const util::Config& config, int runs,
-                const std::function<void(int, uint64_t)>& fn);
 
 // Echoes the experimental configuration (the paper's Table I analogue).
 void PrintConfigBanner(const std::string& bench, const Scale& scale,

@@ -115,8 +115,9 @@ void BM_UpdateConfusions(benchmark::State& state) {
     qf.push_back(RandomDistributions(1, 2, &rng));
   }
   crowd::ConfusionSet confusions;
+  util::Parallelizer exec;
   for (auto _ : state) {
-    core::UpdateConfusions(qf, ann, 0.01, &confusions);
+    core::UpdateConfusions(qf, ann, 0.01, &confusions, &exec);
     benchmark::DoNotOptimize(confusions.data());
   }
   state.SetItemsProcessed(state.iterations() * instances);

@@ -117,9 +117,11 @@ CrowdLayerResult CrowdLayer::Fit(const data::Dataset& train,
   if (config_.pretrain_epochs > 0) {
     const std::vector<util::Matrix> mv_targets =
         annotations.MajorityVote(inference::ItemsPerInstance(train));
+    util::Parallelizer exec;
     for (int epoch = 0; epoch < config_.pretrain_epochs; ++epoch) {
-      core::RunMinibatchEpoch(train, mv_targets, {}, config_.batch_size,
-                              model_.get(), optimizer.get(), rng);
+      core::RunMinibatchEpochSharded(train, mv_targets, {}, config_.batch_size,
+                                     model_.get(), {model_.get()},
+                                     optimizer.get(), rng, &exec);
     }
   }
 

@@ -35,6 +35,7 @@ void DlDn::Fit(const data::Dataset& train,
     }
   }
 
+  util::Parallelizer exec;
   for (int j = 0; j < num_annotators; ++j) {
     if (sub[j].size() < config_.min_instances) continue;
     std::unique_ptr<models::Model> net = factory_(rng);
@@ -43,8 +44,9 @@ void DlDn::Fit(const data::Dataset& train,
     const std::vector<nn::Parameter*> params = net->Params();
     core::EarlyStopper stopper(config_.patience);
     for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-      core::RunMinibatchEpoch(sub[j], sub_targets[j], {}, config_.batch_size,
-                              net.get(), optimizer.get(), rng);
+      core::RunMinibatchEpochSharded(sub[j], sub_targets[j], {},
+                                     config_.batch_size, net.get(),
+                                     {net.get()}, optimizer.get(), rng, &exec);
       if (stopper.Update(eval::DevScore(*net, dev), params)) break;
     }
     stopper.Restore(params);

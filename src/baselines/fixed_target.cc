@@ -14,6 +14,7 @@ FixedTargetResult FixedTargetTrainer::Fit(
       nn::MakeOptimizer(config_.optimizer);
   const std::vector<nn::Parameter*> params = model_->Params();
 
+  util::Parallelizer exec;
   core::EarlyStopper stopper(config_.patience);
   std::vector<util::Matrix> qf = q_base;
   std::vector<util::Matrix> best_qf = qf;
@@ -34,8 +35,9 @@ FixedTargetResult FixedTargetTrainer::Fit(
         qf[i] = std::move(blended);
       }
     }
-    core::RunMinibatchEpoch(train, qf, {}, config_.batch_size, model_.get(),
-                            optimizer.get(), rng);
+    core::RunMinibatchEpochSharded(train, qf, {}, config_.batch_size,
+                                   model_.get(), {model_.get()},
+                                   optimizer.get(), rng, &exec);
     const int prev_best = stopper.best_epoch();
     const bool stop = stopper.Update(eval::DevScore(*model_, dev), params);
     if (stopper.best_epoch() != prev_best) best_qf = qf;

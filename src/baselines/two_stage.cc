@@ -54,11 +54,13 @@ TwoStageResult TwoStage::FitOnTargets(const data::Dataset& train,
       nn::MakeOptimizer(config_.optimizer);
   const std::vector<nn::Parameter*> params = model_->Params();
 
+  util::Parallelizer exec;
   core::EarlyStopper stopper(config_.patience);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     nn::ApplyLrSchedule(config_.optimizer, epoch, optimizer.get());
-    core::RunMinibatchEpoch(train, targets, {}, config_.batch_size,
-                            model_.get(), optimizer.get(), rng);
+    core::RunMinibatchEpochSharded(train, targets, {}, config_.batch_size,
+                                   model_.get(), {model_.get()},
+                                   optimizer.get(), rng, &exec);
     if (stopper.Update(eval::DevScore(*model_, dev), params)) break;
   }
   stopper.Restore(params);

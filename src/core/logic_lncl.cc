@@ -110,21 +110,19 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
       nn::MakeOptimizer(config_.optimizer);
   const std::vector<nn::Parameter*> params = model_->Params();
 
-  // Deterministic parallel execution (config_.threads >= 1): a fixed slot
-  // structure makes every reduction order independent of the thread count,
-  // so any threads >= 1 produces bit-identical results. threads == 0 keeps
-  // the legacy serial trajectory.
-  const bool sharded = config_.threads >= 1;
-  util::Parallelizer exec(std::max(1, config_.threads));
-  // Training workers for the sharded path: the master plus, when a factory
-  // can build them, one replica per further thread. Replica initial weights
-  // are irrelevant (values are synced from the master); a fixed-seed
-  // throwaway rng keeps the caller's stream untouched.
+  // Deterministic parallel execution: a fixed slot structure makes every
+  // reduction order independent of the thread count, so every threads
+  // setting produces bit-identical results.
+  util::Parallelizer exec(config_.threads);
+  // Training workers: the master plus, when a factory can build them, one
+  // replica per further thread. Replica initial weights are irrelevant
+  // (values are synced from the master); a fixed-seed throwaway rng keeps
+  // the caller's stream untouched.
   std::vector<std::unique_ptr<models::Model>> replicas;
   std::vector<models::Model*> slot_models = {model_.get()};
   util::Rng replica_rng(0x51ced0c5u);
   const int workers =
-      factory_ ? std::min(config_.threads, util::Parallelizer::kSlots) : 1;
+      factory_ ? std::min(exec.num_threads(), util::Parallelizer::kSlots) : 1;
   for (int w = 1; w < workers; ++w) {
     replicas.push_back(factory_(&replica_rng));
     slot_models.push_back(replicas.back().get());
@@ -177,18 +175,16 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
       double loss = 0.0;
       {
         obs::PhaseSpan span("m_step", &result.phase_seconds.m_step);
-        loss = sharded
-                   ? RunMinibatchEpochSharded(
-                         train, qf_, weights, config_.batch_size, model_.get(),
-                         slot_models, optimizer.get(), rng, &exec)
-                   : RunMinibatchEpoch(train, qf_, weights, config_.batch_size,
-                                       model_.get(), optimizer.get(), rng);
+        loss = RunMinibatchEpochSharded(train, qf_, weights,
+                                        config_.batch_size, model_.get(),
+                                        slot_models, optimizer.get(), rng,
+                                        &exec);
       }
       result.loss_curve.push_back(loss);
       {
         obs::PhaseSpan span("confusion", &result.phase_seconds.confusion);
         UpdateConfusions(qf_, annotations, config_.confusion_smoothing,
-                         &confusions_, sharded ? &exec : nullptr);
+                         &confusions_, &exec);
       }
 
       // ---- Pseudo-E-step: q_a (Eq. 13), q_b (Eq. 15), q_f (Eq. 9).

@@ -40,14 +40,12 @@ struct LogicLnclConfig {
   int patience = 5;
   double confusion_smoothing = 0.01;
   nn::OptimizerConfig optimizer;
-  // Intra-model parallelism (see DESIGN.md §5).
-  //   0  — legacy serial training path (the historical trajectory).
-  //  >=1 — deterministic sharded path with that many threads: the E-step,
-  //        the confusion M-step, and minibatch gradient accumulation run
-  //        over fixed slot partitions with fixed-order reductions, so
-  //        results are bit-identical for every threads >= 1 setting.
-  //        threads = 1 runs the same sharded trajectory serially.
-  int threads = 0;
+  // Intra-model threads (see DESIGN.md §5). The E-step, the confusion
+  // M-step, and minibatch gradient accumulation run over fixed slot
+  // partitions with fixed-order reductions, so the fit is bit-identical for
+  // every setting; more threads only run the slots concurrently. A value
+  // below 1 runs one thread.
+  int threads = 1;
   // E-step chunk size: true runs each slot's instances through one
   // PredictBatch / ProjectBatch call, false one instance per call (the
   // benches' per-instance baseline). There is one E-step body either way,
@@ -127,7 +125,7 @@ class LogicLncl {
   // it, and hands both over. `replica_factory` (optional) builds
   // architecture-matched replicas, one per training thread beyond the first
   // when config.threads > 1; without it the master trains alone. Either way
-  // the fit is the same sharded trajectory (config.threads >= 1).
+  // the fit is the same trajectory.
   LogicLncl(LogicLnclConfig config, std::unique_ptr<models::Model> model,
             const logic::RuleProjector* projector,
             models::ModelFactory replica_factory = nullptr);

@@ -11,32 +11,6 @@
 
 namespace lncl::core {
 
-double RunMinibatchEpoch(const data::Dataset& dataset,
-                         const std::vector<util::Matrix>& targets,
-                         const std::vector<float>& weights, int batch_size,
-                         models::Model* model, nn::Optimizer* optimizer,
-                         util::Rng* rng) {
-  LNCL_DCHECK(static_cast<int>(targets.size()) == dataset.size());
-  std::vector<int> order(dataset.size());
-  std::iota(order.begin(), order.end(), 0);
-  rng->Shuffle(&order);
-
-  const std::vector<nn::Parameter*> params = model->Params();
-  double total_loss = 0.0;
-  int in_batch = 0;
-  for (int idx : order) {
-    const float w = weights.empty() ? 1.0f : weights[idx];
-    model->ForwardTrain(dataset.instances[idx], rng);
-    total_loss += model->BackwardSoftTarget(targets[idx], w);
-    if (++in_batch == batch_size) {
-      optimizer->Step(params);
-      in_batch = 0;
-    }
-  }
-  if (in_batch > 0) optimizer->Step(params);
-  return dataset.size() > 0 ? total_loss / dataset.size() : 0.0;
-}
-
 namespace {
 
 // splitmix64 finalizer; decorrelates per-instance dropout seeds.
@@ -190,46 +164,31 @@ void UpdateConfusions(const std::vector<util::Matrix>& qf,
     confusions->assign(num_annotators, crowd::ConfusionMatrix(k, 0.7));
   }
   for (auto& pi : *confusions) pi.matrix().Zero();
-  if (exec == nullptr) {
-    for (int i = 0; i < annotations.num_instances(); ++i) {
+  // Per-slot count buffers over a fixed static partition of the instances,
+  // merged in slot order.
+  constexpr int kSlots = util::Parallelizer::kSlots;
+  std::vector<std::vector<util::Matrix>> acc(kSlots);
+  exec->RunSlots(kSlots, [&](int s) {
+    LNCL_TRACE_SPAN_ARG("confusion_shard", "slot", s);
+    acc[s].assign(num_annotators, util::Matrix(k, k));
+    const auto [b, e_end] = util::Parallelizer::SlotRange(
+        annotations.num_instances(), s, kSlots);
+    for (int i = b; i < e_end; ++i) {
       const util::Matrix& q = qf[i];
       for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
+        util::Matrix& counts = acc[s][e.annotator];
         for (size_t t = 0; t < e.labels.size(); ++t) {
           const int row = static_cast<int>(t);
           for (int m = 0; m < k; ++m) {
-            (*confusions)[e.annotator](m, e.labels[t]) += q(row, m);
+            counts(m, e.labels[t]) += q(row, m);
           }
         }
       }
     }
-  } else {
-    // Sharded accumulation: per-slot count buffers over a fixed static
-    // partition of the instances, merged in slot order.
-    constexpr int kSlots = util::Parallelizer::kSlots;
-    std::vector<std::vector<util::Matrix>> acc(kSlots);
-    exec->RunSlots(kSlots, [&](int s) {
-      LNCL_TRACE_SPAN_ARG("confusion_shard", "slot", s);
-      acc[s].assign(num_annotators, util::Matrix(k, k));
-      const auto [b, e_end] = util::Parallelizer::SlotRange(
-          annotations.num_instances(), s, kSlots);
-      for (int i = b; i < e_end; ++i) {
-        const util::Matrix& q = qf[i];
-        for (const crowd::AnnotatorLabels& e :
-             annotations.instance(i).entries) {
-          util::Matrix& counts = acc[s][e.annotator];
-          for (size_t t = 0; t < e.labels.size(); ++t) {
-            const int row = static_cast<int>(t);
-            for (int m = 0; m < k; ++m) {
-              counts(m, e.labels[t]) += q(row, m);
-            }
-          }
-        }
-      }
-    });
-    for (int s = 0; s < kSlots; ++s) {
-      for (int a = 0; a < num_annotators; ++a) {
-        (*confusions)[a].matrix().AddScaled(acc[s][a], 1.0f);
-      }
+  });
+  for (int s = 0; s < kSlots; ++s) {
+    for (int a = 0; a < num_annotators; ++a) {
+      (*confusions)[a].matrix().AddScaled(acc[s][a], 1.0f);
     }
   }
   // NormalizeRows audits each matrix row-stochastic (Eq. 12).

@@ -24,31 +24,23 @@ namespace lncl::core {
 // before an optimizer step (Eq. 11). `weights` may be empty (all ones) —
 // when present it carries num(J^(i)) for the weighted objective (Eq. 10).
 // Returns the mean per-instance loss.
-double RunMinibatchEpoch(const data::Dataset& dataset,
-                         const std::vector<util::Matrix>& targets,
-                         const std::vector<float>& weights, int batch_size,
-                         models::Model* model, nn::Optimizer* optimizer,
-                         util::Rng* rng);
-
-// Deterministic sharded variant of RunMinibatchEpoch.
 //
-// Each minibatch is split into util::Parallelizer::kSlots contiguous slots,
-// and each slot sums its instances' gradients from zero into its own
-// gradient buffers. slot_models[0] must be the master; slot_models[1..]
-// (optional, at most kSlots - 1) are replicas with the master's
-// architecture. min(exec threads, slot_models.size()) workers run: worker w
-// trains slot_models[w] on slots w, w + workers, ..., swapping each slot's
-// buffers into its Parameter::grad for the slot. The master then merges the
-// slot losses and gradients in slot-index order and the optimizer steps it;
-// only the replicas of running workers get the new values. Dropout draws
-// come from a per-instance generator keyed by (epoch seed, position in the
+// The epoch is deterministic at any thread count. Each minibatch is split
+// into util::Parallelizer::kSlots contiguous slots, and each slot sums its
+// instances' gradients from zero into its own gradient buffers.
+// slot_models[0] must be the master; slot_models[1..] (optional, at most
+// kSlots - 1) are replicas with the master's architecture.
+// min(exec threads, slot_models.size()) workers run: worker w trains
+// slot_models[w] on slots w, w + workers, ..., swapping each slot's buffers
+// into its Parameter::grad for the slot. The master then merges the slot
+// losses and gradients in slot-index order and the optimizer steps it; only
+// the replicas of running workers get the new values. Dropout draws come
+// from a per-instance generator keyed by (epoch seed, position in the
 // shuffled order), so the sampled masks do not depend on execution order
 // either. The result is bit-identical for any thread count and any number
-// of replicas.
-//
-// Note the training trajectory differs from RunMinibatchEpoch's (different
-// dropout stream and summation order); the two are separate, individually
-// deterministic code paths.
+// of replicas. With a one-thread util::Parallelizer and the master alone
+// (how the baselines call it) the slots run back to back on the calling
+// thread.
 double RunMinibatchEpochSharded(const data::Dataset& dataset,
                                 const std::vector<util::Matrix>& targets,
                                 const std::vector<float>& weights,
@@ -71,15 +63,14 @@ util::Matrix ComputeQa(const util::Matrix& probs,
                        const std::vector<util::Matrix>& log_confusions);
 
 // Closed-form confusion-matrix update from soft truth estimates — Eq. 12.
-// `smoothing` is an additive pseudo-count before row normalization.
-// When `exec` is non-null the per-instance counts are accumulated into
-// util::Parallelizer::kSlots per-slot buffers and merged in slot order —
-// deterministic for any thread count, but a different (fixed) summation
-// order than the serial exec == nullptr path.
+// `smoothing` is an additive pseudo-count before row normalization. The
+// per-instance counts are accumulated into util::Parallelizer::kSlots
+// per-slot buffers and merged in slot order, so the result is the same for
+// any thread count of `exec`.
 void UpdateConfusions(const std::vector<util::Matrix>& qf,
                       const crowd::AnnotationSet& annotations,
                       double smoothing, crowd::ConfusionSet* confusions,
-                      util::Parallelizer* exec = nullptr);
+                      util::Parallelizer* exec);
 
 // Early stopping on a dev score with patience, snapshotting the best
 // parameter values. Typical use:

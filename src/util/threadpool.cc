@@ -102,16 +102,6 @@ void ThreadPool::ParallelRun(int n, const std::function<void(int)>& fn) {
               [&] { return st->done.load(std::memory_order_acquire) == n; });
 }
 
-void ThreadPool::ParallelFor(int n, int num_threads,
-                             const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  ThreadPool pool(std::min(n, num_threads <= 0 ? n : num_threads));
-  for (int i = 0; i < n; ++i) {
-    pool.Submit([&fn, i] { fn(i); });
-  }
-  pool.Wait();
-}
-
 Parallelizer::Parallelizer(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
   if (num_threads_ > 1) {

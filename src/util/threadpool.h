@@ -41,10 +41,6 @@ class ThreadPool {
   // the caller participates and can drain the whole range alone.
   void ParallelRun(int n, const std::function<void(int)>& fn);
 
-  // Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  static void ParallelFor(int n, int num_threads,
-                          const std::function<void(int)>& fn);
-
  private:
   void WorkerLoop();
 

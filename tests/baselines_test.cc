@@ -226,17 +226,23 @@ TEST_F(BaselinesTest, CrowdLayerStartsAsPassThrough) {
 }
 
 TEST_F(BaselinesTest, SoftLabelsTwoStageAlsoTrains) {
+  // One 4-epoch fit's dev score swings by several points with its seed, so
+  // the bound holds on the mean over eight fit seeds (s = 0 is seed 22).
   TwoStageConfig config;
   config.epochs = 4;
   config.patience = 4;
   config.hard_labels = false;  // train on the raw MV posterior
   config.optimizer = FastAdam();
-  TwoStage m(config, factory_);
-  Rng rng(22);
   inference::MajorityVote mv;
-  const TwoStageResult result =
-      m.Fit(corpus_.train, *annotations_, mv, corpus_.dev, &rng);
-  EXPECT_GT(result.best_dev_score, 0.6);
+  constexpr int kSeeds = 8;
+  double sum = 0.0;
+  for (int s = 0; s < kSeeds; ++s) {
+    TwoStage m(config, factory_);
+    Rng rng(22 + 1000 * s);
+    sum += m.Fit(corpus_.train, *annotations_, mv, corpus_.dev, &rng)
+               .best_dev_score;
+  }
+  EXPECT_GT(sum / kSeeds, 0.6);
 }
 
 TEST_F(BaselinesTest, DlDnSkipsLowVolumeAnnotators) {

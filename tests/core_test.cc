@@ -106,7 +106,8 @@ TEST(UpdateConfusionsTest, MatchesEq12OnToyData) {
   qf.push_back(q0);
   qf.push_back(q1);
   crowd::ConfusionSet confusions;
-  UpdateConfusions(qf, ann, 0.0, &confusions);
+  util::Parallelizer exec;
+  UpdateConfusions(qf, ann, 0.0, &confusions, &exec);
   EXPECT_NEAR(confusions[0](0, 1), 1.0, 1e-5);
   EXPECT_NEAR(confusions[0](1, 1), 1.0, 1e-5);
 }
@@ -120,7 +121,8 @@ TEST(UpdateConfusionsTest, SoftCountsWeighted) {
   q(0, 1) = 0.25f;
   qf.push_back(q);
   crowd::ConfusionSet confusions;
-  UpdateConfusions(qf, ann, 0.0, &confusions);
+  util::Parallelizer exec;
+  UpdateConfusions(qf, ann, 0.0, &confusions, &exec);
   // Row 0: all mass on reported label 0. Row 1: likewise.
   EXPECT_NEAR(confusions[0](0, 0), 1.0, 1e-5);
   EXPECT_NEAR(confusions[0](1, 0), 1.0, 1e-5);
@@ -187,10 +189,11 @@ TEST(RunMinibatchEpochTest, LossDecreasesOverEpochs) {
   }
   models::LogisticRegression model(2, emb, &rng);
   nn::Adam opt(0.05);
+  util::Parallelizer exec;
   double first = 0.0, last = 0.0;
   for (int epoch = 0; epoch < 15; ++epoch) {
-    const double loss = RunMinibatchEpoch(train, targets, {}, 8, &model, &opt,
-                                          &rng);
+    const double loss = RunMinibatchEpochSharded(train, targets, {}, 8, &model,
+                                                 {&model}, &opt, &rng, &exec);
     if (epoch == 0) first = loss;
     last = loss;
   }
@@ -218,10 +221,11 @@ TEST(RunMinibatchEpochTest, WeightsScaleTheLoss) {
   }
   nn::Sgd opt_a(0.0), opt_b(0.0);  // lr 0: loss measured, params frozen
   Rng ra(1), rb(1);
-  const double plain =
-      RunMinibatchEpoch(train, targets, {}, 1, &a, &opt_a, &ra);
-  const double weighted =
-      RunMinibatchEpoch(train, targets, {5.0f}, 1, &b, &opt_b, &rb);
+  util::Parallelizer exec;
+  const double plain = RunMinibatchEpochSharded(train, targets, {}, 1, &a, {&a},
+                                                &opt_a, &ra, &exec);
+  const double weighted = RunMinibatchEpochSharded(
+      train, targets, {5.0f}, 1, &b, {&b}, &opt_b, &rb, &exec);
   EXPECT_NEAR(weighted, 5.0 * plain, 1e-6);
 }
 
@@ -233,8 +237,9 @@ TEST(UpdateConfusionsTest, SmoothingPullsTowardUniform) {
   q(0, 0) = 1.0f;
   qf.push_back(q);
   crowd::ConfusionSet sharp, smooth;
-  UpdateConfusions(qf, ann, 0.0, &sharp);
-  UpdateConfusions(qf, ann, 10.0, &smooth);
+  util::Parallelizer exec;
+  UpdateConfusions(qf, ann, 0.0, &sharp, &exec);
+  UpdateConfusions(qf, ann, 10.0, &smooth, &exec);
   // With massive smoothing the confusion approaches uniform.
   EXPECT_GT(sharp[0](0, 0), 0.99f);
   EXPECT_NEAR(smooth[0](0, 0), 0.5, 0.05);

@@ -1,10 +1,11 @@
-// Bit-identity regression tests for the deterministic sharded training path
-// (DESIGN.md §5). Training with config.threads = 1 and config.threads = 4
-// must produce byte-for-byte identical final parameters, loss curves, dev
-// curves, posteriors q_f, and confusion estimates: the sharded path always
-// partitions work over Parallelizer::kSlots fixed slots and reduces the
-// per-slot accumulators in slot order, so the thread count only changes who
-// executes a slot, never what is summed in which order.
+// Bit-identity regression tests for the one, deterministic training path
+// (DESIGN.md §5). Training at the default config (one thread) and with
+// config.threads = 3 or 4 must produce byte-for-byte identical final
+// parameters, loss curves, dev curves, posteriors q_f, and confusion
+// estimates: a fit always partitions work over Parallelizer::kSlots fixed
+// slots and reduces the per-slot accumulators in slot order, so the thread
+// count only changes who executes a slot, never what is summed in which
+// order. Golden hashes pin those bits across commits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -125,12 +127,12 @@ std::string FitHash(const FitSnapshot& snap) {
 // Golden hashes pin a fit's bits across commits, where the tests comparing
 // thread counts only look inside one build: the GRU-tagger and TextCnn fits
 // at 1, 3 and 4 threads (at 3 the kSlots = 8 slots do not divide evenly over
-// the workers), at 1 and 4 threads the paths no benchmark workload runs
-// (the per-instance E-step and teacher, the LSTM tagger, the CRF tagger),
-// and at threads = 0 (the serial trajectory of LogicLnclConfig's default,
-// which the table benches run) both plain and instrumented. A change to any
-// of them is a change of training trajectory or of serving numerics; it
-// must be deliberate and re-recorded here.
+// the workers) and at LogicLnclConfig's default, which the table benches
+// run, both plain and instrumented; and at 1 and 4 threads the paths no
+// benchmark workload runs (the per-instance E-step and teacher, the LSTM
+// tagger, the CRF tagger). A change to any of them is a change of training
+// trajectory or of serving numerics; it must be deliberate and re-recorded
+// here.
 struct GoldenHashes {
   const char* fit;           // FitHash
   const char* teacher;       // PredictTeacherBatch, fp32
@@ -248,7 +250,8 @@ class SentimentDeterminismTest : public testing::Test {
   // off the E-step predicts and projects one instance per call, and
   // `teacher` comes from the per-instance PredictTeacher (the Predict and
   // Project wrappers).
-  FitSnapshot RunButRule(int threads, bool replica_factory,
+  // `threads` unset leaves LogicLnclConfig's default.
+  FitSnapshot RunButRule(std::optional<int> threads, bool replica_factory,
                          bool batch_predict = true,
                          obs::RunObserver* observer = nullptr) const {
     core::LogicLnclConfig config;
@@ -258,7 +261,7 @@ class SentimentDeterminismTest : public testing::Test {
     config.k_schedule = core::SentimentKSchedule();
     config.optimizer.kind = "adadelta";
     config.optimizer.lr = 1.0;
-    config.threads = threads;
+    if (threads) config.threads = *threads;
     config.batch_predict = batch_predict;
     config.run_observer = observer;
     Rng rng(1);
@@ -317,16 +320,16 @@ TEST_F(SentimentDeterminismTest, PerInstanceButRuleFitMatchesGoldenHashes) {
   }
 }
 
-TEST_F(SentimentDeterminismTest, SerialButRuleFitMatchesGoldenHashes) {
-  const GoldenHashes golden = {"0b11d0c24d426937", "bd6a8d39e22fbd81",
-                                "1a451d7ad6903992"};
-  ExpectGolden(RunButRule(0, /*replica_factory=*/true), golden, 0);
+TEST_F(SentimentDeterminismTest, DefaultConfigButRuleFitMatchesGoldenHashes) {
+  const int threads = core::LogicLnclConfig().threads;
+  ExpectGolden(RunButRule(std::nullopt, /*replica_factory=*/true),
+               kButRuleGolden, threads);
   SCOPED_TRACE("inside Trace and Prof sessions, with a run log");
   ExpectGolden(Instrumented([this](obs::RunObserver* observer) {
-                 return RunButRule(0, /*replica_factory=*/true,
+                 return RunButRule(std::nullopt, /*replica_factory=*/true,
                                    /*batch_predict=*/true, observer);
                }),
-               golden, 0);
+               kButRuleGolden, threads);
 }
 
 TEST_F(SentimentDeterminismTest, ReplicaFactoryOnlyAddsWorkers) {
@@ -378,7 +381,8 @@ class NerDeterminismTest : public testing::Test {
     projector_ = core::MakeNerRuleProjector();
   }
 
-  static core::LogicLnclConfig Config(int threads) {
+  // `threads` unset leaves LogicLnclConfig's default.
+  static core::LogicLnclConfig Config(std::optional<int> threads) {
     core::LogicLnclConfig config;
     config.epochs = 3;
     config.batch_size = 16;
@@ -387,11 +391,12 @@ class NerDeterminismTest : public testing::Test {
     config.k_schedule = core::NerKSchedule();
     config.optimizer.kind = "adam";
     config.optimizer.lr = 0.002;
-    config.threads = threads;
+    if (threads) config.threads = *threads;
     return config;
   }
 
-  FitSnapshot Run(int threads, const models::ModelFactory& factory,
+  FitSnapshot Run(std::optional<int> threads,
+                  const models::ModelFactory& factory,
                   obs::RunObserver* observer = nullptr) const {
     core::LogicLnclConfig config = Config(threads);
     config.run_observer = observer;
@@ -415,24 +420,24 @@ TEST_F(NerDeterminismTest, OneVsFourThreadsBitIdentical) {
   ExpectBitIdentical(one, four);
 }
 
+// 3-epoch conv+GRU fit with transition rules (dropout 0.5, Adam).
+constexpr GoldenHashes kNerGolden = {"c3b063d358c8e2eb", "6359715677916603",
+                                     "14bbf42fe081fd0f"};
+
 TEST_F(NerDeterminismTest, MatchesGoldenHashes) {
-  // 3-epoch conv+GRU fit with transition rules (dropout 0.5, Adam).
-  const GoldenHashes golden = {"c3b063d358c8e2eb", "6359715677916603",
-                                "14bbf42fe081fd0f"};
   for (const int threads : {1, 3, 4}) {
-    ExpectGolden(Run(threads), golden, threads);
+    ExpectGolden(Run(threads), kNerGolden, threads);
   }
 }
 
-TEST_F(NerDeterminismTest, SerialFitMatchesGoldenHashes) {
-  const GoldenHashes golden = {"5afb0f5432aa9c85", "355f9b5d2bbcc1da",
-                                "6dee95cc91c697f9"};
-  ExpectGolden(Run(0), golden, 0);
+TEST_F(NerDeterminismTest, DefaultConfigFitMatchesGoldenHashes) {
+  const int threads = core::LogicLnclConfig().threads;
+  ExpectGolden(Run(std::nullopt, factory_), kNerGolden, threads);
   SCOPED_TRACE("inside Trace and Prof sessions, with a run log");
   ExpectGolden(Instrumented([this](obs::RunObserver* observer) {
-                 return Run(0, factory_, observer);
+                 return Run(std::nullopt, factory_, observer);
                }),
-               golden, 0);
+               kNerGolden, threads);
 }
 
 TEST_F(NerDeterminismTest, LstmTaggerMatchesGoldenHashes) {

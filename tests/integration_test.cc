@@ -111,30 +111,41 @@ TEST_F(SentimentPipelineTest, ConfusionEstimatesTrackTruth) {
 
 TEST_F(SentimentPipelineTest, WeakSupervisionEndToEnd) {
   // Labeling functions replace the crowd entirely; the same learner must
-  // still beat a plain MV classifier trained on the LF votes.
-  Rng rng(31);
-  const auto functions = crowd::MakeSentimentLabelingFunctions(
-      corpus_.vocab, /*per_class=*/4, /*triggers_each=*/8, /*fire_prob=*/0.9,
-      &rng);
-  const crowd::AnnotationSet lf_ann = crowd::ApplyLabelingFunctions(
-      functions, corpus_.train, 2, &rng);
+  // still beat a plain MV classifier trained on the LF votes. One seed's
+  // labeling functions and fit swing the scores by several points, so the
+  // bounds hold on the means over eight seeds (s = 0 is seed 31).
+  constexpr int kSeeds = 8;
+  double em_acc = 0.0;
+  double gap = 0.0;
+  for (int s = 0; s < kSeeds; ++s) {
+    Rng rng(31 + 1000 * s);
+    const auto functions = crowd::MakeSentimentLabelingFunctions(
+        corpus_.vocab, /*per_class=*/4, /*triggers_each=*/8,
+        /*fire_prob=*/0.9, &rng);
+    const crowd::AnnotationSet lf_ann = crowd::ApplyLabelingFunctions(
+        functions, corpus_.train, 2, &rng);
 
-  core::LogicLncl learner(Config(), factory_, nullptr);
-  learner.Fit(corpus_.train, lf_ann, corpus_.dev, &rng);
-  const double em_acc = eval::Accuracy(
-      [&](const data::Instance& x) { return learner.PredictStudent(x); },
-      corpus_.test);
+    core::LogicLncl learner(Config(), factory_, nullptr);
+    learner.Fit(corpus_.train, lf_ann, corpus_.dev, &rng);
+    em_acc += eval::Accuracy(
+                  [&](const data::Instance& x) {
+                    return learner.PredictStudent(x);
+                  },
+                  corpus_.test) /
+              kSeeds;
+    const auto mv = lf_ann.MajorityVote(
+        inference::ItemsPerInstance(corpus_.train));
+    gap += (eval::PosteriorAccuracy(learner.qf(), corpus_.train) -
+            eval::PosteriorAccuracy(mv, corpus_.train)) /
+           kSeeds;
+  }
   EXPECT_GT(em_acc, 0.65);
 
   // At this miniature scale the EM aggregate can trail raw LF voting by a
   // hair (labeling functions violate the conditional-independence
   // assumption); require it to stay competitive. The larger-scale sweep in
   // bench/ext_weak_supervision shows the positive gap.
-  const double inference =
-      eval::PosteriorAccuracy(learner.qf(), corpus_.train);
-  const auto mv = lf_ann.MajorityVote(
-      inference::ItemsPerInstance(corpus_.train));
-  EXPECT_GT(inference, eval::PosteriorAccuracy(mv, corpus_.train) - 0.03);
+  EXPECT_GT(gap, -0.03);
 }
 
 // ------------------------------------------------------------ NER pipeline

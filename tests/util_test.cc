@@ -583,12 +583,6 @@ TEST(ThreadPoolTest, WaitThenSubmitMore) {
   EXPECT_EQ(counter.load(), 11);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  std::vector<std::atomic<int>> hits(64);
-  ThreadPool::ParallelFor(64, 8, [&hits](int i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolTest, ParallelRunCoversRangeExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(257);
