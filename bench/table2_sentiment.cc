@@ -258,8 +258,8 @@ int Run(int argc, char** argv) {
       std::unique_ptr<models::Model> model = cnn(&rng);
       core::SentimentButRule rule(model.get(), setup.corpus.but_token);
       const core::LogicLnclConfig lcfg = SentimentLnclConfig(scale);
-      // `cnn` doubles as the replica factory: it adds sharded-training
-      // workers when --intra_threads > 1.
+      // `cnn` doubles as the replica factory: it adds training workers when
+      // --intra_threads > 1.
       core::LogicLncl m(lcfg, std::move(model), &rule, cnn);
       m.Fit(train, ann, dev, &rng);
       const double inference = eval::PosteriorAccuracy(m.qf(), train);

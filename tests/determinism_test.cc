@@ -293,8 +293,8 @@ TEST_F(SentimentDeterminismTest, OneVsFourThreadsBitIdentical) {
 }
 
 TEST_F(SentimentDeterminismTest, RepeatedRunsBitIdentical) {
-  // Same thread count twice: the sharded path must also be reproducible
-  // run-to-run (no address-dependent or scheduling-dependent state leaks).
+  // Same thread count twice: a fit must also be reproducible run-to-run
+  // (no address-dependent or scheduling-dependent state leaks).
   const FitSnapshot a = Run(4);
   const FitSnapshot b = Run(4);
   ExpectBitIdentical(a, b);
@@ -333,8 +333,8 @@ TEST_F(SentimentDeterminismTest, DefaultConfigButRuleFitMatchesGoldenHashes) {
 }
 
 TEST_F(SentimentDeterminismTest, ReplicaFactoryOnlyAddsWorkers) {
-  // threads >= 1 always selects the sharded trajectory: without a replica
-  // factory the master trains alone, bit-identically.
+  // A replica factory only adds workers: without one the master trains
+  // alone, bit-identically.
   for (const int threads : {1, 4}) {
     const FitSnapshot with = RunButRule(threads, /*replica_factory=*/true);
     const FitSnapshot without =
