@@ -7,7 +7,6 @@
 #include <iostream>
 #include <sstream>
 
-
 namespace lncl::bench {
 
 Scale SentimentScale(const util::Config& config) {

@@ -122,7 +122,7 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
   std::vector<models::Model*> slot_models = {model_.get()};
   util::Rng replica_rng(0x51ced0c5u);
   const int workers =
-      factory_ ? std::min(exec.num_threads(), util::Parallelizer::kSlots) : 1;
+      factory_ ? std::min(config_.threads, util::Parallelizer::kSlots) : 1;
   for (int w = 1; w < workers; ++w) {
     replicas.push_back(factory_(&replica_rng));
     slot_models.push_back(replicas.back().get());

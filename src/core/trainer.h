@@ -25,22 +25,19 @@ namespace lncl::core {
 // when present it carries num(J^(i)) for the weighted objective (Eq. 10).
 // Returns the mean per-instance loss.
 //
-// The epoch is deterministic at any thread count. Each minibatch is split
-// into util::Parallelizer::kSlots contiguous slots, and each slot sums its
-// instances' gradients from zero into its own gradient buffers.
-// slot_models[0] must be the master; slot_models[1..] (optional, at most
-// kSlots - 1) are replicas with the master's architecture.
-// min(exec threads, slot_models.size()) workers run: worker w trains
-// slot_models[w] on slots w, w + workers, ..., swapping each slot's buffers
-// into its Parameter::grad for the slot. The master then merges the slot
-// losses and gradients in slot-index order and the optimizer steps it; only
-// the replicas of running workers get the new values. Dropout draws come
-// from a per-instance generator keyed by (epoch seed, position in the
+// Each minibatch is split into util::Parallelizer::kSlots contiguous slots,
+// and each slot sums its instances' gradients from zero into its own
+// gradient buffers. slot_models[0] must be the master; slot_models[1..]
+// (optional, at most kSlots - 1) are replicas with the master's
+// architecture. min(exec threads, slot_models.size()) workers run: worker w
+// trains slot_models[w] on slots w, w + workers, ..., swapping each slot's
+// buffers into its Parameter::grad for the slot. The master then merges the
+// slot losses and gradients in slot-index order and the optimizer steps it;
+// only the replicas of running workers get the new values. Dropout draws
+// come from a per-instance generator keyed by (epoch seed, position in the
 // shuffled order), so the sampled masks do not depend on execution order
 // either. The result is bit-identical for any thread count and any number
-// of replicas. With a one-thread util::Parallelizer and the master alone
-// (how the baselines call it) the slots run back to back on the calling
-// thread.
+// of replicas.
 double RunMinibatchEpochSharded(const data::Dataset& dataset,
                                 const std::vector<util::Matrix>& targets,
                                 const std::vector<float>& weights,
