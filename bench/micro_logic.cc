@@ -3,7 +3,9 @@
 // projection, q_a computation, the chain smoother and the confusion update.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/ner_rules.h"
 #include "core/trainer.h"
@@ -78,7 +80,8 @@ void BM_ComputeQa(benchmark::State& state) {
 BENCHMARK(BM_ComputeQa)->Arg(1)->Arg(5)->Arg(20);
 
 // The exact chain smoother behind HMM-Crowd, BSC-seq and CrfTagger: K = 9
-// (the NER BIO tag set), gamma plus the summed pairwise posteriors.
+// (the NER BIO tag set), gamma plus the summed pairwise posteriors, one
+// chain per call (CrfTagger::ForwardTrain's batch of one).
 void BM_ChainForwardBackward(benchmark::State& state) {
   util::Rng rng(5);
   const int t_len = static_cast<int>(state.range(0));
@@ -90,7 +93,8 @@ void BM_ChainForwardBackward(benchmark::State& state) {
   util::Matrix gamma;
   util::Matrix xi_sum(k, k);
   for (auto _ : state) {
-    util::ChainForwardBackward(prior, transition, emission, &gamma, &xi_sum);
+    util::ChainForwardBackward(prior, transition, {&emission, 1}, {&gamma, 1},
+                               &xi_sum);
     benchmark::DoNotOptimize(std::as_const(gamma).data());
     benchmark::DoNotOptimize(std::as_const(xi_sum).data());
     benchmark::ClobberMemory();
@@ -98,6 +102,32 @@ void BM_ChainForwardBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t_len);
 }
 BENCHMARK(BM_ChainForwardBackward)->Arg(8)->Arg(16)->Arg(32);
+
+// The same smoother over a batch, as the aggregators and the rule projector
+// call it: 64 chains of length 8-18, K = 9, xi on. Items are tokens.
+void BM_ChainForwardBackwardBatch(benchmark::State& state) {
+  util::Rng rng(6);
+  const int k = 9;
+  const util::Matrix prior_row = RandomDistributions(1, k, &rng);
+  const util::Vector prior(prior_row.data(), prior_row.data() + k);
+  const util::Matrix transition = RandomDistributions(k, k, &rng);
+  std::vector<util::Matrix> emissions;
+  int64_t tokens = 0;
+  for (int i = 0; i < 64; ++i) {
+    emissions.push_back(RandomDistributions(rng.UniformInt(8, 18), k, &rng));
+    tokens += emissions.back().rows();
+  }
+  std::vector<util::Matrix> gammas(emissions.size());
+  util::Matrix xi_sum(k, k);
+  for (auto _ : state) {
+    util::ChainForwardBackward(prior, transition, emissions, gammas, &xi_sum);
+    benchmark::DoNotOptimize(gammas.data());
+    benchmark::DoNotOptimize(std::as_const(xi_sum).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * tokens);
+}
+BENCHMARK(BM_ChainForwardBackwardBatch);
 
 void BM_UpdateConfusions(benchmark::State& state) {
   util::Rng rng(4);

@@ -29,6 +29,12 @@
 #                      per-thread chain-smoother buffers in inference_test
 #                      with real data races flagged, not just bit-identity
 #                      checked)
+#   portable           -DLNCL_NATIVE_ARCH=OFF: a Release build for the
+#                      baseline x86-64 ISA (SSE2), running the suites that
+#                      pin bits (inference, determinism, util, models,
+#                      logic). The chain smoother's lane vectors and the
+#                      GEMM dispatch then run at SSE2 width, and every
+#                      golden hash must still hold
 #
 # Sanitizer sweeps finish with an explicit run of the batched-prediction
 # equivalence + determinism tests so the PredictBatch bit-identity contract
@@ -55,9 +61,10 @@
 # alone. Each bench exits non-zero when one of its shape checks fails
 # without EXPERIMENTS.md naming it as a deviation, which fails the step.
 #
-#   scripts/check.sh              # lint + smoke + claims + all three sweeps
+#   scripts/check.sh              # lint + smoke + claims + all four sweeps
 #   scripts/check.sh audit        # lint + smoke + claims + audit sweep only
 #   scripts/check.sh thread       # lint + smoke + claims + TSan only
+#   scripts/check.sh portable     # lint + smoke + claims + portable only
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
@@ -148,7 +155,7 @@ done
 rm -rf "$claims"
 trap - EXIT
 
-sweeps=("audit" "address,undefined,float-cast-overflow" "thread")
+sweeps=("audit" "address,undefined,float-cast-overflow" "thread" "portable")
 if [ $# -ge 1 ]; then
   sweeps=("$@")
 fi
@@ -167,6 +174,17 @@ for sweep in "${sweeps[@]}"; do
     cmake -B "$build" -S . -DLNCL_AUDIT=ON -DLNCL_WERROR=ON >/dev/null
     cmake --build "$build" -j "$(nproc)"
     ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
+    continue
+  fi
+  if [ "$sweep" = "portable" ]; then
+    build="build-portable-check"
+    suites="inference_test determinism_test util_test models_test logic_test"
+    echo "===== LNCL_NATIVE_ARCH=OFF (${build}) ====="
+    cmake -B "$build" -S . -DLNCL_NATIVE_ARCH=OFF -DLNCL_WERROR=ON >/dev/null
+    # shellcheck disable=SC2086
+    cmake --build "$build" -j "$(nproc)" --target $suites
+    ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
+      -R "^(${suites// /|})\$"
     continue
   fi
   san="$sweep"

@@ -30,22 +30,27 @@ std::vector<util::Matrix> AnnotationSet::MajorityVote(
   for (size_t i = 0; i < instances_.size(); ++i) {
     const int items = items_per_instance[i];
     util::Matrix q(items, num_classes_);
+    // One data() for the whole matrix: a mutable q(t, y) draws a version
+    // ticket per call.
+    float* const qd = q.data();
     std::vector<int> total(items, 0);
     for (const AnnotatorLabels& e : instances_[i].entries) {
       LNCL_DCHECK(static_cast<int>(e.labels.size()) == items);
       for (int t = 0; t < items; ++t) {
-        q(t, e.labels[t]) += 1.0f;
+        LNCL_DCHECK(e.labels[t] >= 0 && e.labels[t] < num_classes_);
+        qd[t * num_classes_ + e.labels[t]] += 1.0f;
         ++total[t];
       }
     }
     for (int t = 0; t < items; ++t) {
+      float* const row = qd + t * num_classes_;
       if (total[t] == 0) {
         for (int k = 0; k < num_classes_; ++k) {
-          q(t, k) = 1.0f / static_cast<float>(num_classes_);
+          row[k] = 1.0f / static_cast<float>(num_classes_);
         }
       } else {
         const float inv = 1.0f / static_cast<float>(total[t]);
-        for (int k = 0; k < num_classes_; ++k) q(t, k) *= inv;
+        for (int k = 0; k < num_classes_; ++k) row[k] *= inv;
       }
     }
     LNCL_AUDIT_SIMPLEX(q);

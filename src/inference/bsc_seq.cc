@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 
 #include "crowd/confusion.h"
 #include "util/chain.h"
@@ -36,8 +37,9 @@ std::vector<util::Matrix> BscSeq::Infer(
     set.assign(num_annotators, crowd::ConfusionMatrix(k, 0.7));
   }
 
-  util::Matrix emission;
-  util::Matrix new_gamma;
+  // One group of sentences at a time: their emissions and new marginals.
+  std::array<util::Matrix, util::kChainLanes> emission;
+  std::array<util::Matrix, util::kChainLanes> new_gamma;
   util::Matrix xi_sum(k, k);
   util::Vector lp(k);
   bool have_xi = false;
@@ -91,50 +93,58 @@ std::vector<util::Matrix> BscSeq::Infer(
         tr_a[b] = static_cast<float>(tc_a[b] / row_total);
       }
     }
-    std::array<std::vector<util::Matrix>, 2> log_pis;
-    for (int c = 0; c < 2; ++c) {
-      for (auto& pi : pis[c]) {
+    for (crowd::ConfusionSet& set : pis) {
+      for (auto& pi : set) {
         float* const cnt = pi.matrix().data();
         for (int m = 0; m < k; ++m) {
           cnt[m * k + m] += static_cast<float>(options_.diag_pseudo);
         }
         pi.NormalizeRows(options_.confusion_pseudo);
       }
-      log_pis[c] = crowd::LogConfusions(pis[c]);
     }
+    // Const, so the E-step's per-token data() draws no version ticket.
+    const std::array<std::vector<util::Matrix>, 2> log_pis = {
+        crowd::LogConfusions(pis[0]), crowd::LogConfusions(pis[1])};
 
-    // ---- E-step. ----
+    // ---- E-step, kChainLanes sentences per smoother call. ----
     double delta = 0.0;
     long items = 0;
     xi_sum.Zero();
     have_xi = true;
-    for (int i = 0; i < num_instances; ++i) {
-      const int t_len = items_per_instance[i];
-      const std::vector<crowd::AnnotatorLabels>& entries =
-          annotations.instance(i).entries;
-      emission.ResizeNoZero(t_len, k);
-      float* const em = emission.data();
-      for (int t = 0; t < t_len; ++t) {
-        std::fill(lp.begin(), lp.end(), 0.0f);
-        for (const crowd::AnnotatorLabels& e : entries) {
-          const int c = Context(e.labels, static_cast<size_t>(t));
-          const float* log_pi = log_pis[c][e.annotator].data();
-          const int y = e.labels[t];
-          for (int m = 0; m < k; ++m) lp[m] += log_pi[m * k + y];
+    for (int i0 = 0; i0 < num_instances; i0 += util::kChainLanes) {
+      const int group = std::min(util::kChainLanes, num_instances - i0);
+      for (int j = 0; j < group; ++j) {
+        const int t_len = items_per_instance[i0 + j];
+        const std::vector<crowd::AnnotatorLabels>& entries =
+            annotations.instance(i0 + j).entries;
+        emission[j].ResizeNoZero(t_len, k);
+        float* const em = emission[j].data();
+        for (int t = 0; t < t_len; ++t) {
+          std::fill(lp.begin(), lp.end(), 0.0f);
+          for (const crowd::AnnotatorLabels& e : entries) {
+            const int c = Context(e.labels, static_cast<size_t>(t));
+            const float* log_pi = log_pis[c][e.annotator].data();
+            const int y = e.labels[t];
+            for (int m = 0; m < k; ++m) lp[m] += log_pi[m * k + y];
+          }
+          float mx = lp[0];
+          for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
+          for (int m = 0; m < k; ++m) em[t * k + m] = std::exp(lp[m] - mx);
         }
-        float mx = lp[0];
-        for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-        for (int m = 0; m < k; ++m) em[t * k + m] = std::exp(lp[m] - mx);
       }
-      util::ChainForwardBackward(prior, transition, emission, &new_gamma,
-                                 &xi_sum);
-      const float* const ng = new_gamma.data();
-      float* const g = gamma[i].data();
-      for (int idx = 0; idx < t_len * k; ++idx) {
-        delta += std::fabs(ng[idx] - g[idx]);
-        g[idx] = ng[idx];
+      util::ChainForwardBackward(prior, transition,
+                                 std::span(emission).first(group),
+                                 std::span(new_gamma).first(group), &xi_sum);
+      for (int j = 0; j < group; ++j) {
+        const int t_len = items_per_instance[i0 + j];
+        const float* const ng = new_gamma[j].data();
+        float* const g = gamma[i0 + j].data();
+        for (int idx = 0; idx < t_len * k; ++idx) {
+          delta += std::fabs(ng[idx] - g[idx]);
+          g[idx] = ng[idx];
+        }
+        items += t_len;
       }
-      items += t_len;
     }
     if (items > 0 && delta / static_cast<double>(items * k) < options_.tol) {
       break;

@@ -1,4 +1,7 @@
 #include "inference/truth_inference.h"
+
+#include <algorithm>
+
 #include "util/check.h"
 
 
@@ -46,9 +49,12 @@ std::vector<util::Matrix> UnflattenPosteriors(
   for (int i = 0; i < num_instances; ++i) {
     const int items = view.begin[i + 1] - view.begin[i];
     util::Matrix m(items, view.num_classes);
+    // One data() per matrix: a mutable m(t, k) draws a version ticket.
+    float* const md = m.data();
     for (int t = 0; t < items; ++t) {
       const util::Vector& p = posterior[view.begin[i] + t];
-      for (int k = 0; k < view.num_classes; ++k) m(t, k) = p[k];
+      LNCL_DCHECK(static_cast<int>(p.size()) == view.num_classes);
+      std::copy_n(p.data(), view.num_classes, md + t * view.num_classes);
     }
     LNCL_AUDIT_SIMPLEX(m);
     out.push_back(std::move(m));

@@ -27,23 +27,21 @@ void SequenceRuleProjector::ProjectBatch(
   }
   LNCL_AUDIT_FINITE(psi);
 
-  // The shared chain smoother under a unit prior: prior * q(0, .) is q(0, .)
-  // exactly, so these are the marginals of the chain MRF above.
-  const util::Vector ones(k, 1.0f);
-  util::Matrix out;
-  for (util::Matrix& q : *qs) {
+  // Input rows are unary potentials, not necessarily normalized (the DP
+  // renormalizes at every step) — so only finiteness is contracted here;
+  // the output marginals below must be exact simplexes.
+  for (const util::Matrix& q : *qs) {
     LNCL_DCHECK(q.cols() == k);
-    // Input rows are unary potentials, not necessarily normalized (the DP
-    // renormalizes at every step) — so only finiteness is contracted here;
-    // the output marginals below must be exact simplexes.
     LNCL_AUDIT_FINITE(q);
-    if (q.rows() == 0) continue;
-    util::ChainForwardBackward(ones, psi, q, &out, nullptr);
-    // Eqs. 18-19: the forward-backward marginals must come out normalized
-    // (each token's row a simplex) and finite.
-    LNCL_AUDIT_SIMPLEX(out);
-    q = out;  // same shape: the copy reuses q's buffer
   }
+  // The shared chain smoother under a unit prior, the whole batch in place:
+  // prior * q(0, .) is q(0, .) exactly, so these are the marginals of the
+  // chain MRF above.
+  const util::Vector ones(k, 1.0f);
+  util::ChainForwardBackward(ones, psi, *qs, *qs, nullptr);
+  // Eqs. 18-19: the forward-backward marginals must come out normalized
+  // (each token's row a simplex) and finite.
+  for (const util::Matrix& q : *qs) LNCL_AUDIT_SIMPLEX(q);
 }
 
 util::Matrix SequenceRuleProjector::ProjectBruteForce(const util::Matrix& q,

@@ -100,14 +100,17 @@ void CrfTagger::BuildPotentials(const util::Matrix& unary,
 void CrfTagger::PredictBatch(const std::vector<const data::Instance*>& xs,
                              std::vector<util::Matrix>* out) const {
   out->resize(xs.size());
-  util::Matrix unary, transition_potential, emission;
+  util::Matrix unary, transition_potential;
   util::Vector prior;
+  // Each output first holds its sentence's emissions; the prior and the
+  // transition potentials depend on the weights alone, so every sentence
+  // builds the same ones. Then one smoother call for the batch, in place.
   for (size_t i = 0; i < xs.size(); ++i) {
     UnaryForward(*xs[i], &unary);
-    BuildPotentials(unary, &prior, &transition_potential, &emission);
-    util::ChainForwardBackward(prior, transition_potential, emission,
-                               &(*out)[i], nullptr);
+    BuildPotentials(unary, &prior, &transition_potential, &(*out)[i]);
   }
+  util::ChainForwardBackward(prior, transition_potential, *out, *out,
+                             nullptr);
 }
 
 std::vector<int> CrfTagger::Decode(const data::Instance& x) const {
@@ -134,8 +137,8 @@ const util::Matrix& CrfTagger::ForwardTrain(const data::Instance& x,
   util::Matrix transition_potential, emission;
   BuildPotentials(cache_.unary, &prior, &transition_potential, &emission);
   cache_.xi_sum.Resize(config_.num_classes, config_.num_classes);
-  util::ChainForwardBackward(prior, transition_potential, emission,
-                             &cache_.marginals, &cache_.xi_sum);
+  util::ChainForwardBackward(prior, transition_potential, {&emission, 1},
+                             {&cache_.marginals, 1}, &cache_.xi_sum);
   return cache_.marginals;
 }
 

@@ -3,123 +3,270 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace lncl::util {
 
 namespace {
 
-// The smoother's scratch: alpha and beta messages (T x K, row-major) and
-// one K (gamma) or K x K (xi) row. It only grows, so once a thread has seen
-// its longest chain a call does no heap work. Per thread because the CRF
-// tagger runs the smoother from the parallel E-step.
-struct ChainScratch {
-  std::vector<double> alpha;
-  std::vector<double> beta;
-  std::vector<double> row;
+// One value per lane: W doubles, W floats, and the W-wide integers a
+// comparison of two double values yields. At width kChainLanes these are
+// GCC/Clang vector extensions: each operator acts lane by lane with the
+// IEEE semantics of its scalar form, and the target picks the registers
+// (AVX-512, AVX2, SSE2 or scalar). At width 1 they are plain scalars, so
+// the compiler vectorizes a lone chain's loops over its states instead.
+// Vectors never pass by value (the lane helpers take references and
+// pointers): a 64-byte vector argument changes the ABI without AVX-512
+// (-Wpsabi).
+template <int W>
+struct Lanes;
+template <>
+struct Lanes<1> {
+  using D = double;
+  using F = float;
+  using I = int64_t;
+};
+template <>
+struct Lanes<kChainLanes> {
+  typedef double D __attribute__((vector_size(8 * kChainLanes)));
+  typedef float F __attribute__((vector_size(4 * kChainLanes)));
+  typedef int64_t I __attribute__((vector_size(8 * kChainLanes)));
 };
 
-void Grow(std::vector<double>* v, size_t n) {
+// Lane l of a lane value; a scalar is its own only lane.
+template <typename V>
+auto GetLane(const V& v, [[maybe_unused]] int l) {
+  if constexpr (std::is_arithmetic_v<V>) {
+    return v;
+  } else {
+    return v[l];
+  }
+}
+
+template <typename V, typename T>
+void SetLane(V* v, [[maybe_unused]] int l, T x) {
+  if constexpr (std::is_arithmetic_v<V>) {
+    *v = x;
+  } else {
+    (*v)[l] = x;
+  }
+}
+
+// *to = from converted lane by lane (float <-> double).
+template <typename To, typename From>
+void Cast(const From& from, To* to) {
+  if constexpr (std::is_arithmetic_v<From>) {
+    *to = static_cast<To>(from);
+  } else {
+    *to = __builtin_convertvector(from, To);
+  }
+}
+
+// One group's lane-major buffers, [step][state] of lane values: the
+// emissions (then the gamma output), the alpha and beta messages, one
+// step's K x K xi terms (or K gamma terms), and every step's xi quotients
+// and totals. They only grow, so once a thread has seen its longest group
+// a call does no heap work.
+template <int W>
+struct LaneScratch {
+  std::vector<typename Lanes<W>::F> em;
+  std::vector<typename Lanes<W>::D> alpha;
+  std::vector<typename Lanes<W>::D> beta;
+  std::vector<typename Lanes<W>::D> row;
+  std::vector<typename Lanes<W>::F> xi;
+  std::vector<typename Lanes<W>::D> total;
+};
+
+template <typename T>
+void Grow(std::vector<T>* v, size_t n) {
   if (v->size() < n) v->resize(n);
 }
 
-}  // namespace
+// Smooths chains [0, n) of `emissions` (n <= W) into `gammas`, lane l
+// holding chain l. Every lane repeats the one-chain recursions operand for
+// operand: the forward sums run over the previous state in ascending order
+// from 0.0 and then meet the widened emission; the backward terms are
+// (double)(transition * emission) * beta, the float product first; the xi
+// terms are ((alpha * transition) * emission) * beta, totalled in
+// row-major order; a row summing to <= 1e-300 becomes uniform; the gamma
+// and xi quotients are double divisions rounded to float.
+template <int W>
+void SmoothLanes(const Vector& prior, const Matrix& transition,
+                 const Matrix* emissions, Matrix* gammas, int n,
+                 Matrix* xi_sum) {
+  using D = typename Lanes<W>::D;
+  using F = typename Lanes<W>::F;
+  using I = typename Lanes<W>::I;
+  const int k = transition.rows();
+  const size_t kk = static_cast<size_t>(k);
+  int len[W] = {};
+  int t_len = 0;
+  for (int l = 0; l < n; ++l) {
+    LNCL_DCHECK(emissions[l].cols() == k);
+    len[l] = emissions[l].rows();
+    t_len = std::max(t_len, len[l]);
+  }
 
-void ChainForwardBackward(const Vector& prior,
-                          const Matrix& transition,
-                          const Matrix& emission, Matrix* gamma,
-                          Matrix* xi_sum) {
-  const int t_len = emission.rows();
-  const int k = emission.cols();
-  LNCL_DCHECK(static_cast<int>(prior.size()) == k);
-  LNCL_DCHECK(transition.rows() == k && transition.cols() == k);
-  gamma->ResizeNoZero(t_len, k);
+  thread_local LaneScratch<W> scratch;
+  const size_t cells = static_cast<size_t>(t_len) * kk;
+  Grow(&scratch.em, cells);
+  Grow(&scratch.alpha, cells);
+  Grow(&scratch.beta, cells);
+  Grow(&scratch.row, kk * kk);
+  F* const em = scratch.em.data();
+  D* const alpha = scratch.alpha.data();
+  D* const beta = scratch.beta.data();
+  D* const row = scratch.row.data();
+  const float* const tr = transition.data();
+
+  // Gather the emissions lane-major, padding past each chain's end with 1
+  // (lanes l >= n hold no chain and are all padding). Only then resize the
+  // outputs: gammas[l] may be emissions[l].
+  for (int l = 0; l < W; ++l) {
+    const size_t end = static_cast<size_t>(len[l]) * kk;
+    const float* const src = l < n ? emissions[l].data() : nullptr;
+    for (size_t i = 0; i < end; ++i) SetLane(&em[i], l, src[i]);
+    for (size_t i = end; i < cells; ++i) SetLane(&em[i], l, 1.0f);
+  }
+  for (int l = 0; l < n; ++l) gammas[l].ResizeNoZero(len[l], k);
   if (t_len == 0) return;
 
-  thread_local ChainScratch scratch;
-  const size_t kk = static_cast<size_t>(k);
-  Grow(&scratch.alpha, t_len * kk);
-  Grow(&scratch.beta, t_len * kk);
-  Grow(&scratch.row, kk * kk);
-  double* const alpha = scratch.alpha.data();
-  double* const beta = scratch.beta.data();
-  double* const row = scratch.row.data();
-  const float* const tr = transition.data();
-  const float* const em = emission.data();
-
-  const auto normalize = [k](double* v) {
-    double sum = 0.0;
+  const D ones = D{} + 1.0;
+  const D uniform = D{} + 1.0 / k;
+  const auto normalize = [k, &ones, &uniform](D* v) {
+    D sum = {};
     for (int m = 0; m < k; ++m) sum += v[m];
-    if (sum <= 1e-300) {
-      for (int m = 0; m < k; ++m) v[m] = 1.0 / k;
-    } else {
-      for (int m = 0; m < k; ++m) v[m] /= sum;
-    }
+    // The quotient of a uniform lane is discarded; dividing it by 1 keeps
+    // a 0/0 out of the lanes.
+    const I tiny = sum <= 1e-300;
+    const D divisor = tiny ? ones : sum;
+    for (int m = 0; m < k; ++m) v[m] = tiny ? uniform : v[m] / divisor;
   };
 
   // prior * emission is a float product, widened afterwards.
-  for (int m = 0; m < k; ++m) alpha[m] = prior[m] * em[m];
+  for (int m = 0; m < k; ++m) Cast(prior[m] * em[m], &alpha[m]);
   normalize(alpha);
   for (int t = 1; t < t_len; ++t) {
-    const double* prev = alpha + (t - 1) * kk;
-    double* cur = alpha + t * kk;
-    const float* em_t = em + t * kk;
+    const D* prev = alpha + (t - 1) * kk;
+    D* cur = alpha + t * kk;
+    const F* em_t = em + t * kk;
     for (int b = 0; b < k; ++b) {
-      double s = 0.0;
-      for (int a = 0; a < k; ++a) s += prev[a] * tr[a * kk + b];
-      cur[b] = s * em_t[b];
-    }
-    normalize(cur);
-  }
-  std::fill_n(beta + (t_len - 1) * kk, kk, 1.0);
-  for (int t = t_len - 2; t >= 0; --t) {
-    const double* next = beta + (t + 1) * kk;
-    const float* em_next = em + (t + 1) * kk;
-    double* cur = beta + t * kk;
-    for (int a = 0; a < k; ++a) {
-      const float* tr_a = tr + a * kk;
-      double s = 0.0;
-      // transition * emission stays a float product: widening it to double
-      // first would change the bits.
-      for (int b = 0; b < k; ++b) s += tr_a[b] * em_next[b] * next[b];
-      cur[a] = s;
+      D s = {};
+      for (int a = 0; a < k; ++a) {
+        s += prev[a] * static_cast<double>(tr[a * kk + b]);
+      }
+      D e = {};
+      Cast(em_t[b], &e);
+      cur[b] = s * e;
     }
     normalize(cur);
   }
 
-  float* const out = gamma->data();
-  for (int t = 0; t < t_len; ++t) {
-    const double* al = alpha + t * kk;
-    const double* be = beta + t * kk;
-    for (int m = 0; m < k; ++m) row[m] = al[m] * be[m];
-    normalize(row);
-    for (int m = 0; m < k; ++m) out[t * kk + m] = static_cast<float>(row[m]);
+  // A lane's beta is exactly 1 from its chain's last step on, so its
+  // padding never reaches its own steps.
+  I last = {};
+  for (int l = 0; l < W; ++l) SetLane(&last, l, len[l] - 1);
+  std::fill_n(beta + (t_len - 1) * kk, kk, ones);
+  for (int t = t_len - 2; t >= 0; --t) {
+    const D* next = beta + (t + 1) * kk;
+    const F* em_next = em + (t + 1) * kk;
+    D* cur = beta + t * kk;
+    for (int a = 0; a < k; ++a) {
+      const float* tr_a = tr + a * kk;
+      D s = {};
+      for (int b = 0; b < k; ++b) {
+        // transition * emission stays a float product: widening it to
+        // double first would change the bits.
+        D product = {};
+        Cast(tr_a[b] * em_next[b], &product);
+        s += product * next[b];
+      }
+      cur[a] = s;
+    }
+    normalize(cur);
+    const I pinned = t >= last;
+    for (int a = 0; a < k; ++a) cur[a] = pinned ? ones : cur[a];
   }
 
   if (xi_sum != nullptr) {
     LNCL_DCHECK(xi_sum->rows() == k && xi_sum->cols() == k);
-    float* const xs = xi_sum->data();
+    Grow(&scratch.xi, cells * kk);
+    Grow(&scratch.total, static_cast<size_t>(t_len));
+    F* const xi = scratch.xi.data();
+    D* const total = scratch.total.data();
     for (int t = 0; t + 1 < t_len; ++t) {
-      const double* al = alpha + t * kk;
-      const float* em_next = em + (t + 1) * kk;
-      const double* be_next = beta + (t + 1) * kk;
-      double total = 0.0;
+      const D* al = alpha + t * kk;
+      const F* em_next = em + (t + 1) * kk;
+      const D* be_next = beta + (t + 1) * kk;
+      D sum = {};
       for (int a = 0; a < k; ++a) {
         for (int b = 0; b < k; ++b) {
-          const double v =
-              al[a] * tr[a * kk + b] * em_next[b] * be_next[b];
+          D e = {};
+          Cast(em_next[b], &e);
+          const D v = al[a] * static_cast<double>(tr[a * kk + b]) *
+                      e * be_next[b];
           row[a * kk + b] = v;
-          total += v;
+          sum += v;
         }
       }
-      if (total <= 1e-300) continue;
-      for (size_t i = 0; i < kk * kk; ++i) {
-        xs[i] += static_cast<float>(row[i] / total);
+      total[t] = sum;
+      // A step whose total is <= 1e-300 adds nothing (below); dividing its
+      // lane by 1 keeps a 0/0 out of the float conversion.
+      const D divisor = sum <= 1e-300 ? ones : sum;
+      F* const xi_t = xi + t * kk * kk;
+      for (size_t i = 0; i < kk * kk; ++i) Cast(row[i] / divisor, &xi_t[i]);
+    }
+    // Chain by chain, then step by step: the float sums of one-chain calls
+    // made in batch order.
+    float* const xs = xi_sum->data();
+    for (int l = 0; l < n; ++l) {
+      for (int t = 0; t + 1 < len[l]; ++t) {
+        if (GetLane(total[t], l) <= 1e-300) continue;
+        const F* xi_t = xi + t * kk * kk;
+        for (size_t i = 0; i < kk * kk; ++i) xs[i] += GetLane(xi_t[i], l);
       }
     }
   }
+
+  // Gamma overwrites the lane-major emissions, which no pass reads any
+  // more, and is then scattered to the chains.
+  for (int t = 0; t < t_len; ++t) {
+    const D* al = alpha + t * kk;
+    const D* be = beta + t * kk;
+    for (int m = 0; m < k; ++m) row[m] = al[m] * be[m];
+    normalize(row);
+    F* const out = em + t * kk;
+    for (int m = 0; m < k; ++m) Cast(row[m], &out[m]);
+  }
+  for (int l = 0; l < n; ++l) {
+    float* const out = gammas[l].data();
+    const size_t end = static_cast<size_t>(len[l]) * kk;
+    for (size_t i = 0; i < end; ++i) out[i] = GetLane(em[i], l);
+  }
 }
 
+}  // namespace
+
+void ChainForwardBackward(const Vector& prior, const Matrix& transition,
+                          std::span<const Matrix> emissions,
+                          std::span<Matrix> gammas, Matrix* xi_sum) {
+  LNCL_DCHECK(gammas.size() == emissions.size());
+  LNCL_DCHECK(transition.rows() == transition.cols());
+  LNCL_DCHECK(static_cast<int>(prior.size()) == transition.rows());
+  const size_t num_chains = emissions.size();
+  for (size_t g = 0; g < num_chains; g += kChainLanes) {
+    const int n = static_cast<int>(
+        std::min<size_t>(kChainLanes, num_chains - g));
+    if (n == 1) {
+      SmoothLanes<1>(prior, transition, &emissions[g], &gammas[g], n, xi_sum);
+    } else {
+      SmoothLanes<kChainLanes>(prior, transition, &emissions[g], &gammas[g],
+                               n, xi_sum);
+    }
+  }
+}
 
 void ChainViterbi(const Vector& prior, const Matrix& transition,
                   const Matrix& emission, std::vector<int>* path) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -305,13 +307,109 @@ TEST(MaceToyTest, SpamDistributionIgnoredForHonestCrowd) {
 
 // --------------------------------------------------------------- Chain --
 
+// The one-chain smoother the lane kernel replaced, kept as its oracle: the
+// batch entry point must reproduce it bit for bit in every lane.
+void ReferenceChainForwardBackward(const util::Vector& prior,
+                                   const util::Matrix& transition,
+                                   const util::Matrix& emission,
+                                   util::Matrix* gamma, util::Matrix* xi_sum) {
+  const int t_len = emission.rows();
+  const int k = emission.cols();
+  gamma->ResizeNoZero(t_len, k);
+  if (t_len == 0) return;
+  const size_t kk = static_cast<size_t>(k);
+  std::vector<double> alpha(t_len * kk), beta(t_len * kk), row(kk * kk);
+  const float* const tr = transition.data();
+  const float* const em = emission.data();
+
+  const auto normalize = [k](double* v) {
+    double sum = 0.0;
+    for (int m = 0; m < k; ++m) sum += v[m];
+    if (sum <= 1e-300) {
+      for (int m = 0; m < k; ++m) v[m] = 1.0 / k;
+    } else {
+      for (int m = 0; m < k; ++m) v[m] /= sum;
+    }
+  };
+
+  for (int m = 0; m < k; ++m) alpha[m] = prior[m] * em[m];
+  normalize(alpha.data());
+  for (int t = 1; t < t_len; ++t) {
+    const double* prev = alpha.data() + (t - 1) * kk;
+    double* cur = alpha.data() + t * kk;
+    const float* em_t = em + t * kk;
+    for (int b = 0; b < k; ++b) {
+      double s = 0.0;
+      for (int a = 0; a < k; ++a) s += prev[a] * tr[a * kk + b];
+      cur[b] = s * em_t[b];
+    }
+    normalize(cur);
+  }
+  std::fill_n(beta.data() + (t_len - 1) * kk, kk, 1.0);
+  for (int t = t_len - 2; t >= 0; --t) {
+    const double* next = beta.data() + (t + 1) * kk;
+    const float* em_next = em + (t + 1) * kk;
+    double* cur = beta.data() + t * kk;
+    for (int a = 0; a < k; ++a) {
+      const float* tr_a = tr + a * kk;
+      double s = 0.0;
+      for (int b = 0; b < k; ++b) s += tr_a[b] * em_next[b] * next[b];
+      cur[a] = s;
+    }
+    normalize(cur);
+  }
+
+  float* const out = gamma->data();
+  for (int t = 0; t < t_len; ++t) {
+    const double* al = alpha.data() + t * kk;
+    const double* be = beta.data() + t * kk;
+    for (int m = 0; m < k; ++m) row[m] = al[m] * be[m];
+    normalize(row.data());
+    for (int m = 0; m < k; ++m) out[t * kk + m] = static_cast<float>(row[m]);
+  }
+
+  if (xi_sum == nullptr) return;
+  float* const xs = xi_sum->data();
+  for (int t = 0; t + 1 < t_len; ++t) {
+    const double* al = alpha.data() + t * kk;
+    const float* em_next = em + (t + 1) * kk;
+    const double* be_next = beta.data() + (t + 1) * kk;
+    double total = 0.0;
+    for (int a = 0; a < k; ++a) {
+      for (int b = 0; b < k; ++b) {
+        const double v = al[a] * tr[a * kk + b] * em_next[b] * be_next[b];
+        row[a * kk + b] = v;
+        total += v;
+      }
+    }
+    if (total <= 1e-300) continue;
+    for (size_t i = 0; i < kk * kk; ++i) {
+      xs[i] += static_cast<float>(row[i] / total);
+    }
+  }
+}
+
+// Same shape and the same float bits.
+bool SameBits(const util::Matrix& a, const util::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// One chain through the batch entry point.
+void SmoothChain(const util::Vector& prior, const util::Matrix& transition,
+                 const util::Matrix& emission, util::Matrix* gamma,
+                 util::Matrix* xi_sum) {
+  ChainForwardBackward(prior, transition, {&emission, 1}, {gamma, 1}, xi_sum);
+}
+
 TEST(ChainTest, UniformEverythingGivesUniformMarginals) {
   const int k = 3;
   util::Vector prior(k, 1.0f / k);
   util::Matrix transition(k, k, 1.0f / k);
   util::Matrix emission(4, k, 1.0f);
   util::Matrix gamma;
-  ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
+  SmoothChain(prior, transition, emission, &gamma, nullptr);
   for (int t = 0; t < 4; ++t) {
     for (int m = 0; m < k; ++m) EXPECT_NEAR(gamma(t, m), 1.0 / k, 1e-5);
   }
@@ -326,7 +424,7 @@ TEST(ChainTest, StrongEmissionDominates) {
   emission(1, 1) = 1.0f;
   emission(2, 0) = 1.0f;
   util::Matrix gamma;
-  ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
+  SmoothChain(prior, transition, emission, &gamma, nullptr);
   EXPECT_GT(gamma(0, 0), 0.95f);
   EXPECT_GT(gamma(1, 1), 0.95f);
   EXPECT_GT(gamma(2, 0), 0.95f);
@@ -344,7 +442,7 @@ TEST(ChainTest, TransitionSmoothsAmbiguousStep) {
   emission(0, 1) = 0.01f;
   emission(2, 1) = 0.01f;
   util::Matrix gamma;
-  ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
+  SmoothChain(prior, transition, emission, &gamma, nullptr);
   EXPECT_GT(gamma(1, 0), 0.9f);
 }
 
@@ -355,7 +453,7 @@ TEST(ChainTest, XiSumsAccumulate) {
   util::Matrix emission(4, k, 1.0f);
   util::Matrix gamma;
   util::Matrix xi(k, k);
-  ChainForwardBackward(prior, transition, emission, &gamma, &xi);
+  SmoothChain(prior, transition, emission, &gamma, &xi);
   double total = 0.0;
   for (int a = 0; a < k; ++a) {
     for (int b = 0; b < k; ++b) total += xi(a, b);
@@ -363,15 +461,15 @@ TEST(ChainTest, XiSumsAccumulate) {
   EXPECT_NEAR(total, 3.0, 1e-4);  // T-1 pairwise distributions
 }
 
-// A random chain: positive prior and emissions, row-stochastic transitions.
-struct RandomChain {
+// Positive prior and row-stochastic transitions, shared by a batch of
+// chains; entries >= lo.
+struct ChainModel {
   util::Vector prior;
   util::Matrix transition;
-  util::Matrix emission;
 };
 
-RandomChain MakeRandomChain(int t_len, int k, Rng* rng) {
-  RandomChain c;
+ChainModel MakeChainModel(int k, double lo, Rng* rng) {
+  ChainModel c;
   c.prior.resize(k);
   float total = 0.0f;
   for (float& p : c.prior) {
@@ -383,66 +481,143 @@ RandomChain MakeRandomChain(int t_len, int k, Rng* rng) {
   for (int a = 0; a < k; ++a) {
     float row = 0.0f;
     for (int b = 0; b < k; ++b) {
-      c.transition(a, b) = static_cast<float>(rng->Uniform(0.01, 1.0));
+      c.transition(a, b) = static_cast<float>(rng->Uniform(lo, 1.0));
       row += c.transition(a, b);
     }
     for (int b = 0; b < k; ++b) c.transition(a, b) /= row;
   }
-  c.emission = util::Matrix(t_len, k);
+  return c;
+}
+
+// Emissions in [lo, 1).
+util::Matrix MakeEmission(int t_len, int k, double lo, Rng* rng) {
+  util::Matrix emission(t_len, k);
   for (int t = 0; t < t_len; ++t) {
     for (int m = 0; m < k; ++m) {
-      c.emission(t, m) = static_cast<float>(rng->Uniform(1e-3, 1.0));
+      emission(t, m) = static_cast<float>(rng->Uniform(lo, 1.0));
     }
   }
-  return c;
+  return emission;
 }
 
 // Fingerprints of gamma and xi_sum from the reference smoother. Pinned to
 // the operand order of the forward/backward recursions, so a reordering or
 // a widened product (e.g. transition * emission in double) breaks them.
+// The oracle and a batch of one must both hit them.
 TEST(ChainTest, MatchesGoldenHashesOnRandomK9Chain) {
   Rng rng(99);
-  const RandomChain c = MakeRandomChain(23, 9, &rng);
-  util::Matrix gamma;
-  util::Matrix xi(9, 9);
-  ChainForwardBackward(c.prior, c.transition, c.emission, &gamma, &xi);
-  EXPECT_EQ(HashMatrix(gamma), 0xa4a0066b68ee990cull)
-      << std::hex << HashMatrix(gamma);
-  EXPECT_EQ(HashMatrix(xi), 0xe3d61017550e8fe2ull)
-      << std::hex << HashMatrix(xi);
+  const ChainModel c = MakeChainModel(9, 0.01, &rng);
+  const util::Matrix emission = MakeEmission(23, 9, 1e-3, &rng);
+  util::Matrix gamma, oracle_gamma;
+  util::Matrix xi(9, 9), oracle_xi(9, 9);
+  SmoothChain(c.prior, c.transition, emission, &gamma, &xi);
+  ReferenceChainForwardBackward(c.prior, c.transition, emission,
+                                &oracle_gamma, &oracle_xi);
+  for (const util::Matrix* g : {&gamma, &oracle_gamma}) {
+    EXPECT_EQ(HashMatrix(*g), 0xa4a0066b68ee990cull)
+        << std::hex << HashMatrix(*g);
+  }
+  for (const util::Matrix* x : {&xi, &oracle_xi}) {
+    EXPECT_EQ(HashMatrix(*x), 0xe3d61017550e8fe2ull)
+        << std::hex << HashMatrix(*x);
+  }
+}
+
+// Random batches against the one-chain oracle, bit for bit: batch sizes
+// 1-20 (full groups, tails, lone chains), lengths 0-40, K in {2, 3, 9},
+// emissions down to 1e-30 and transitions down to 1e-6, in place and not,
+// xi on and off. Every other batch zeroes one emission row, which takes
+// the uniform-row branch of the forward, backward and gamma passes and
+// drops a step from xi.
+TEST(ChainTest, BatchMatchesOneChainOracleBitForBit) {
+  Rng rng(2024);
+  const int widths[] = {2, 3, 9};
+  for (int trial = 0; trial < 240; ++trial) {
+    const int k = widths[trial % 3];
+    const bool with_xi = trial % 2 == 0;
+    const bool in_place = trial % 4 < 2;
+    const int batch = 1 + rng.UniformInt(20);
+    const ChainModel c = MakeChainModel(k, 1e-6, &rng);
+    std::vector<util::Matrix> emissions;
+    for (int i = 0; i < batch; ++i) {
+      const double lo = rng.Bernoulli(0.5) ? 1e-30 : 1e-3;
+      emissions.push_back(MakeEmission(rng.UniformInt(41), k, lo, &rng));
+    }
+    if (trial % 8 < 4) {
+      util::Matrix& victim = emissions[rng.UniformInt(batch)];
+      if (victim.rows() > 0) {
+        float* row = victim.Row(rng.UniformInt(victim.rows()));
+        std::fill(row, row + k, 0.0f);
+      }
+    }
+
+    std::vector<util::Matrix> oracle(batch);
+    util::Matrix oracle_xi(k, k);
+    for (int i = 0; i < batch; ++i) {
+      ReferenceChainForwardBackward(c.prior, c.transition, emissions[i],
+                                    &oracle[i], with_xi ? &oracle_xi : nullptr);
+    }
+    std::vector<util::Matrix> gammas(batch);
+    util::Matrix xi(k, k);
+    util::Matrix* const xi_out = with_xi ? &xi : nullptr;
+    if (in_place) {
+      gammas = emissions;
+      ChainForwardBackward(c.prior, c.transition, gammas, gammas, xi_out);
+    } else {
+      ChainForwardBackward(c.prior, c.transition, emissions, gammas, xi_out);
+    }
+    for (int i = 0; i < batch; ++i) {
+      EXPECT_EQ(gammas[i].cols(), k);
+      EXPECT_TRUE(SameBits(gammas[i], oracle[i]))
+          << "trial " << trial << " chain " << i << " of " << batch;
+    }
+    EXPECT_TRUE(SameBits(xi, oracle_xi)) << "trial " << trial;
+  }
 }
 
 // The smoother's scratch buffers are per thread and reused across calls of
-// different length and width; results must not depend on which thread ran
-// a chain or what it ran before.
+// different batch size, length and width; results must not depend on which
+// thread ran a batch or what it ran before.
 TEST(ChainTest, ParallelCallsMatchSerialBitForBit) {
   constexpr int kSlots = util::Parallelizer::kSlots;
-  const int shapes[][2] = {{41, 9}, {2, 9}, {37, 9}, {1, 3}, {29, 3}, {0, 9}};
+  // (batch size, K): full groups, tails, lone chains and an empty batch.
+  const int shapes[][2] = {{11, 9}, {1, 9}, {8, 3}, {2, 3}, {19, 9}, {0, 9}};
+  struct Batch {
+    ChainModel model;
+    std::vector<util::Matrix> emissions;
+  };
   Rng rng(5);
-  std::vector<RandomChain> chains;
+  std::vector<Batch> batches;
   for (int s = 0; s < kSlots; ++s) {
-    for (const auto& [t_len, k] : shapes) {
-      chains.push_back(MakeRandomChain(t_len, k, &rng));
+    for (const auto& [size, k] : shapes) {
+      Batch b{MakeChainModel(k, 0.01, &rng), {}};
+      for (int i = 0; i < size; ++i) {
+        b.emissions.push_back(MakeEmission(rng.UniformInt(42), k, 1e-3, &rng));
+      }
+      batches.push_back(std::move(b));
     }
   }
-  const int n = static_cast<int>(chains.size());
-  const auto smooth = [&chains](int i, util::Matrix* gamma, util::Matrix* xi) {
-    const RandomChain& c = chains[i];
-    const int k = c.emission.cols();
+  const int n = static_cast<int>(batches.size());
+  const auto smooth = [&batches](int i, std::vector<util::Matrix>* gammas,
+                                 util::Matrix* xi) {
+    const Batch& b = batches[i];
+    const int k = b.model.transition.rows();
+    gammas->resize(b.emissions.size());
     xi->Resize(k, k);
-    ChainForwardBackward(c.prior, c.transition, c.emission, gamma, xi);
+    ChainForwardBackward(b.model.prior, b.model.transition, b.emissions,
+                         *gammas, xi);
   };
-  std::vector<util::Matrix> serial_gamma(n), serial_xi(n);
+  std::vector<std::vector<util::Matrix>> serial_gamma(n), gamma(n);
+  std::vector<util::Matrix> serial_xi(n), xi(n);
   for (int i = 0; i < n; ++i) smooth(i, &serial_gamma[i], &serial_xi[i]);
 
-  std::vector<util::Matrix> gamma(n), xi(n);
   util::Parallelizer exec(4);
   exec.RunSlots(kSlots, [&](int s) {
     const auto [begin, end] = util::Parallelizer::SlotRange(n, s, kSlots);
     for (int i = begin; i < end; ++i) smooth(i, &gamma[i], &xi[i]);
   });
   for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(HashMatrix(gamma[i]), HashMatrix(serial_gamma[i])) << i;
+    EXPECT_EQ(HashMatrices(gamma[i]), HashMatrices(serial_gamma[i])) << i;
     EXPECT_EQ(HashMatrix(xi[i]), HashMatrix(serial_xi[i])) << i;
   }
 }

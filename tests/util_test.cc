@@ -463,7 +463,8 @@ TEST(ChainForwardBackwardTest, MarginalsMatchBruteForce) {
     }
   }
   Matrix gamma;
-  ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
+  ChainForwardBackward(prior, transition, {&emission, 1}, {&gamma, 1},
+                       nullptr);
 
   std::vector<double> marg(static_cast<size_t>(t_len) * k, 0.0);
   double total = 0.0;
