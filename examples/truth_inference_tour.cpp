@@ -15,10 +15,8 @@
 #include "inference/glad.h"
 #include "inference/hmm_crowd.h"
 #include "inference/ibcc.h"
-#include "inference/mace.h"
 #include "inference/majority_vote.h"
 #include "inference/pm.h"
-#include "inference/zencrowd.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -45,8 +43,6 @@ int main() {
   classifiers.push_back(std::make_unique<inference::DawidSkene>());
   classifiers.push_back(std::make_unique<inference::Glad>());
   classifiers.push_back(std::make_unique<inference::Ibcc>());
-  classifiers.push_back(std::make_unique<inference::Mace>());
-  classifiers.push_back(std::make_unique<inference::ZenCrowd>());
   classifiers.push_back(std::make_unique<inference::Pm>());
   classifiers.push_back(std::make_unique<inference::Catd>());
   for (const auto& method : classifiers) {

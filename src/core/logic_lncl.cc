@@ -232,13 +232,12 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
               projector_->ProjectBatch(xs, &qb, config_.C);
               for (size_t j = 0; j < qa.size(); ++j) {
                 if (observe) slot_stats[slot].Accumulate(qa[j], qb[j]);
-                util::Matrix& qaj = qa[j];
-                const util::Matrix& qbj = qb[j];
-                for (int t = 0; t < qaj.rows(); ++t) {
-                  for (int c = 0; c < qaj.cols(); ++c) {
-                    qaj(t, c) = static_cast<float>((1.0 - k) * qaj(t, c) +
-                                                   k * qbj(t, c));
-                  }
+                LNCL_DCHECK(qb[j].rows() == qa[j].rows() &&
+                            qb[j].cols() == qa[j].cols());
+                float* const a = qa[j].data();
+                const float* const b = qb[j].data();
+                for (size_t e = 0; e < qa[j].size(); ++e) {
+                  a[e] = static_cast<float>((1.0 - k) * a[e] + k * b[e]);
                 }
               }
             }

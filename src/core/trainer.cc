@@ -126,11 +126,13 @@ util::Matrix ComputeQa(const util::Matrix& probs,
   const int items = probs.rows();
   const int k = probs.cols();
   util::Matrix qa(items, k);
+  float* const out = qa.data();
+  util::Vector lp(k);
   for (int t = 0; t < items; ++t) {
-    util::Vector lp(k);
+    const float* const p = probs.Row(t);
     for (int m = 0; m < k; ++m) {
       lp[m] = static_cast<float>(
-          std::log(std::max(static_cast<double>(probs(t, m)), 1e-300)));
+          std::log(std::max(static_cast<double>(p[m]), 1e-300)));
     }
     for (const crowd::AnnotatorLabels& e : annotations.entries) {
       const int y = e.labels[t];
@@ -141,13 +143,14 @@ util::Matrix ComputeQa(const util::Matrix& probs,
     }
     float mx = lp[0];
     for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
+    float* const q = out + static_cast<size_t>(t) * k;
     double sum = 0.0;
     for (int m = 0; m < k; ++m) {
-      qa(t, m) = std::exp(lp[m] - mx);
-      sum += qa(t, m);
+      q[m] = std::exp(lp[m] - mx);
+      sum += q[m];
     }
     const float inv = static_cast<float>(1.0 / sum);
-    for (int m = 0; m < k; ++m) qa(t, m) *= inv;
+    for (int m = 0; m < k; ++m) q[m] *= inv;
   }
   // Eq. 13: the truth posterior is a distribution per item.
   LNCL_AUDIT_SIMPLEX(qa);
@@ -171,17 +174,21 @@ void UpdateConfusions(const std::vector<util::Matrix>& qf,
   exec->RunSlots(kSlots, [&](int s) {
     LNCL_TRACE_SPAN_ARG("confusion_shard", "slot", s);
     acc[s].assign(num_annotators, util::Matrix(k, k));
+    std::vector<float*> counts(num_annotators);
+    for (int a = 0; a < num_annotators; ++a) counts[a] = acc[s][a].data();
     const auto [b, e_end] = util::Parallelizer::SlotRange(
         annotations.num_instances(), s, kSlots);
     for (int i = b; i < e_end; ++i) {
       const util::Matrix& q = qf[i];
+      LNCL_DCHECK(q.cols() == k);
       for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
-        util::Matrix& counts = acc[s][e.annotator];
+        LNCL_DCHECK(static_cast<int>(e.labels.size()) <= q.rows());
+        float* const c = counts[e.annotator];
         for (size_t t = 0; t < e.labels.size(); ++t) {
-          const int row = static_cast<int>(t);
-          for (int m = 0; m < k; ++m) {
-            counts(m, e.labels[t]) += q(row, m);
-          }
+          const int y = e.labels[t];
+          LNCL_DCHECK(y >= 0 && y < k);
+          const float* const qt = q.Row(static_cast<int>(t));
+          for (int m = 0; m < k; ++m) c[m * k + y] += qt[m];
         }
       }
     }

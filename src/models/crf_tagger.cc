@@ -60,11 +60,8 @@ void CrfTagger::UnaryForward(const data::Instance& x,
   fc_.ForwardRows(hidden, unary);
 }
 
-void CrfTagger::BuildPotentials(const util::Matrix& unary,
-                                util::Vector* prior,
-                                util::Matrix* transition_potential,
-                                util::Matrix* emission) const {
-  const int t_len = unary.rows();
+void CrfTagger::BuildChainModel(util::Vector* prior,
+                                util::Matrix* transition_potential) const {
   const int k = config_.num_classes;
   // Global shifts keep the exponentials bounded; per-step constants do not
   // change the chain posteriors.
@@ -74,40 +71,43 @@ void CrfTagger::BuildPotentials(const util::Matrix& unary,
   for (int m = 0; m < k; ++m) {
     (*prior)[m] = std::exp(start_.value(0, m) - start_max);
   }
-  float trans_max = transition_.value(0, 0);
-  for (int a = 0; a < k; ++a) {
-    for (int b = 0; b < k; ++b) {
-      trans_max = std::max(trans_max, transition_.value(a, b));
-    }
+  const float* const scores = transition_.value.data();
+  const size_t kk = static_cast<size_t>(k) * k;
+  const float trans_max = *std::max_element(scores, scores + kk);
+  transition_potential->ResizeNoZero(k, k);
+  float* const potential = transition_potential->data();
+  for (size_t i = 0; i < kk; ++i) {
+    potential[i] = std::exp(scores[i] - trans_max);
   }
-  transition_potential->Resize(k, k);
-  for (int a = 0; a < k; ++a) {
-    for (int b = 0; b < k; ++b) {
-      (*transition_potential)(a, b) =
-          std::exp(transition_.value(a, b) - trans_max);
-    }
-  }
-  emission->Resize(t_len, k);
+}
+
+void CrfTagger::BuildEmission(const util::Matrix& unary,
+                              util::Matrix* emission) const {
+  const int t_len = unary.rows();
+  const int k = config_.num_classes;
+  LNCL_DCHECK(unary.cols() == k);
+  emission->ResizeNoZero(t_len, k);
+  float* const out = emission->data();
   for (int t = 0; t < t_len; ++t) {
-    float row_max = unary(t, 0);
-    for (int m = 1; m < k; ++m) row_max = std::max(row_max, unary(t, m));
-    for (int m = 0; m < k; ++m) {
-      (*emission)(t, m) = std::exp(unary(t, m) - row_max);
-    }
+    const float* const u = unary.Row(t);
+    const float row_max = *std::max_element(u, u + k);
+    float* const e = out + static_cast<size_t>(t) * k;
+    for (int m = 0; m < k; ++m) e[m] = std::exp(u[m] - row_max);
   }
 }
 
 void CrfTagger::PredictBatch(const std::vector<const data::Instance*>& xs,
                              std::vector<util::Matrix>* out) const {
   out->resize(xs.size());
-  util::Matrix unary, transition_potential;
+  // The prior and the transition potentials depend on the weights alone:
+  // built once per batch. Each output first holds its sentence's
+  // emissions, then one smoother call for the batch, in place.
   util::Vector prior;
-  // Each output first holds its sentence's emissions; the prior and the
-  // transition potentials depend on the weights alone, so every sentence
-  // builds the same ones. Then one smoother call for the batch, in place.
+  util::Matrix transition_potential, unary;
+  BuildChainModel(&prior, &transition_potential);
   for (size_t i = 0; i < xs.size(); ++i) {
     UnaryForward(*xs[i], &unary);
-    BuildPotentials(unary, &prior, &transition_potential, &(*out)[i]);
+    BuildEmission(unary, &(*out)[i]);
   }
   util::ChainForwardBackward(prior, transition_potential, *out, *out,
                              nullptr);
@@ -118,7 +118,8 @@ std::vector<int> CrfTagger::Decode(const data::Instance& x) const {
   UnaryForward(x, &unary);
   util::Vector prior;
   util::Matrix transition_potential, emission;
-  BuildPotentials(unary, &prior, &transition_potential, &emission);
+  BuildChainModel(&prior, &transition_potential);
+  BuildEmission(unary, &emission);
   std::vector<int> path;
   util::ChainViterbi(prior, transition_potential, emission, &path);
   return path;
@@ -135,7 +136,8 @@ const util::Matrix& CrfTagger::ForwardTrain(const data::Instance& x,
   fc_.ForwardRows(cache_.hidden, &cache_.unary);
   util::Vector prior;
   util::Matrix transition_potential, emission;
-  BuildPotentials(cache_.unary, &prior, &transition_potential, &emission);
+  BuildChainModel(&prior, &transition_potential);
+  BuildEmission(cache_.unary, &emission);
   cache_.xi_sum.Resize(config_.num_classes, config_.num_classes);
   util::ChainForwardBackward(prior, transition_potential, {&emission, 1},
                              {&cache_.marginals, 1}, &cache_.xi_sum);

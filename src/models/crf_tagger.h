@@ -48,7 +48,8 @@ class CrfTagger : public Model {
     return static_cast<int>(x.tokens.size());
   }
 
-  // One instance at a time: unary scores, then forward-backward.
+  // Unary scores one instance at a time, then one forward-backward call
+  // for the whole batch.
   void PredictBatch(const std::vector<const data::Instance*>& xs,
                     std::vector<util::Matrix>* out) const override;
   const util::Matrix& ForwardTrain(const data::Instance& x,
@@ -70,9 +71,10 @@ class CrfTagger : public Model {
 
   // Potentials for the chain smoother: prior_m = exp(start_m + U(0, m)) is
   // folded as prior x emission; emission rows are exp(U(t, .) - rowmax).
-  void BuildPotentials(const util::Matrix& unary, util::Vector* prior,
-                       util::Matrix* transition_potential,
-                       util::Matrix* emission) const;
+  // The prior and transition potentials depend on the weights alone.
+  void BuildChainModel(util::Vector* prior,
+                       util::Matrix* transition_potential) const;
+  void BuildEmission(const util::Matrix& unary, util::Matrix* emission) const;
 
   // Backprop of dL/dU through the neural pipeline (training cache).
   void BackwardFromUnary(const util::Matrix& grad_unary);

@@ -56,6 +56,8 @@ void TextCnn::PredictBatch(const std::vector<const data::Instance*>& xs,
     instances->Add(xs.size());
   }
 
+  // data() once: a mutable access draws a version ticket.
+  float* const feat_rows = feats.data();
   std::vector<int> tokens;
   for (const LengthBucket& bucket : BucketByLength(xs)) {
     const int batch = static_cast<int>(bucket.members.size());
@@ -84,7 +86,8 @@ void TextCnn::PredictBatch(const std::vector<const data::Instance*>& xs,
       for (int b = 0; b < batch; ++b) {
         nn::MaxOverTimeRange(
             conv_out, b * out_rows, (b + 1) * out_rows,
-            feats.Row(bucket.members[b]) + static_cast<size_t>(wi) * f);
+            feat_rows + static_cast<size_t>(bucket.members[b]) * feat_dim +
+                static_cast<size_t>(wi) * f);
       }
     }
   }
@@ -93,10 +96,11 @@ void TextCnn::PredictBatch(const std::vector<const data::Instance*>& xs,
   // independent, so batch-mates never change a row).
   fc_.ForwardRows(feats, &logits);
   nn::SoftmaxRows(logits, &probs);
+  const util::Matrix& rows = probs;
   for (size_t i = 0; i < xs.size(); ++i) {
     util::Matrix m(1, config_.num_classes);
-    std::copy(probs.Row(static_cast<int>(i)),
-              probs.Row(static_cast<int>(i)) + config_.num_classes, m.Row(0));
+    const float* const p = rows.Row(static_cast<int>(i));
+    std::copy(p, p + config_.num_classes, m.data());
     (*out)[i] = std::move(m);
   }
 }

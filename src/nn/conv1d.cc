@@ -1,6 +1,7 @@
 #include "nn/conv1d.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -141,6 +142,12 @@ void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
   LNCL_DCHECK(out_rows == OutRows(t));
   LNCL_DCHECK(grad_y.cols() == f);
 
+  // Each matrix's data() is taken once: a mutable access draws a version
+  // ticket.
+  LNCL_DCHECK(w_.grad.cols() == k_dim && w_.value.cols() == k_dim);
+  float* const gw_base = w_.grad.data();
+  const float* const w_base = std::as_const(w_.value).data();
+
   // db += column sums of grad_y; count nonzeros on the same pass.
   float* gbias = b_.grad.Row(0);
   int nnz = 0;
@@ -162,7 +169,11 @@ void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
   // the path choice depends only on the data, never on the thread count.
   const bool sparse = static_cast<size_t>(nnz) * 8 < grad_y.size();
   if (sparse) {
-    if (grad_x != nullptr) grad_x->Resize(t, in_dim_);
+    float* gx_base = nullptr;
+    if (grad_x != nullptr) {
+      grad_x->Resize(t, in_dim_);
+      gx_base = grad_x->data();
+    }
     for (int o = 0; o < out_rows; ++o) {
       const float* gout = grad_y.Row(o);
       const int start = WindowStart(o);
@@ -174,11 +185,11 @@ void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
       for (int fi = 0; fi < f; ++fi) {
         const float g = gout[fi];
         if (g == 0.0f) continue;
-        float* gw = w_.grad.Row(fi) + off;
+        float* gw = gw_base + static_cast<size_t>(fi) * k_dim + off;
         for (int k = 0; k < len; ++k) gw[k] += g * xr[k];
-        if (grad_x == nullptr) continue;
-        const float* wr = w_.value.Row(fi) + off;
-        float* gx = grad_x->Row(lo);
+        if (gx_base == nullptr) continue;
+        const float* wr = w_base + static_cast<size_t>(fi) * k_dim + off;
+        float* gx = gx_base + static_cast<size_t>(lo) * in_dim_;
         for (int k = 0; k < len; ++k) gx[k] += g * wr[k];
       }
     }
@@ -190,7 +201,7 @@ void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
   if (interior > 0) {
     util::GemmRaw(f, k_dim, interior, 1.0f, grad_y.Row(ib), f,
                   util::Trans::kYes, x.data(), in_dim_, util::Trans::kNo, 1.0f,
-                  w_.grad.data(), k_dim);
+                  gw_base, k_dim);
   }
   for (int o = 0; o < out_rows; ++o) {
     if (o >= ib && o < ie) continue;
@@ -203,7 +214,7 @@ void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
     const float* xr = x.Row(lo);
     for (int fi = 0; fi < f; ++fi) {
       const float g = gout[fi];
-      float* gw = w_.grad.Row(fi) + off;
+      float* gw = gw_base + static_cast<size_t>(fi) * k_dim + off;
       for (int k = 0; k < len; ++k) gw[k] += g * xr[k];
     }
   }
@@ -213,14 +224,16 @@ void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
   util::Gemm(1.0f, grad_y, util::Trans::kNo, w_.value, util::Trans::kNo, 0.0f,
              &tls_grad_patches);
   grad_x->Resize(t, in_dim_);
+  float* const gx_base = grad_x->data();
+  const util::Matrix& patches = tls_grad_patches;
   for (int o = 0; o < out_rows; ++o) {
     const int start = WindowStart(o);
     const int lo = std::max(0, start);
     const int hi = std::min(t, start + window_);
     const int off = (lo - start) * in_dim_;
     const int len = (hi - lo) * in_dim_;
-    const float* src = tls_grad_patches.Row(o) + off;
-    float* gx = grad_x->Row(lo);
+    const float* src = patches.Row(o) + off;
+    float* gx = gx_base + static_cast<size_t>(lo) * in_dim_;
     for (int k = 0; k < len; ++k) gx[k] += src[k];
   }
 }

@@ -162,12 +162,20 @@ void Gru::Backward(const util::Matrix& x, const Cache& cache,
   tls_dc.ResizeNoZero(t_len, h_dim);
   tls_hprev.ResizeNoZero(t_len, h_dim);  // row t = h_{t-1} (zeros at t=0)
   tls_rh.ResizeNoZero(t_len, h_dim);     // row t = r_t . h_{t-1}
+  // Row t of each is base + t * h_dim; data() once per matrix, as a
+  // mutable access draws a version ticket.
+  float* const dz_base = tls_dz.data();
+  float* const dr_base = tls_dr.data();
+  float* const dc_base = tls_dc.data();
+  float* const hprev_base = tls_hprev.data();
+  float* const rh_base = tls_rh.data();
 
   util::Vector dh_next(h_dim, 0.0f);
   util::Vector dh(h_dim), dz_pre(h_dim), dr_pre(h_dim), dc_pre(h_dim);
   util::Vector drh(h_dim), tmp;
   for (int t = t_len - 1; t >= 0; --t) {
-    float* h_prev = tls_hprev.Row(t);
+    const size_t row = static_cast<size_t>(t) * h_dim;
+    float* h_prev = hprev_base + row;
     if (t > 0) {
       const float* hp = cache.h.Row(t - 1);
       std::copy(hp, hp + h_dim, h_prev);
@@ -191,7 +199,7 @@ void Gru::Backward(const util::Matrix& x, const Cache& cache,
     }
 
     // Candidate branch: c = tanh(Wc x + Uc (r.h_prev) + bc).
-    float* rh = tls_rh.Row(t);
+    float* rh = rh_base + row;
     for (int k = 0; k < h_dim; ++k) rh[k] = r[k] * h_prev[k];
     util::MatVecTrans(uc_.value, dc_pre, &drh);
     for (int k = 0; k < h_dim; ++k) {
@@ -206,9 +214,9 @@ void Gru::Backward(const util::Matrix& x, const Cache& cache,
     util::MatVecTrans(ur_.value, dr_pre, &tmp);
     for (int k = 0; k < h_dim; ++k) dh_next[k] += tmp[k];
 
-    std::copy(dz_pre.begin(), dz_pre.end(), tls_dz.Row(t));
-    std::copy(dr_pre.begin(), dr_pre.end(), tls_dr.Row(t));
-    std::copy(dc_pre.begin(), dc_pre.end(), tls_dc.Row(t));
+    std::copy(dz_pre.begin(), dz_pre.end(), dz_base + row);
+    std::copy(dr_pre.begin(), dr_pre.end(), dr_base + row);
+    std::copy(dc_pre.begin(), dc_pre.end(), dc_base + row);
   }
 
   // Parameter gradients, batched over the whole sequence.
@@ -228,9 +236,10 @@ void Gru::Backward(const util::Matrix& x, const Cache& cache,
   float* gbr = br_.grad.Row(0);
   float* gbc = bc_.grad.Row(0);
   for (int t = 0; t < t_len; ++t) {
-    const float* dz = tls_dz.Row(t);
-    const float* dr = tls_dr.Row(t);
-    const float* dc = tls_dc.Row(t);
+    const size_t row = static_cast<size_t>(t) * h_dim;
+    const float* dz = dz_base + row;
+    const float* dr = dr_base + row;
+    const float* dc = dc_base + row;
     for (int k = 0; k < h_dim; ++k) {
       gbz[k] += dz[k];
       gbr[k] += dr[k];

@@ -42,9 +42,12 @@ void MaxOverTimeBackward(const std::vector<int>& argmax,
                          const util::Vector& grad_out, int rows,
                          util::Matrix* grad_x) {
   LNCL_DCHECK(argmax.size() == grad_out.size());
-  grad_x->Resize(rows, static_cast<int>(grad_out.size()));
-  for (size_t c = 0; c < grad_out.size(); ++c) {
-    (*grad_x)(argmax[c], static_cast<int>(c)) = grad_out[c];
+  const size_t cols = grad_out.size();
+  grad_x->Resize(rows, static_cast<int>(cols));
+  float* const g = grad_x->data();
+  for (size_t c = 0; c < cols; ++c) {
+    LNCL_DCHECK(argmax[c] >= 0 && argmax[c] < rows);
+    g[static_cast<size_t>(argmax[c]) * cols + c] = grad_out[c];
   }
 }
 

@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace lncl::util {
@@ -27,12 +29,15 @@ struct Lanes<1> {
   using D = double;
   using F = float;
   using I = int64_t;
+  using M = int32_t;
 };
 template <>
 struct Lanes<kChainLanes> {
   typedef double D __attribute__((vector_size(8 * kChainLanes)));
   typedef float F __attribute__((vector_size(4 * kChainLanes)));
   typedef int64_t I __attribute__((vector_size(8 * kChainLanes)));
+  // What a comparison of two F values yields.
+  typedef int32_t M __attribute__((vector_size(4 * kChainLanes)));
 };
 
 // Lane l of a lane value; a scalar is its own only lane.
@@ -54,21 +59,85 @@ void SetLane(V* v, [[maybe_unused]] int l, T x) {
   }
 }
 
-// *to = from converted lane by lane (float <-> double).
+// *to = from's lanes as a wider value (float -> double).
+template <typename To, typename From, size_t... L>
+void Widen(const From& from, To* to, std::index_sequence<L...>) {
+  *to = To{from[L]...};
+}
+
+// *to = from converted lane by lane (float <-> double). GCC 12 lowers
+// __builtin_convertvector from 8 floats to 8 doubles as two half-width
+// conversions and a lane insert; the lane list becomes one conversion.
 template <typename To, typename From>
 void Cast(const From& from, To* to) {
   if constexpr (std::is_arithmetic_v<From>) {
     *to = static_cast<To>(from);
+  } else if constexpr (sizeof(To) > sizeof(From)) {
+    Widen(from, to, std::make_index_sequence<kChainLanes>{});
   } else {
     *to = __builtin_convertvector(from, To);
   }
 }
 
+// Whether any lane of v is nonzero.
+template <typename V>
+bool AnyLane(const V& v) {
+  if constexpr (std::is_arithmetic_v<V>) {
+    return v != 0;
+  } else {
+    for (size_t l = 0; l < sizeof(V) / sizeof(v[0]); ++l) {
+      if (v[l] != 0) return true;
+    }
+    return false;
+  }
+}
+
+// out[i] = (float)(row[i] / divisor) for i < n, lane by lane, bit for bit,
+// with one division per lane instead of n. q = row[i] * (1 / divisor) is
+// the rounded quotient or one of its two neighbouring doubles (DESIGN.md
+// §5 has the proof), so where the doubles just below and just above q
+// round to the same float, so does the quotient, and that float is stored.
+// Where they differ in any lane, a float rounding boundary lies within one
+// double of q, and the whole step is redone by division. A zero row gives
+// q == 0, whose lower neighbour is clamped to 0.
+template <int W>
+void Quotients(const typename Lanes<W>::D* row, size_t n,
+               const typename Lanes<W>::D& divisor,
+               typename Lanes<W>::F* out) {
+  using D = typename Lanes<W>::D;
+  using F = typename Lanes<W>::F;
+  using I = typename Lanes<W>::I;
+  // The proven bound, in doubles, between q and the rounded quotient.
+  constexpr int64_t kWindow = 1;
+  const D recip = (D{} + 1.0) / divisor;
+  typename Lanes<W>::M near = {};
+  for (size_t i = 0; i < n; ++i) {
+    const D q = row[i] * recip;
+    I bits;
+    std::memcpy(&bits, &q, sizeof bits);
+    I lo_bits = bits - kWindow;
+    lo_bits = lo_bits < I{} ? I{} : lo_bits;
+    const I hi_bits = bits + kWindow;
+    D lo, hi;
+    std::memcpy(&lo, &lo_bits, sizeof lo);
+    std::memcpy(&hi, &hi_bits, sizeof hi);
+    F f_lo, f_hi;
+    Cast(lo, &f_lo);
+    Cast(hi, &f_hi);
+    near |= f_lo != f_hi;
+    out[i] = f_lo;
+  }
+  if (AnyLane(near)) {
+    for (size_t i = 0; i < n; ++i) Cast(row[i] / divisor, &out[i]);
+  }
+}
+
 // One group's lane-major buffers, [step][state] of lane values: the
 // emissions (then the gamma output), the alpha and beta messages, one
-// step's K x K xi terms (or K gamma terms), and every step's xi quotients
-// and totals. They only grow, so once a thread has seen its longest group
-// a call does no heap work.
+// step's K x K xi terms (or K gamma terms), every step's xi quotients and
+// totals, the transitions widened to double in every lane, and one step's
+// emissions widened to double. They only grow, so once a thread has seen
+// its longest group a call does no heap work.
 template <int W>
 struct LaneScratch {
   std::vector<typename Lanes<W>::F> em;
@@ -77,6 +146,8 @@ struct LaneScratch {
   std::vector<typename Lanes<W>::D> row;
   std::vector<typename Lanes<W>::F> xi;
   std::vector<typename Lanes<W>::D> total;
+  std::vector<typename Lanes<W>::D> tr_wide;
+  std::vector<typename Lanes<W>::D> em_wide;
 };
 
 template <typename T>
@@ -91,7 +162,8 @@ void Grow(std::vector<T>* v, size_t n) {
 // (double)(transition * emission) * beta, the float product first; the xi
 // terms are ((alpha * transition) * emission) * beta, totalled in
 // row-major order; a row summing to <= 1e-300 becomes uniform; the gamma
-// and xi quotients are double divisions rounded to float.
+// quotients are double divisions rounded to float, and the xi quotients
+// are the same floats (Quotients).
 template <int W>
 void SmoothLanes(const Vector& prior, const Matrix& transition,
                  const Matrix* emissions, Matrix* gammas, int n,
@@ -115,11 +187,18 @@ void SmoothLanes(const Vector& prior, const Matrix& transition,
   Grow(&scratch.alpha, cells);
   Grow(&scratch.beta, cells);
   Grow(&scratch.row, kk * kk);
+  Grow(&scratch.tr_wide, kk * kk);
   F* const em = scratch.em.data();
   D* const alpha = scratch.alpha.data();
   D* const beta = scratch.beta.data();
   D* const row = scratch.row.data();
   const float* const tr = transition.data();
+  // (double)transition, exact, in every lane: the forward and xi terms
+  // multiply by it.
+  D* const tr_wide = scratch.tr_wide.data();
+  for (size_t i = 0; i < kk * kk; ++i) {
+    tr_wide[i] = D{} + static_cast<double>(tr[i]);
+  }
 
   // Gather the emissions lane-major, padding past each chain's end with 1
   // (lanes l >= n hold no chain and are all padding). Only then resize the
@@ -155,7 +234,7 @@ void SmoothLanes(const Vector& prior, const Matrix& transition,
     for (int b = 0; b < k; ++b) {
       D s = {};
       for (int a = 0; a < k; ++a) {
-        s += prev[a] * static_cast<double>(tr[a * kk + b]);
+        s += prev[a] * tr_wide[a * kk + b];
       }
       D e = {};
       Cast(em_t[b], &e);
@@ -194,19 +273,20 @@ void SmoothLanes(const Vector& prior, const Matrix& transition,
     LNCL_DCHECK(xi_sum->rows() == k && xi_sum->cols() == k);
     Grow(&scratch.xi, cells * kk);
     Grow(&scratch.total, static_cast<size_t>(t_len));
+    Grow(&scratch.em_wide, kk);
     F* const xi = scratch.xi.data();
     D* const total = scratch.total.data();
+    D* const em_wide = scratch.em_wide.data();
     for (int t = 0; t + 1 < t_len; ++t) {
       const D* al = alpha + t * kk;
       const F* em_next = em + (t + 1) * kk;
       const D* be_next = beta + (t + 1) * kk;
+      for (int b = 0; b < k; ++b) Cast(em_next[b], &em_wide[b]);
       D sum = {};
       for (int a = 0; a < k; ++a) {
         for (int b = 0; b < k; ++b) {
-          D e = {};
-          Cast(em_next[b], &e);
-          const D v = al[a] * static_cast<double>(tr[a * kk + b]) *
-                      e * be_next[b];
+          const D v =
+              al[a] * tr_wide[a * kk + b] * em_wide[b] * be_next[b];
           row[a * kk + b] = v;
           sum += v;
         }
@@ -215,8 +295,7 @@ void SmoothLanes(const Vector& prior, const Matrix& transition,
       // A step whose total is <= 1e-300 adds nothing (below); dividing its
       // lane by 1 keeps a 0/0 out of the float conversion.
       const D divisor = sum <= 1e-300 ? ones : sum;
-      F* const xi_t = xi + t * kk * kk;
-      for (size_t i = 0; i < kk * kk; ++i) Cast(row[i] / divisor, &xi_t[i]);
+      Quotients<W>(row, kk * kk, divisor, xi + t * kk * kk);
     }
     // Chain by chain, then step by step: the float sums of one-chain calls
     // made in batch order.
@@ -268,45 +347,88 @@ void ChainForwardBackward(const Vector& prior, const Matrix& transition,
   }
 }
 
+void ChainQuotients(std::span<const double> rows,
+                    std::span<const double> divisors, std::span<float> out) {
+  const size_t steps = divisors.size();
+  LNCL_CHECK(out.size() == rows.size() &&
+             (steps == 0 ? rows.empty() : rows.size() % steps == 0));
+  if (steps == 0) return;
+  const size_t n = rows.size() / steps;
+  using L = Lanes<kChainLanes>;
+  std::vector<L::D> row(n);
+  std::vector<L::F> q(n);
+  size_t j = 0;
+  for (; j + kChainLanes <= steps; j += kChainLanes) {
+    L::D divisor;
+    for (int l = 0; l < kChainLanes; ++l) {
+      SetLane(&divisor, l, divisors[j + l]);
+      for (size_t i = 0; i < n; ++i) {
+        SetLane(&row[i], l, rows[(j + l) * n + i]);
+      }
+    }
+    Quotients<kChainLanes>(row.data(), n, divisor, q.data());
+    for (int l = 0; l < kChainLanes; ++l) {
+      for (size_t i = 0; i < n; ++i) out[(j + l) * n + i] = GetLane(q[i], l);
+    }
+  }
+  for (; j < steps; ++j) {
+    Quotients<1>(&rows[j * n], n, divisors[j], &out[j * n]);
+  }
+}
+
 void ChainViterbi(const Vector& prior, const Matrix& transition,
                   const Matrix& emission, std::vector<int>* path) {
   const int t_len = emission.rows();
   const int k = emission.cols();
   path->assign(t_len, 0);
   if (t_len == 0) return;
+  const size_t kk = static_cast<size_t>(k);
   auto safe_log = [](double v) { return std::log(std::max(v, 1e-300)); };
-  std::vector<std::vector<double>> delta(t_len, std::vector<double>(k));
-  std::vector<std::vector<int>> back(t_len, std::vector<int>(k, 0));
-  for (int m = 0; m < k; ++m) {
-    delta[0][m] = safe_log(prior[m]) + safe_log(emission(0, m));
-  }
+  // Per thread and grow-only, like the smoother's: [step][state] scores and
+  // backpointers, and the transition logs, taken once per call.
+  thread_local std::vector<double> delta_buf, log_tr_buf;
+  thread_local std::vector<int> back_buf;
+  Grow(&delta_buf, static_cast<size_t>(t_len) * kk);
+  Grow(&back_buf, static_cast<size_t>(t_len) * kk);
+  Grow(&log_tr_buf, kk * kk);
+  double* const delta = delta_buf.data();
+  int* const back = back_buf.data();
+  double* const log_tr = log_tr_buf.data();
+  const float* const tr = transition.data();
+  const float* const em = emission.data();
+  for (size_t i = 0; i < kk * kk; ++i) log_tr[i] = safe_log(tr[i]);
+  for (int m = 0; m < k; ++m) delta[m] = safe_log(prior[m]) + safe_log(em[m]);
   for (int t = 1; t < t_len; ++t) {
+    const double* const prev = delta + (t - 1) * kk;
+    double* const cur = delta + t * kk;
     for (int b = 0; b < k; ++b) {
       double best = -1e300;
       int arg = 0;
       for (int a = 0; a < k; ++a) {
-        const double v = delta[t - 1][a] + safe_log(transition(a, b));
+        const double v = prev[a] + log_tr[a * kk + b];
         if (v > best) {
           best = v;
           arg = a;
         }
       }
-      delta[t][b] = best + safe_log(emission(t, b));
-      back[t][b] = arg;
+      cur[b] = best + safe_log(em[t * kk + b]);
+      back[t * kk + b] = arg;
     }
   }
+  const double* const last = delta + (t_len - 1) * kk;
   int cur = 0;
   double best = -1e300;
   for (int m = 0; m < k; ++m) {
-    if (delta[t_len - 1][m] > best) {
-      best = delta[t_len - 1][m];
+    if (last[m] > best) {
+      best = last[m];
       cur = m;
     }
   }
-  for (int t = t_len - 1; t >= 0; --t) {
+  for (int t = t_len - 1; t > 0; --t) {
     (*path)[t] = cur;
-    cur = back[t][cur];
+    cur = back[t * kk + cur];
   }
+  (*path)[0] = cur;
 }
 
 }  // namespace lncl::util

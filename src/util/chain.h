@@ -40,6 +40,15 @@ inline constexpr int kChainLanes = 8;
 // has the per-lane contract). A group of one chain runs the same kernel at
 // width 1, so a lone chain does not pay for idle lanes.
 //
+// Quotients: a gamma entry is (float)(row[m] / sum) of its step's double
+// row, and a step's xi entries are (float)(row[i] / total) bit for bit,
+// but reached with one division per step: q = row[i] * (1 / total) is the
+// rounded quotient or a neighbouring double, so where q and both its
+// neighbours round to one float, that float is the quotient's; where a
+// float rounding boundary is that near in any lane, the group's step is
+// redone by division (DESIGN.md §5 has the proof; ChainQuotients below is
+// the same step on its own, for tests).
+//
 // Messages are locally renormalized, so long sequences are numerically
 // safe. The scratch is per thread (the CRF tagger smooths from the
 // parallel E-step), holds one group, and only grows. Callers: HMM-Crowd
@@ -51,8 +60,21 @@ void ChainForwardBackward(const Vector& prior, const Matrix& transition,
                           std::span<const Matrix> emissions,
                           std::span<Matrix> gammas, Matrix* xi_sum);
 
+// The xi pass's quotient step on its own: out[j * n + i] =
+// (float)(rows[j * n + i] / divisors[j]) bit for bit, for steps
+// j < divisors.size() of n = rows.size() / divisors.size() terms each.
+// Steps run kChainLanes at a time, one per lane, as a group's lanes do;
+// the last fewer than kChainLanes run one at a time at width 1, as a lone
+// chain does. Rows are >= 0, divisors in [1e-300, 2^1000] and quotients
+// at most 2^1000 (the smoother's totals are above 1e-300 or replaced by
+// 1, and its rows are at most their total).
+void ChainQuotients(std::span<const double> rows,
+                    std::span<const double> divisors, std::span<float> out);
+
 // Viterbi decoding on the same parameterization: returns the most probable
-// state sequence. `path` is resized to emission.rows().
+// state sequence (on ties, the lowest previous state and the lowest final
+// state). `path` is resized to emission.rows(). The score tables are per
+// thread and only grow.
 void ChainViterbi(const Vector& prior, const Matrix& transition,
                   const Matrix& emission, std::vector<int>* path);
 

@@ -19,11 +19,9 @@
 #include "inference/glad.h"
 #include "inference/hmm_crowd.h"
 #include "inference/ibcc.h"
-#include "inference/mace.h"
 #include "inference/majority_vote.h"
 #include "inference/pm.h"
 #include "inference/truth_inference.h"
-#include "inference/zencrowd.h"
 #include "util/chain.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -213,96 +211,6 @@ TEST_F(ClassificationInferenceTest, GladEstimatesAbilityOrdering) {
   }
   ASSERT_GE(best, 0);
   EXPECT_GT(empirical[best].Reliability(), 0.7);
-}
-
-
-TEST_F(ClassificationInferenceTest, MaceBeatsMajorityVote) {
-  MajorityVote mv;
-  Mace mace;
-  EXPECT_GT(RunAccuracy(mace), RunAccuracy(mv));
-}
-
-
-TEST_F(ClassificationInferenceTest, ZenCrowdBeatsMajorityVote) {
-  MajorityVote mv;
-  ZenCrowd zc;
-  EXPECT_GT(RunAccuracy(zc), RunAccuracy(mv));
-}
-
-TEST(ZenCrowdToyTest, ReliabilityOrderingRecovered) {
-  Rng rng(15);
-  const int n = 400;
-  crowd::AnnotationSet ann(n, 3, 3);
-  data::Dataset d;
-  d.num_classes = 3;
-  for (int i = 0; i < n; ++i) {
-    data::Instance x;
-    x.tokens = {1};
-    x.label = rng.UniformInt(3);
-    d.instances.push_back(x);
-    const int truth = d.instances[i].label;
-    auto noisy = [&](double p) {
-      if (rng.Bernoulli(p)) return truth;
-      int other = rng.UniformInt(2);
-      if (other >= truth) ++other;
-      return other;
-    };
-    ann.instance(i).entries.push_back({0, {noisy(0.95)}});
-    ann.instance(i).entries.push_back({1, {noisy(0.7)}});
-    ann.instance(i).entries.push_back({2, {noisy(0.4)}});
-  }
-  ZenCrowd zc;
-  const auto detailed = zc.RunDetailed(ann, std::vector<int>(n, 1));
-  EXPECT_GT(detailed.reliability[0], detailed.reliability[1]);
-  EXPECT_GT(detailed.reliability[1], detailed.reliability[2]);
-  EXPECT_NEAR(detailed.reliability[0], 0.95, 0.07);
-  EXPECT_GT(eval::PosteriorAccuracy(detailed.posteriors, d), 0.9);
-}
-
-TEST(MaceToyTest, DetectsConstantClassSpammer) {
-  Rng rng(8);
-  const int n = 300;
-  crowd::AnnotationSet ann(n, 3, 2);
-  data::Dataset d;
-  d.num_classes = 2;
-  for (int i = 0; i < n; ++i) {
-    data::Instance x;
-    x.tokens = {1};
-    x.label = rng.UniformInt(2);
-    d.instances.push_back(x);
-    const int truth = d.instances[i].label;
-    ann.instance(i).entries.push_back({0, {truth}});  // competent
-    const int noisy = rng.Bernoulli(0.8) ? truth : 1 - truth;
-    ann.instance(i).entries.push_back({1, {noisy}});  // decent
-    ann.instance(i).entries.push_back({2, {1}});      // constant-1 spammer
-  }
-  Mace mace;
-  const auto detailed = mace.RunDetailed(ann, std::vector<int>(n, 1));
-  // MACE's competence is known to be downward-biased (a spamming annotator
-  // can emit the correct label too), so assert the ordering plus loose
-  // absolute bands.
-  // (with only 3 annotators the 100% and 80% annotators are near-
-  // indistinguishable; what matters is that both dominate the spammer)
-  EXPECT_GT(detailed.competence[0], 0.7);
-  EXPECT_GT(detailed.competence[1], detailed.competence[2]);
-  EXPECT_LT(detailed.competence[2], 0.35);
-  EXPECT_GT(eval::PosteriorAccuracy(detailed.posteriors, d), 0.85);
-}
-
-TEST(MaceToyTest, SpamDistributionIgnoredForHonestCrowd) {
-  // Everyone perfect: competence should approach 1 for all.
-  Rng rng(9);
-  const int n = 150;
-  crowd::AnnotationSet ann(n, 4, 3);
-  for (int i = 0; i < n; ++i) {
-    const int truth = rng.UniformInt(3);
-    for (int j = 0; j < 4; ++j) {
-      ann.instance(i).entries.push_back({j, {truth}});
-    }
-  }
-  Mace mace;
-  const auto detailed = mace.RunDetailed(ann, std::vector<int>(n, 1));
-  for (double c : detailed.competence) EXPECT_GT(c, 0.8);
 }
 
 // --------------------------------------------------------------- Chain --
@@ -619,6 +527,269 @@ TEST(ChainTest, ParallelCallsMatchSerialBitForBit) {
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(HashMatrices(gamma[i]), HashMatrices(serial_gamma[i])) << i;
     EXPECT_EQ(HashMatrix(xi[i]), HashMatrix(serial_xi[i])) << i;
+  }
+}
+
+// -------------------------------------------------------- Xi quotients --
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+double FromBits(uint64_t b) {
+  double x;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+uint32_t Bits(float x) {
+  uint32_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// How many doubles apart two nonnegative doubles are.
+uint64_t Steps(double a, double b) {
+  return Bits(a) > Bits(b) ? Bits(a) - Bits(b) : Bits(b) - Bits(a);
+}
+
+// What the smoother's xi quotients must equal: the double quotient rounded
+// to float.
+float Divided(double row, double divisor) {
+  return static_cast<float>(row / divisor);
+}
+
+// A double with a random significand in [2^e, 2^(e+1)).
+double RandomInBinade(int e, Rng* rng) {
+  const uint64_t mantissa = rng->engine()() >> 12;
+  return std::ldexp(1.0 + static_cast<double>(mantissa) * 0x1p-52, e);
+}
+
+// Runs every (rows[i], divisors[i]) pair through util::ChainQuotients in
+// three layouts and expects (float)(rows[i] / divisors[i]) bit for bit:
+//  - all pairs as one-term steps, so kChainLanes pairs share a group (and a
+//    fallback) and a short tail runs at width 1;
+//  - each pair as the one lane of a group whose other lanes divide 1 by 3,
+//    far from any rounding boundary, so the group's fallback is its own;
+//  - each pair as one term of a lone 9-term step whose other terms are
+//    0.3 of its divisor, on the width-1 path.
+void ExpectQuotientsMatchDivision(const std::vector<double>& rows,
+                                  const std::vector<double>& divisors) {
+  const size_t n = rows.size();
+  std::vector<float> out(n);
+  util::ChainQuotients(rows, divisors, out);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(Bits(out[i]), Bits(Divided(rows[i], divisors[i])))
+        << "lanes: " << std::hexfloat << rows[i] << " / " << divisors[i];
+  }
+
+  constexpr int kLanes = util::kChainLanes;
+  std::vector<double> lane_rows(kLanes, 1.0), lane_divisors(kLanes, 3.0);
+  std::vector<float> lane_out(kLanes);
+  constexpr int kTerms = 9;
+  std::vector<double> step_rows(kTerms);
+  std::vector<float> step_out(kTerms);
+  for (size_t i = 0; i < n; ++i) {
+    const float want = Divided(rows[i], divisors[i]);
+    const int lane = static_cast<int>(i % kLanes);
+    lane_rows[lane] = rows[i];
+    lane_divisors[lane] = divisors[i];
+    util::ChainQuotients(lane_rows, lane_divisors, lane_out);
+    ASSERT_EQ(Bits(lane_out[lane]), Bits(want))
+        << "one lane: " << std::hexfloat << rows[i] << " / " << divisors[i];
+    lane_rows[lane] = 1.0;
+    lane_divisors[lane] = 3.0;
+
+    const int term = static_cast<int>(i % kTerms);
+    for (int m = 0; m < kTerms; ++m) step_rows[m] = 0.3 * divisors[i];
+    step_rows[term] = rows[i];
+    util::ChainQuotients(step_rows, {&divisors[i], 1}, step_out);
+    ASSERT_EQ(Bits(step_out[term]), Bits(want))
+        << "lone step: " << std::hexfloat << rows[i] << " / " << divisors[i];
+  }
+}
+
+// The bound the check rests on (DESIGN.md §5): row * (1 / divisor), each
+// product rounded to double, is the rounded quotient or a neighbouring
+// double. Returns the largest distance seen, in doubles.
+uint64_t MaxReciprocalSteps(const std::vector<double>& rows,
+                            const std::vector<double>& divisors) {
+  uint64_t worst = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const double r = 1.0 / divisors[i];
+    worst = std::max(worst, Steps(rows[i] * r, rows[i] / divisors[i]));
+  }
+  return worst;
+}
+
+// Pairs whose quotient lies within a few doubles of a float rounding
+// midpoint (normal and subnormal, ties included), of a power of two, of
+// 2^-126 and of zero, over divisors from 2^-600 to 2^600, 1 (a uniform or
+// padded lane) and the smoother's range. Where the reciprocal product alone
+// rounds to the wrong float (the test asserts there are such pairs, so it
+// would catch a missing or too narrow check), ChainQuotients must still
+// return the division's float.
+TEST(ChainQuotientTest, PairsNearRoundingBoundariesMatchDivision) {
+  Rng rng(1717);
+  std::vector<double> targets = {0.0, 0x1p-126, 0x1p-125, 0x1p-150,
+                                 0x1p-149, 0x1p-126 - 0x1p-150};
+  for (int e = -150; e <= 1; ++e) {
+    targets.push_back(std::ldexp(1.0, e));                    // float
+    targets.push_back(std::ldexp(1.0, e) - std::ldexp(1.0, e - 25));
+  }
+  for (int i = 0; i < 3000; ++i) {
+    // The midpoint above a random normal float in [2^-126, 2).
+    const int e = rng.UniformInt(-126, 0);
+    const float f = static_cast<float>(RandomInBinade(e, &rng));
+    targets.push_back(static_cast<double>(f) + std::ldexp(1.0, e - 24));
+  }
+  for (int i = 0; i < 500; ++i) {
+    // An odd multiple of 2^-150: a midpoint of the subnormal float grid.
+    const int k = i < 4 ? i : rng.UniformInt(1 << 23);
+    targets.push_back((2.0 * k + 1.0) * 0x1p-150);
+  }
+
+  std::vector<double> rows, divisors;
+  for (const double target : targets) {
+    const double ds[] = {1.0, 3.0, 0x1p-40, 0x1p30,
+                         rng.Uniform(0.5, 81.0),
+                         RandomInBinade(rng.UniformInt(-600, 600), &rng)};
+    for (const double d : ds) {
+      const double row = target * d;
+      for (int j = -4; j <= 4; ++j) {
+        if (j < 0 && Bits(row) < static_cast<uint64_t>(-j)) continue;
+        rows.push_back(FromBits(Bits(row) + j));
+        divisors.push_back(d);
+      }
+    }
+  }
+  size_t naive_wrong = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const float naive = static_cast<float>(rows[i] * (1.0 / divisors[i]));
+    naive_wrong += Bits(naive) != Bits(Divided(rows[i], divisors[i]));
+  }
+  EXPECT_GT(naive_wrong, 0u) << "no pair needs the check";
+  EXPECT_EQ(MaxReciprocalSteps(rows, divisors), 1u);
+  ExpectQuotientsMatchDivision(rows, divisors);
+}
+
+// 10^7 random pairs in 9 x 9-term steps, as the smoother's K = 9 xi pass
+// makes them: divisors over 2^-60..2^60 (some exactly 1 or a power of two),
+// rows a log-uniform 2^-160..1 fraction of the divisor or random bits
+// within 2^±150 of it, and some zero rows.
+TEST(ChainQuotientTest, RandomPairsMatchDivision) {
+  Rng rng(4242);
+  constexpr size_t kTerms = 81;
+  constexpr size_t kSteps = 123457;  // 10,000,017 pairs
+  std::vector<double> rows(kSteps * kTerms), divisors(kSteps);
+  for (size_t j = 0; j < kSteps; ++j) {
+    const double u = rng.Uniform();
+    double d = RandomInBinade(rng.UniformInt(-60, 60), &rng);
+    if (u < 0.05) d = 1.0;
+    if (u > 0.95) d = std::ldexp(1.0, rng.UniformInt(-60, 60));
+    divisors[j] = d;
+    for (size_t i = 0; i < kTerms; ++i) {
+      const double v = rng.Uniform();
+      double row;
+      if (v < 0.01) {
+        row = 0.0;
+      } else if (v < 0.7) {
+        row = d * std::exp2(-160.0 * rng.Uniform());
+      } else {
+        row = RandomInBinade(std::ilogb(d) + rng.UniformInt(-150, 0), &rng);
+      }
+      rows[j * kTerms + i] = row;
+    }
+  }
+  std::vector<double> pair_divisors(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    pair_divisors[i] = divisors[i / kTerms];
+  }
+  EXPECT_EQ(MaxReciprocalSteps(rows, pair_divisors), 1u);
+
+  std::vector<float> out(rows.size());
+  util::ChainQuotients(rows, divisors, out);
+  size_t wrong = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    wrong += Bits(out[i]) != Bits(Divided(rows[i], pair_divisors[i]));
+  }
+  EXPECT_EQ(wrong, 0u);
+}
+
+// Emissions log-uniform in [1e-30, 1], so that products of two of them
+// reach below the float range.
+util::Matrix MakeSparseEmission(int t_len, int k, Rng* rng) {
+  util::Matrix emission(t_len, k);
+  float* const e = emission.data();
+  for (size_t i = 0; i < emission.size(); ++i) {
+    e[i] = static_cast<float>(std::exp(-69.0 * rng->Uniform()));
+  }
+  return emission;
+}
+
+// Chains whose xi quotients sit exactly on float rounding midpoints, where
+// the check must send the step to division:
+//  - M: 0.25 * (1 + 2^-11 + 2^-24), a normal-range tie, rounds to even
+//    (down);
+//  - S: 3 * 2^-150, a subnormal tie below 2^-125, rounds to even (up).
+// Each runs as lane 3 of a full group and as the lone chain after it, with
+// group mates on the same transitions and sparse emissions whose quotients
+// reach the subnormal float range and zero. Gammas and xi_sum must equal
+// the oracle's bit for bit, and the lone chain's xi the ties' floats.
+TEST(ChainTest, QuotientsOnRoundingTiesMatchOracleBitForBit) {
+  struct Special {
+    const char* name;
+    float transition[4];
+    float emission[4];  // 2 steps x 2 states
+    int a, b;           // the xi entry on the tie
+    float tie;          // its float, rounded to even
+  };
+  const Special specials[] = {
+      {"M",
+       {1.0f + 0x1p-12f, 1.0f - 0x1p-11f, 1.0f - 0x1p-12f, 1.0f},
+       {1.0f, 1.0f, 1.0f + 0x1p-12f, 1.0f},
+       0, 0, 0.25f * (1.0f + 0x1p-11f)},
+      {"S",
+       {1.0f, 3.0f * 0x1p-75f, 1.0f, 1.0f},
+       {1.0f, 1.0f, 1.0f, 0x1p-74f},
+       0, 1, 0x1p-148f},
+  };
+  Rng rng(77);
+  const util::Vector prior = {0.5f, 0.5f};
+  for (const Special& sp : specials) {
+    util::Matrix transition(2, 2), special(2, 2);
+    std::copy_n(sp.transition, 4, transition.data());
+    std::copy_n(sp.emission, 4, special.data());
+
+    util::Matrix alone_xi(2, 2);
+    util::Matrix alone_gamma;
+    SmoothChain(prior, transition, special, &alone_gamma, &alone_xi);
+    EXPECT_EQ(Bits(alone_xi(sp.a, sp.b)), Bits(sp.tie)) << sp.name;
+
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<util::Matrix> emissions;
+      for (int i = 0; i < util::kChainLanes + 1; ++i) {
+        emissions.push_back(i == 3 || i == util::kChainLanes
+                                ? special
+                                : MakeSparseEmission(rng.UniformInt(13), 2,
+                                                     &rng));
+      }
+      std::vector<util::Matrix> oracle(emissions.size()), gammas;
+      util::Matrix oracle_xi(2, 2), xi(2, 2);
+      for (size_t i = 0; i < emissions.size(); ++i) {
+        ReferenceChainForwardBackward(prior, transition, emissions[i],
+                                      &oracle[i], &oracle_xi);
+      }
+      gammas.resize(emissions.size());
+      ChainForwardBackward(prior, transition, emissions, gammas, &xi);
+      for (size_t i = 0; i < emissions.size(); ++i) {
+        EXPECT_TRUE(SameBits(gammas[i], oracle[i]))
+            << sp.name << " trial " << trial << " chain " << i;
+      }
+      EXPECT_TRUE(SameBits(xi, oracle_xi)) << sp.name << " trial " << trial;
+    }
   }
 }
 
