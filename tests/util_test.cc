@@ -557,10 +557,10 @@ void ReferenceViterbi(const Vector& prior, const Matrix& transition,
   }
 }
 
-// Random chains against the oracle, path for path: K in {2, 3, 9}, lengths
-// 0-30 in a shuffled order (the scratch tables grow and are reused), and in
-// every other trial potentials drawn from {0, 1/4, 1/2, 1}, so that equal
-// path scores (ties) and clamped zero logs are common.
+// Random chains against the oracle, path for path: K in {2, 3, 9}, random
+// lengths 0-30 (the per-thread tables grow and are reused), and in every
+// other trial potentials drawn from {0, 1/4, 1/2, 1}, so that equal path
+// scores (ties) and clamped zero logs are common.
 TEST(ChainViterbiTest, MatchesReferenceOnRandomChainsWithTies) {
   Rng rng(31);
   const int widths[] = {2, 3, 9};
