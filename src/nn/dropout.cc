@@ -10,11 +10,11 @@ void ApplyForward(double rate, util::Rng* rng, float* data, size_t n,
                   std::vector<uint8_t>* mask) {
   mask->assign(n, 1);
   if (rate <= 0.0) return;
-  // Draw the whole mask, then apply it: keep[i] = !(rng->Uniform() <
-  // rate), one engine value per element in order, as integer compares
-  // (util::Rng::KeepFlags); the apply loop vectorizes.
+  // Draw the whole mask, then apply it: the same draws and values as one
+  // fused loop, but the draw loop has no data-dependent branch and the
+  // apply loop vectorizes.
   uint8_t* keep = mask->data();
-  rng->KeepFlags(rate, keep, n);
+  for (size_t i = 0; i < n; ++i) keep[i] = !(rng->Uniform() < rate);
   const float scale = static_cast<float>(1.0 / (1.0 - rate));
   for (size_t i = 0; i < n; ++i) data[i] = keep[i] ? data[i] * scale : 0.0f;
 }

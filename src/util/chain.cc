@@ -382,53 +382,39 @@ void ChainViterbi(const Vector& prior, const Matrix& transition,
   const int k = emission.cols();
   path->assign(t_len, 0);
   if (t_len == 0) return;
-  const size_t kk = static_cast<size_t>(k);
   auto safe_log = [](double v) { return std::log(std::max(v, 1e-300)); };
-  // Per thread and grow-only, like the smoother's: [step][state] scores and
-  // backpointers, and the transition logs, taken once per call.
-  thread_local std::vector<double> delta_buf, log_tr_buf;
-  thread_local std::vector<int> back_buf;
-  Grow(&delta_buf, static_cast<size_t>(t_len) * kk);
-  Grow(&back_buf, static_cast<size_t>(t_len) * kk);
-  Grow(&log_tr_buf, kk * kk);
-  double* const delta = delta_buf.data();
-  int* const back = back_buf.data();
-  double* const log_tr = log_tr_buf.data();
-  const float* const tr = transition.data();
-  const float* const em = emission.data();
-  for (size_t i = 0; i < kk * kk; ++i) log_tr[i] = safe_log(tr[i]);
-  for (int m = 0; m < k; ++m) delta[m] = safe_log(prior[m]) + safe_log(em[m]);
+  std::vector<std::vector<double>> delta(t_len, std::vector<double>(k));
+  std::vector<std::vector<int>> back(t_len, std::vector<int>(k, 0));
+  for (int m = 0; m < k; ++m) {
+    delta[0][m] = safe_log(prior[m]) + safe_log(emission(0, m));
+  }
   for (int t = 1; t < t_len; ++t) {
-    const double* const prev = delta + (t - 1) * kk;
-    double* const cur = delta + t * kk;
     for (int b = 0; b < k; ++b) {
       double best = -1e300;
       int arg = 0;
       for (int a = 0; a < k; ++a) {
-        const double v = prev[a] + log_tr[a * kk + b];
+        const double v = delta[t - 1][a] + safe_log(transition(a, b));
         if (v > best) {
           best = v;
           arg = a;
         }
       }
-      cur[b] = best + safe_log(em[t * kk + b]);
-      back[t * kk + b] = arg;
+      delta[t][b] = best + safe_log(emission(t, b));
+      back[t][b] = arg;
     }
   }
-  const double* const last = delta + (t_len - 1) * kk;
   int cur = 0;
   double best = -1e300;
   for (int m = 0; m < k; ++m) {
-    if (last[m] > best) {
-      best = last[m];
+    if (delta[t_len - 1][m] > best) {
+      best = delta[t_len - 1][m];
       cur = m;
     }
   }
-  for (int t = t_len - 1; t > 0; --t) {
+  for (int t = t_len - 1; t >= 0; --t) {
     (*path)[t] = cur;
-    cur = back[t * kk + cur];
+    cur = back[t][cur];
   }
-  (*path)[0] = cur;
 }
 
 }  // namespace lncl::util

@@ -73,8 +73,7 @@ void ChainQuotients(std::span<const double> rows,
 
 // Viterbi decoding on the same parameterization: returns the most probable
 // state sequence (on ties, the lowest previous state and the lowest final
-// state). `path` is resized to emission.rows(). The score tables are per
-// thread and only grow.
+// state). `path` is resized to emission.rows().
 void ChainViterbi(const Vector& prior, const Matrix& transition,
                   const Matrix& emission, std::vector<int>* path);
 

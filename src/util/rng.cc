@@ -2,70 +2,7 @@
 
 #include <numeric>
 
-#include "util/check.h"
-
 namespace lncl::util {
-
-namespace {
-
-// An engine with mt19937_64's range that returns one fixed value and
-// counts its draws.
-struct OneValueEngine {
-  using result_type = std::mt19937_64::result_type;
-  static constexpr result_type min() { return std::mt19937_64::min(); }
-  static constexpr result_type max() { return std::mt19937_64::max(); }
-  result_type operator()() {
-    ++draws;
-    return value;
-  }
-  result_type value;
-  int draws = 0;
-};
-
-// !(Uniform() < rate) for a draw of engine value v.
-bool Keeps(uint64_t v, double rate) {
-  OneValueEngine engine{v};
-  const double u = std::uniform_real_distribution<double>(0.0, 1.0)(engine);
-  // KeepFlags reads one engine value per flag, as Uniform() does here.
-  LNCL_CHECK(engine.draws == 1);
-  return !(u < rate);
-}
-
-}  // namespace
-
-std::optional<uint64_t> Rng::KeepThreshold(double rate) {
-  uint64_t lo = OneValueEngine::min();
-  uint64_t hi = OneValueEngine::max();
-  if (!Keeps(hi, rate)) return std::nullopt;
-  while (lo < hi) {
-    const uint64_t mid = lo + (hi - lo) / 2;
-    if (Keeps(mid, rate)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-void Rng::KeepFlags(double rate, uint8_t* keep, size_t n) {
-  // Rate 0 keeps every value.
-  thread_local double cached_rate = 0.0;
-  thread_local std::optional<uint64_t> cached = 0;
-  if (!(rate == cached_rate)) {
-    cached = KeepThreshold(rate);
-    cached_rate = rate;
-  }
-  if (cached.has_value()) {
-    const uint64_t threshold = *cached;
-    for (size_t i = 0; i < n; ++i) keep[i] = engine_() >= threshold;
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      engine_();
-      keep[i] = 0;
-    }
-  }
-}
 
 double Rng::Beta(double a, double b) {
   std::gamma_distribution<double> ga(a, 1.0);

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <random>
 #include <utility>
 #include <vector>
@@ -46,20 +44,6 @@ class Rng {
 
   // Bernoulli draw with success probability p.
   bool Bernoulli(double p) { return Uniform() < p; }
-
-  // keep[i] = !(Uniform() < rate) for i < n: the flags of that loop, from
-  // the same n engine values in the same order, but each an integer compare
-  // of the raw engine value against KeepThreshold(rate), which is found
-  // once per rate and thread.
-  void KeepFlags(double rate, uint8_t* keep, size_t n);
-
-  // The smallest engine value v for which Uniform() on a draw of v is not
-  // below `rate`, or nullopt when no value's is (rate > every Uniform(),
-  // e.g. 1). Uniform() is nondecreasing in the engine value, so
-  // !(Uniform() < rate) is exactly v >= KeepThreshold(rate). Found by a
-  // binary search that evaluates the standard library's own
-  // uniform_real_distribution<double>(0, 1) on a one-value engine.
-  static std::optional<uint64_t> KeepThreshold(double rate);
 
   // Beta(a, b) sample via two gamma draws.
   double Beta(double a, double b);

@@ -613,13 +613,15 @@ void ExpectQuotientsMatchDivision(const std::vector<double>& rows,
 
 // The bound the check rests on (DESIGN.md §5): row * (1 / divisor), each
 // product rounded to double, is the rounded quotient or a neighbouring
-// double. Returns the largest distance seen, in doubles.
+// double. Each divisor covers rows.size() / divisors.size() consecutive
+// rows, as in ChainQuotients. Returns the largest distance seen, in doubles.
 uint64_t MaxReciprocalSteps(const std::vector<double>& rows,
                             const std::vector<double>& divisors) {
+  const size_t terms = rows.size() / divisors.size();
   uint64_t worst = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
-    const double r = 1.0 / divisors[i];
-    worst = std::max(worst, Steps(rows[i] * r, rows[i] / divisors[i]));
+    const double d = divisors[i / terms];
+    worst = std::max(worst, Steps(rows[i] * (1.0 / d), rows[i] / d));
   }
   return worst;
 }
@@ -678,43 +680,48 @@ TEST(ChainQuotientTest, PairsNearRoundingBoundariesMatchDivision) {
 // 10^7 random pairs in 9 x 9-term steps, as the smoother's K = 9 xi pass
 // makes them: divisors over 2^-60..2^60 (some exactly 1 or a power of two),
 // rows a log-uniform 2^-160..1 fraction of the divisor or random bits
-// within 2^±150 of it, and some zero rows.
+// within 2^±150 of it, and some zero rows. The steps are made, checked and
+// dropped a chunk at a time, so the test holds a few MB.
 TEST(ChainQuotientTest, RandomPairsMatchDivision) {
   Rng rng(4242);
   constexpr size_t kTerms = 81;
   constexpr size_t kSteps = 123457;  // 10,000,017 pairs
-  std::vector<double> rows(kSteps * kTerms), divisors(kSteps);
-  for (size_t j = 0; j < kSteps; ++j) {
-    const double u = rng.Uniform();
-    double d = RandomInBinade(rng.UniformInt(-60, 60), &rng);
-    if (u < 0.05) d = 1.0;
-    if (u > 0.95) d = std::ldexp(1.0, rng.UniformInt(-60, 60));
-    divisors[j] = d;
-    for (size_t i = 0; i < kTerms; ++i) {
-      const double v = rng.Uniform();
-      double row;
-      if (v < 0.01) {
-        row = 0.0;
-      } else if (v < 0.7) {
-        row = d * std::exp2(-160.0 * rng.Uniform());
-      } else {
-        row = RandomInBinade(std::ilogb(d) + rng.UniformInt(-150, 0), &rng);
+  constexpr size_t kChunk = 4096;    // a multiple of kChainLanes
+  std::vector<double> rows, divisors;
+  std::vector<float> out;
+  uint64_t worst = 0;
+  size_t wrong = 0;
+  for (size_t first = 0; first < kSteps; first += kChunk) {
+    const size_t steps = std::min(kChunk, kSteps - first);
+    rows.resize(steps * kTerms);
+    divisors.resize(steps);
+    out.resize(rows.size());
+    for (size_t j = 0; j < steps; ++j) {
+      const double u = rng.Uniform();
+      double d = RandomInBinade(rng.UniformInt(-60, 60), &rng);
+      if (u < 0.05) d = 1.0;
+      if (u > 0.95) d = std::ldexp(1.0, rng.UniformInt(-60, 60));
+      divisors[j] = d;
+      for (size_t i = 0; i < kTerms; ++i) {
+        const double v = rng.Uniform();
+        double row;
+        if (v < 0.01) {
+          row = 0.0;
+        } else if (v < 0.7) {
+          row = d * std::exp2(-160.0 * rng.Uniform());
+        } else {
+          row = RandomInBinade(std::ilogb(d) + rng.UniformInt(-150, 0), &rng);
+        }
+        rows[j * kTerms + i] = row;
       }
-      rows[j * kTerms + i] = row;
+    }
+    worst = std::max(worst, MaxReciprocalSteps(rows, divisors));
+    util::ChainQuotients(rows, divisors, out);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      wrong += Bits(out[i]) != Bits(Divided(rows[i], divisors[i / kTerms]));
     }
   }
-  std::vector<double> pair_divisors(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    pair_divisors[i] = divisors[i / kTerms];
-  }
-  EXPECT_EQ(MaxReciprocalSteps(rows, pair_divisors), 1u);
-
-  std::vector<float> out(rows.size());
-  util::ChainQuotients(rows, divisors, out);
-  size_t wrong = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    wrong += Bits(out[i]) != Bits(Divided(rows[i], pair_divisors[i]));
-  }
+  EXPECT_EQ(worst, 1u);
   EXPECT_EQ(wrong, 0u);
 }
 

@@ -314,29 +314,6 @@ TEST(DropoutTest, DropRateAndScaling) {
   EXPECT_NEAR(kept / static_cast<double>(n), 0.5, 0.02);
 }
 
-// The mask is the !(Uniform() < rate) loop's, element for element, and
-// the forward consumes the engine as that loop does.
-TEST(DropoutTest, MaskMatchesUniformLoop) {
-  const double rates[] = {1e-300, 1e-9, 0.1, 1.0 / 3.0, 0.5, 0.9,
-                          1.0 - 1e-6, 1.0 - 0x1p-53, 1.0};
-  std::vector<uint8_t> mask;
-  for (uint64_t seed = 1; seed <= 30; ++seed) {
-    for (const double rate : rates) {
-      for (const int n : {1, 5, 96, 1000}) {
-        Rng rng(seed), twin(seed);
-        Vector x(n, 1.0f);
-        DropoutForward(rate, &rng, &x, &mask);
-        ASSERT_EQ(mask.size(), static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i) {
-          ASSERT_EQ(mask[i], !(twin.Uniform() < rate) ? 1 : 0)
-              << "seed " << seed << " rate " << rate << " i " << i;
-        }
-        EXPECT_EQ(rng.Uniform(), twin.Uniform());
-      }
-    }
-  }
-}
-
 TEST(DropoutTest, BackwardMatchesMask) {
   Rng rng(7);
   Vector x(100, 1.0f);

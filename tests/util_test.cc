@@ -6,8 +6,6 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
-#include <optional>
-#include <random>
 #include <sstream>
 
 #include "util/chain.h"
@@ -158,70 +156,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
     if (a.Uniform() != child.Uniform()) ++diff;
   }
   EXPECT_GT(diff, 20);
-}
-
-// The rates the keep-flag tests sweep: the extremes of (0, 1], the model
-// rates, and 1 - 2^-53, the largest Uniform().
-const double kKeepRates[] = {1e-300, 1e-9,     0.1,         1.0 / 3.0,
-                             0.5,    0.9,      1.0 - 1e-6,  1.0 - 0x1p-53,
-                             1.0};
-
-// An engine with mt19937_64's range that returns one value.
-struct OneValueEngine {
-  using result_type = uint64_t;
-  static constexpr uint64_t min() { return 0; }
-  static constexpr uint64_t max() { return ~uint64_t{0}; }
-  uint64_t operator()() { return v; }
-  uint64_t v;
-};
-
-// Uniform() on a draw of engine value v, by the standard library's own
-// distribution.
-double UniformOfEngineValue(uint64_t v) {
-  OneValueEngine engine{v};
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
-}
-
-// KeepThreshold splits the engine values exactly where !(Uniform() < rate)
-// flips: checked on the 4096 values either side of it (or, for a rate no
-// value reaches, on the top 4096).
-TEST(RngTest, KeepThresholdSplitsEngineValuesAtTheRate) {
-  for (const double rate : kKeepRates) {
-    const std::optional<uint64_t> threshold = Rng::KeepThreshold(rate);
-    const uint64_t top = ~uint64_t{0};
-    const uint64_t center = threshold.value_or(top);
-    const uint64_t lo = center < 4096 ? 0 : center - 4096;
-    const uint64_t hi = top - center < 4096 ? top : center + 4096;
-    for (uint64_t v = lo;; ++v) {
-      const bool keeps = !(UniformOfEngineValue(v) < rate);
-      EXPECT_EQ(keeps, threshold.has_value() && v >= *threshold)
-          << "rate " << rate << " value " << v;
-      if (v == hi) break;
-    }
-  }
-  EXPECT_FALSE(Rng::KeepThreshold(1.0).has_value());
-  EXPECT_EQ(Rng::KeepThreshold(1e-300), 1u);
-}
-
-// KeepFlags gives the flags of the Uniform() loop and leaves the engine
-// where that loop does, for 40 seeds and lengths 0-300 at every rate, with
-// the rates interleaved so the per-thread cache keeps changing.
-TEST(RngTest, KeepFlagsMatchUniformLoop) {
-  std::vector<uint8_t> flags;
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    for (const double rate : kKeepRates) {
-      Rng rng(seed * 7919), twin(seed * 7919);
-      for (const int n : {0, 1, 7, 64, 300}) {
-        flags.assign(n, 2);
-        rng.KeepFlags(rate, flags.data(), flags.size());
-        for (int i = 0; i < n; ++i) {
-          ASSERT_EQ(flags[i], !(twin.Uniform() < rate) ? 1 : 0)
-              << "seed " << seed << " rate " << rate << " i " << i;
-        }
-      }
-      EXPECT_EQ(rng.engine()(), twin.engine()());
-    }
-  }
 }
 
 TEST(RngTest, UniformIntBounds) {
@@ -509,81 +443,6 @@ TEST(ChainViterbiTest, MatchesBruteForceOnRandomChains) {
       if (pos < 0) break;
     }
     EXPECT_EQ(viterbi, best_assign) << "trial " << trial;
-  }
-}
-
-// The Viterbi decoder ChainViterbi replaced, kept as its oracle: per-call
-// nested T x K tables and a transition log per step. Its tie rules (strict
-// improvement, so the lowest previous state and the lowest final state win)
-// are the ones ChainViterbi must keep.
-void ReferenceViterbi(const Vector& prior, const Matrix& transition,
-                      const Matrix& emission, std::vector<int>* path) {
-  const int t_len = emission.rows();
-  const int k = emission.cols();
-  path->assign(t_len, 0);
-  if (t_len == 0) return;
-  auto safe_log = [](double v) { return std::log(std::max(v, 1e-300)); };
-  std::vector<std::vector<double>> delta(t_len, std::vector<double>(k));
-  std::vector<std::vector<int>> back(t_len, std::vector<int>(k, 0));
-  for (int m = 0; m < k; ++m) {
-    delta[0][m] = safe_log(prior[m]) + safe_log(emission(0, m));
-  }
-  for (int t = 1; t < t_len; ++t) {
-    for (int b = 0; b < k; ++b) {
-      double best = -1e300;
-      int arg = 0;
-      for (int a = 0; a < k; ++a) {
-        const double v = delta[t - 1][a] + safe_log(transition(a, b));
-        if (v > best) {
-          best = v;
-          arg = a;
-        }
-      }
-      delta[t][b] = best + safe_log(emission(t, b));
-      back[t][b] = arg;
-    }
-  }
-  int cur = 0;
-  double best = -1e300;
-  for (int m = 0; m < k; ++m) {
-    if (delta[t_len - 1][m] > best) {
-      best = delta[t_len - 1][m];
-      cur = m;
-    }
-  }
-  for (int t = t_len - 1; t >= 0; --t) {
-    (*path)[t] = cur;
-    cur = back[t][cur];
-  }
-}
-
-// Random chains against the oracle, path for path: K in {2, 3, 9}, random
-// lengths 0-30 (the per-thread tables grow and are reused), and in every
-// other trial potentials drawn from {0, 1/4, 1/2, 1}, so that equal path
-// scores (ties) and clamped zero logs are common.
-TEST(ChainViterbiTest, MatchesReferenceOnRandomChainsWithTies) {
-  Rng rng(31);
-  const int widths[] = {2, 3, 9};
-  const float levels[] = {0.0f, 0.25f, 0.5f, 1.0f};
-  for (int trial = 0; trial < 600; ++trial) {
-    const int k = widths[trial % 3];
-    const int t_len = rng.UniformInt(31);
-    const bool ties = trial % 2 == 0;
-    const auto draw = [&]() {
-      return ties ? levels[rng.UniformInt(4)]
-                  : static_cast<float>(rng.Uniform(1e-6, 1.0));
-    };
-    Vector prior(k);
-    Matrix transition(k, k), emission(t_len, k);
-    for (float& p : prior) p = draw();
-    float* const tr = transition.data();
-    for (size_t i = 0; i < transition.size(); ++i) tr[i] = draw();
-    float* const em = emission.data();
-    for (size_t i = 0; i < emission.size(); ++i) em[i] = draw();
-    std::vector<int> path, oracle;
-    ChainViterbi(prior, transition, emission, &path);
-    ReferenceViterbi(prior, transition, emission, &oracle);
-    EXPECT_EQ(path, oracle) << "trial " << trial;
   }
 }
 
