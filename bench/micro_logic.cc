@@ -1,15 +1,22 @@
 // google-benchmark micro-benchmarks for the logic substrate and the
 // EM-adjacent kernels: Eq. 15 projection, forward-backward sequence
-// projection, q_a computation, the chain smoother and the confusion update.
+// projection, q_a computation, the chain smoother, the confusion update and
+// the truth-inference aggregators.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/ner_rules.h"
 #include "core/trainer.h"
 #include "crowd/confusion.h"
+#include "inference/bsc_seq.h"
+#include "inference/dawid_skene.h"
+#include "inference/hmm_crowd.h"
+#include "inference/ibcc.h"
 #include "logic/posterior_reg.h"
 #include "logic/sequence_rules.h"
 #include "util/chain.h"
@@ -153,6 +160,53 @@ void BM_UpdateConfusions(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * instances);
 }
 BENCHMARK(BM_UpdateConfusions)->Arg(100)->Arg(1000);
+
+// The EM aggregators of the ner_aggregate benchmark workload with its
+// fixed iteration counts (a negative tolerance never stops early), on a
+// reduced NER crowd from the table3 setup: 1,000 sentences, 47 annotators.
+// Arg 0-3: DS, IBCC, BSC-seq, HMM-Crowd. Items are tokens.
+void BM_TruthInference(benchmark::State& state) {
+  static const bench::NerSetup setup = [] {
+    bench::Scale scale;
+    scale.train = 1000;
+    scale.annotators = 47;
+    return bench::MakeNerSetup(scale, 1);
+  }();
+  static const std::vector<int> items =
+      inference::ItemsPerInstance(setup.corpus.train);
+  std::unique_ptr<inference::TruthInference> method;
+  switch (state.range(0)) {
+    case 0:
+      method = std::make_unique<inference::DawidSkene>(
+          inference::DawidSkene::Options{
+              .max_iters = 5, .tol = -1.0, .smoothing = 1e-2});
+      break;
+    case 1:
+      method = std::make_unique<inference::Ibcc>(inference::Ibcc::Options{
+          .diag_pseudo = 2.0, .smoothing = 0.5, .max_iters = 4});
+      break;
+    case 2:
+      method = std::make_unique<inference::BscSeq>(
+          inference::BscSeq::Options{.max_iters = 10,
+                                     .confusion_pseudo = 0.3,
+                                     .diag_pseudo = 1.0,
+                                     .transition_pseudo = 0.2,
+                                     .tol = -1.0});
+      break;
+    default:
+      method = std::make_unique<inference::HmmCrowd>(
+          inference::HmmCrowd::Options{
+              .max_iters = 5, .smoothing = 0.1, .tol = -1.0});
+  }
+  state.SetLabel(method->name());
+  util::Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(method->Infer(setup.annotations, items, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          setup.corpus.train.TotalItems());
+}
+BENCHMARK(BM_TruthInference)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lncl

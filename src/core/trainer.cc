@@ -127,28 +127,20 @@ util::Matrix ComputeQa(const util::Matrix& probs,
   const int k = probs.cols();
   util::Matrix qa(items, k);
   float* const out = qa.data();
-  util::Vector lp(k);
   for (int t = 0; t < items; ++t) {
     const float* const p = probs.Row(t);
+    // The log-space sum builds in the output row, which is then
+    // exponentiated and normalized in place.
+    float* const q = out + static_cast<size_t>(t) * k;
     for (int m = 0; m < k; ++m) {
-      lp[m] = static_cast<float>(
+      q[m] = static_cast<float>(
           std::log(std::max(static_cast<double>(p[m]), 1e-300)));
     }
     for (const crowd::AnnotatorLabels& e : annotations.entries) {
-      const int y = e.labels[t];
-      const util::Matrix& log_pi = log_confusions[e.annotator];
-      for (int m = 0; m < k; ++m) {
-        lp[m] += log_pi(m, y);
-      }
+      const float* const row = log_confusions[e.annotator].Row(e.labels[t]);
+      for (int m = 0; m < k; ++m) q[m] += row[m];
     }
-    float mx = lp[0];
-    for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-    float* const q = out + static_cast<size_t>(t) * k;
-    double sum = 0.0;
-    for (int m = 0; m < k; ++m) {
-      q[m] = std::exp(lp[m] - mx);
-      sum += q[m];
-    }
+    const double sum = crowd::ExpShifted(q, k);
     const float inv = static_cast<float>(1.0 / sum);
     for (int m = 0; m < k; ++m) q[m] *= inv;
   }
@@ -166,16 +158,13 @@ void UpdateConfusions(const std::vector<util::Matrix>& qf,
   if (confusions->size() != static_cast<size_t>(num_annotators)) {
     confusions->assign(num_annotators, crowd::ConfusionMatrix(k, 0.7));
   }
-  for (auto& pi : *confusions) pi.matrix().Zero();
-  // Per-slot count buffers over a fixed static partition of the instances,
+  // Per-slot count tables over a fixed static partition of the instances,
   // merged in slot order.
   constexpr int kSlots = util::Parallelizer::kSlots;
-  std::vector<std::vector<util::Matrix>> acc(kSlots);
+  std::vector<crowd::ConfusionCounts> acc(
+      kSlots, crowd::ConfusionCounts(num_annotators, k));
   exec->RunSlots(kSlots, [&](int s) {
     LNCL_TRACE_SPAN_ARG("confusion_shard", "slot", s);
-    acc[s].assign(num_annotators, util::Matrix(k, k));
-    std::vector<float*> counts(num_annotators);
-    for (int a = 0; a < num_annotators; ++a) counts[a] = acc[s][a].data();
     const auto [b, e_end] = util::Parallelizer::SlotRange(
         annotations.num_instances(), s, kSlots);
     for (int i = b; i < e_end; ++i) {
@@ -183,23 +172,18 @@ void UpdateConfusions(const std::vector<util::Matrix>& qf,
       LNCL_DCHECK(q.cols() == k);
       for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
         LNCL_DCHECK(static_cast<int>(e.labels.size()) <= q.rows());
-        float* const c = counts[e.annotator];
         for (size_t t = 0; t < e.labels.size(); ++t) {
           const int y = e.labels[t];
           LNCL_DCHECK(y >= 0 && y < k);
-          const float* const qt = q.Row(static_cast<int>(t));
-          for (int m = 0; m < k; ++m) c[m * k + y] += qt[m];
+          acc[s].Add(e.annotator, y, q.Row(static_cast<int>(t)));
         }
       }
     }
   });
-  for (int s = 0; s < kSlots; ++s) {
-    for (int a = 0; a < num_annotators; ++a) {
-      (*confusions)[a].matrix().AddScaled(acc[s][a], 1.0f);
-    }
-  }
+  crowd::ConfusionCounts total(num_annotators, k);
+  for (const crowd::ConfusionCounts& slot : acc) total.AddCounts(slot);
   // NormalizeRows audits each matrix row-stochastic (Eq. 12).
-  for (auto& pi : *confusions) pi.NormalizeRows(smoothing);
+  total.ToConfusions(confusions, 0.0, smoothing);
 }
 
 bool EarlyStopper::Update(double score,

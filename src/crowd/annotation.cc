@@ -1,4 +1,7 @@
 #include "crowd/annotation.h"
+
+#include <string>
+
 #include "util/check.h"
 
 
@@ -22,9 +25,26 @@ long AnnotationSet::TotalAnnotations() const {
   return total;
 }
 
+void AnnotationSet::CheckShape(
+    const std::vector<int>& items_per_instance) const {
+  LNCL_CHECK(items_per_instance.size() == instances_.size());
+  for (size_t i = 0; i < instances_.size(); ++i) {
+    for (const AnnotatorLabels& e : instances_[i].entries) {
+      if (static_cast<int>(e.labels.size()) != items_per_instance[i]) {
+        util::CheckFailure(
+            __FILE__, __LINE__, "labels.size() == items_per_instance[i]",
+            "instance " + std::to_string(i) + ": annotator " +
+                std::to_string(e.annotator) + " gave " +
+                std::to_string(e.labels.size()) + " labels for " +
+                std::to_string(items_per_instance[i]) + " items");
+      }
+    }
+  }
+}
+
 std::vector<util::Matrix> AnnotationSet::MajorityVote(
     const std::vector<int>& items_per_instance) const {
-  LNCL_DCHECK(items_per_instance.size() == instances_.size());
+  CheckShape(items_per_instance);
   std::vector<util::Matrix> result;
   result.reserve(instances_.size());
   for (size_t i = 0; i < instances_.size(); ++i) {
@@ -35,7 +55,6 @@ std::vector<util::Matrix> AnnotationSet::MajorityVote(
     float* const qd = q.data();
     std::vector<int> total(items, 0);
     for (const AnnotatorLabels& e : instances_[i].entries) {
-      LNCL_DCHECK(static_cast<int>(e.labels.size()) == items);
       for (int t = 0; t < items; ++t) {
         LNCL_DCHECK(e.labels[t] >= 0 && e.labels[t] < num_classes_);
         qd[t * num_classes_ + e.labels[t]] += 1.0f;

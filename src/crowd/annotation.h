@@ -47,6 +47,13 @@ class AnnotationSet {
   // Total number of (instance, annotator) annotation events.
   long TotalAnnotations() const;
 
+  // Aborts, naming the first offending instance, unless there is one item
+  // count per instance and every entry of instance i holds exactly
+  // items_per_instance[i] labels. A crowd read from one file and a corpus
+  // from another are paired only here: MajorityVote (so Logic-LNCL's start)
+  // and the aggregators' flat view (inference::FlattenItems) check first.
+  void CheckShape(const std::vector<int>& items_per_instance) const;
+
   // Per-instance majority-vote distributions: for every instance an
   // (items x K) matrix with the empirical label frequencies (uniform when an
   // item got no labels). This is the paper's Algorithm-1 initialization.

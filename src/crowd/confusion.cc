@@ -80,15 +80,44 @@ std::vector<util::Matrix> LogConfusions(const ConfusionSet& confusions) {
   std::vector<util::Matrix> logs(confusions.size());
   for (size_t a = 0; a < confusions.size(); ++a) {
     const util::Matrix& pi = confusions[a].matrix();
-    logs[a].ResizeNoZero(pi.rows(), pi.cols());
-    const float* src = pi.data();
-    float* dst = logs[a].data();
-    for (size_t i = 0; i < pi.size(); ++i) {
-      dst[i] = static_cast<float>(
-          std::log(std::max(static_cast<double>(src[i]), 1e-300)));
+    const int k = pi.rows();
+    logs[a].ResizeNoZero(k, k);
+    const float* const src = pi.data();
+    float* const dst = logs[a].data();
+    for (int y = 0; y < k; ++y) {
+      for (int m = 0; m < k; ++m) {
+        dst[y * k + m] = static_cast<float>(
+            std::log(std::max(static_cast<double>(src[m * k + y]), 1e-300)));
+      }
     }
   }
   return logs;
+}
+
+void ConfusionCounts::AddCounts(const ConfusionCounts& other) {
+  LNCL_DCHECK(other.counts_.size() == counts_.size());
+  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+}
+
+void ConfusionCounts::ToConfusions(ConfusionSet* out, double diag_pseudo,
+                                   double smoothing) const {
+  const size_t kk = static_cast<size_t>(k_) * k_;
+  LNCL_DCHECK(out->size() * kk == counts_.size());
+  for (size_t a = 0; a < out->size(); ++a) {
+    util::Matrix& pi = (*out)[a].matrix();
+    LNCL_DCHECK(pi.rows() == k_ && pi.cols() == k_);
+    const float* const table = counts_.data() + a * kk;
+    float* const dst = pi.data();
+    for (int m = 0; m < k_; ++m) {
+      for (int y = 0; y < k_; ++y) dst[m * k_ + y] = table[y * k_ + m];
+    }
+    if (diag_pseudo != 0.0) {
+      for (int m = 0; m < k_; ++m) {
+        dst[m * k_ + m] += static_cast<float>(diag_pseudo);
+      }
+    }
+    (*out)[a].NormalizeRows(smoothing);
+  }
 }
 
 }  // namespace lncl::crowd

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "crowd/annotation.h"
@@ -43,12 +45,60 @@ class ConfusionMatrix {
 
 using ConfusionSet = std::vector<ConfusionMatrix>;
 
-// Per-annotator K x K tables log_pi[a](m, y) = float(log(max(pi_a(m, y),
-// 1e-300))): the likelihood logs of Eq. 13 and of every confusion-matrix
-// aggregator's E-step. Built once per EM iteration, after the M-step, so the
-// E-step adds table entries instead of taking one log per (item, label,
-// class); the entries are the very floats the in-line logs produced.
+// Per-annotator K x K likelihood-log tables, label-major (the transpose of
+// ConfusionMatrix): row y of table a holds the log-likelihoods of reported
+// label y for truth m = 0..K-1, log_pi[a](y, m) = float(log(max(pi_a(m, y),
+// 1e-300))). The likelihoods of Eq. 13 and of every confusion-matrix
+// aggregator's E-step, which adds one contiguous row per received label;
+// built once per EM iteration, after the M-step.
 std::vector<util::Matrix> LogConfusions(const ConfusionSet& confusions);
+
+// The E-steps' exponentiation of summed log-likelihoods: v[m] = exp(v[m] -
+// max v) in float for m < k, returning the new v's sum in double.
+inline double ExpShifted(float* v, int k) {
+  float mx = v[0];
+  for (int m = 1; m < k; ++m) mx = std::max(mx, v[m]);
+  double sum = 0.0;
+  for (int m = 0; m < k; ++m) {
+    v[m] = std::exp(v[m] - mx);
+    sum += v[m];
+  }
+  return sum;
+}
+
+// Soft counts of the closed-form confusion M-step (Eq. 12), label-major like
+// LogConfusions: one K x K table per annotator (or annotator and context)
+// in one array, row y of table a summing the truth posteriors of the items
+// a labelled y. Each count cell takes its adds in the caller's order.
+class ConfusionCounts {
+ public:
+  ConfusionCounts(int num_tables, int num_classes)
+      : k_(num_classes),
+        counts_(static_cast<size_t>(num_tables) * num_classes * num_classes,
+                0.0f) {}
+
+  void Zero() { std::fill(counts_.begin(), counts_.end(), 0.0f); }
+
+  // Row `label` of table `table` += q[0..K).
+  void Add(int table, int label, const float* q) {
+    float* const row =
+        counts_.data() + (static_cast<size_t>(table) * k_ + label) * k_;
+    for (int m = 0; m < k_; ++m) row[m] += q[m];
+  }
+
+  // Every cell += the same cell of `other` (same shape).
+  void AddCounts(const ConfusionCounts& other);
+
+  // (*out)[a](m, y) = row y, entry m of table a, for every table; then
+  // adds `diag_pseudo` to each diagonal when it is nonzero and normalizes
+  // the rows with `smoothing` (ConfusionMatrix::NormalizeRows).
+  void ToConfusions(ConfusionSet* out, double diag_pseudo,
+                    double smoothing) const;
+
+ private:
+  int k_;
+  std::vector<float> counts_;
+};
 
 // Empirical confusion matrices computed from crowd labels against ground
 // truth (item granularity). Annotators with no labels get uniform rows.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "inference/pm.h"
 #include "util/stats.h"
 
 namespace lncl::inference {
@@ -12,35 +13,13 @@ std::vector<util::Matrix> Catd::Infer(
     const std::vector<int>& items_per_instance, util::Rng*) const {
   const ItemView view = FlattenItems(annotations, items_per_instance);
   const int k = view.num_classes;
-  const int num_items = static_cast<int>(view.items.size());
 
   std::vector<double> weight(view.num_annotators, 1.0);
-  std::vector<util::Vector> q(num_items, util::Vector(k, 1.0f / k));
-
+  util::Matrix posterior(view.num_items(), k, 1.0f / k);
   for (int iter = 0; iter < options_.max_iters; ++iter) {
-    for (int i = 0; i < num_items; ++i) {
-      std::fill(q[i].begin(), q[i].end(), 0.0f);
-      double total = 0.0;
-      for (const auto& [j, y] : view.items[i].labels) {
-        q[i][y] += static_cast<float>(weight[j]);
-        total += weight[j];
-      }
-      if (total <= 0.0) {
-        std::fill(q[i].begin(), q[i].end(), 1.0f / k);
-      } else {
-        for (float& v : q[i]) v = static_cast<float>(v / total);
-      }
-    }
-    std::vector<double> distance(view.num_annotators, options_.smoothing);
     std::vector<double> counts(view.num_annotators, 0.0);
-    for (int i = 0; i < num_items; ++i) {
-      const int t = static_cast<int>(
-          std::max_element(q[i].begin(), q[i].end()) - q[i].begin());
-      for (const auto& [j, y] : view.items[i].labels) {
-        counts[j] += 1.0;
-        if (y != t) distance[j] += 1.0;
-      }
-    }
+    std::vector<double> distance(view.num_annotators, options_.smoothing);
+    WeightedVote(view, weight, posterior.data(), &counts, &distance);
     double max_w = 0.0;
     for (int j = 0; j < view.num_annotators; ++j) {
       if (counts[j] <= 0.0) {
@@ -56,7 +35,7 @@ std::vector<util::Matrix> Catd::Infer(
       for (double& w : weight) w /= max_w;  // scale invariance of the vote
     }
   }
-  return UnflattenPosteriors(view, q);
+  return UnflattenPosteriors(view, posterior);
 }
 
 }  // namespace lncl::inference

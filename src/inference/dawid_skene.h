@@ -30,12 +30,13 @@ class DawidSkene : public TruthInference {
                                   const std::vector<int>& items_per_instance,
                                   util::Rng* rng) const override;
 
-  // Core EM on a flattened item view. Exposed for reuse by IBCC and the
-  // tests; fills `confusions` with the final annotator estimates when
-  // non-null. `diag_prior` adds diag_pseudo extra pseudo-counts on the
-  // confusion diagonal (IBCC's informative prior); 0 disables.
-  std::vector<util::Vector> Run(const ItemView& view, double diag_pseudo,
-                                crowd::ConfusionSet* confusions) const;
+  // Core EM on a flattened item view, returning the (items x K)
+  // posteriors. Exposed for reuse by IBCC and the tests; fills `confusions`
+  // with the final annotator estimates when non-null. `diag_pseudo` adds
+  // extra pseudo-counts on the confusion diagonal (IBCC's informative
+  // prior); 0 disables.
+  util::Matrix Run(const ItemView& view, double diag_pseudo,
+                   crowd::ConfusionSet* confusions) const;
 
  private:
   Options options_;

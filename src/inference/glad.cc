@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "crowd/confusion.h"
+
 namespace lncl::inference {
 
 namespace {
@@ -14,34 +16,20 @@ Glad::Detailed Glad::RunDetailed(
     const std::vector<int>& items_per_instance) const {
   const ItemView view = FlattenItems(annotations, items_per_instance);
   const int k = view.num_classes;
-  const int num_items = static_cast<int>(view.items.size());
+  const int num_items = view.num_items();
 
   std::vector<double> alpha(view.num_annotators, options_.alpha_init);
   std::vector<double> gamma(num_items, 0.0);  // beta = exp(gamma)
 
-  // Posteriors, initialized by majority vote.
-  std::vector<util::Vector> q(num_items);
-  for (int i = 0; i < num_items; ++i) {
-    q[i].assign(k, 1.0f / k);
-    if (!view.items[i].labels.empty()) {
-      std::fill(q[i].begin(), q[i].end(), 0.0f);
-      for (const auto& [j, y] : view.items[i].labels) {
-        (void)j;
-        q[i][y] += 1.0f;
-      }
-      const float inv = 1.0f / view.items[i].labels.size();
-      for (float& v : q[i]) v *= inv;
-    }
-  }
+  // Posteriors, initialized by majority vote. One data() for the whole run:
+  // a mutable Row() draws a version ticket.
+  util::Matrix posterior = MajorityVotePosteriors(view);
+  float* const q = posterior.data();
 
-  std::vector<long> labels_per_annotator(view.num_annotators, 0);
-  for (const auto& item : view.items) {
-    for (const auto& [j, y] : item.labels) {
-      (void)y;
-      ++labels_per_annotator[j];
-    }
-  }
+  const std::vector<long> labels_per_annotator =
+      annotations.LabelsPerAnnotator();
 
+  util::Vector lp(k);
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- M-step: gradient ascent on alpha, gamma. ----
     for (int pass = 0; pass < options_.m_step_passes; ++pass) {
@@ -49,9 +37,10 @@ Glad::Detailed Glad::RunDetailed(
       std::vector<double> g_gamma(num_items, 0.0);
       for (int i = 0; i < num_items; ++i) {
         const double beta = std::exp(gamma[i]);
-        for (const auto& [j, y] : view.items[i].labels) {
+        const float* const qi = q + static_cast<size_t>(i) * k;
+        for (const auto& [j, y] : view.item(i)) {
           const double s = SigmoidD(alpha[j] * beta);
-          const double c = q[i][y];  // P(label was correct)
+          const double c = qi[y];  // P(label was correct)
           g_alpha[j] += (c - s) * beta;
           g_gamma[i] += (c - s) * alpha[j] * beta;
         }
@@ -63,7 +52,7 @@ Glad::Detailed Glad::RunDetailed(
         alpha[j] = std::clamp(alpha[j], -6.0, 6.0);
       }
       for (int i = 0; i < num_items; ++i) {
-        const size_t n = view.items[i].labels.size();
+        const size_t n = view.item(i).size();
         if (n == 0) continue;
         gamma[i] += options_.learning_rate * g_gamma[i] /
                     static_cast<double>(n);
@@ -75,8 +64,8 @@ Glad::Detailed Glad::RunDetailed(
     double delta = 0.0;
     for (int i = 0; i < num_items; ++i) {
       const double beta = std::exp(gamma[i]);
-      util::Vector lp(k, 0.0f);
-      for (const auto& [j, y] : view.items[i].labels) {
+      std::fill(lp.begin(), lp.end(), 0.0f);
+      for (const auto& [j, y] : view.item(i)) {
         const double s =
             std::clamp(SigmoidD(alpha[j] * beta), 1e-6, 1.0 - 1e-6);
         const double log_correct = std::log(s);
@@ -85,25 +74,19 @@ Glad::Detailed Glad::RunDetailed(
           lp[m] += static_cast<float>(m == y ? log_correct : log_wrong);
         }
       }
-      float mx = lp[0];
-      for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-      double sum = 0.0;
-      util::Vector nq(k);
+      const double sum = crowd::ExpShifted(lp.data(), k);
+      float* const qi = q + static_cast<size_t>(i) * k;
       for (int m = 0; m < k; ++m) {
-        nq[m] = std::exp(lp[m] - mx);
-        sum += nq[m];
+        const float v = static_cast<float>(lp[m] / sum);
+        delta += std::fabs(v - qi[m]);
+        qi[m] = v;
       }
-      for (int m = 0; m < k; ++m) {
-        nq[m] = static_cast<float>(nq[m] / sum);
-        delta += std::fabs(nq[m] - q[i][m]);
-      }
-      q[i] = nq;
     }
     if (delta / std::max(1, num_items * k) < options_.tol) break;
   }
 
   Detailed out;
-  out.posteriors = UnflattenPosteriors(view, q);
+  out.posteriors = UnflattenPosteriors(view, posterior);
   out.ability = std::move(alpha);
   out.difficulty.resize(num_items);
   for (int i = 0; i < num_items; ++i) {

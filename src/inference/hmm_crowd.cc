@@ -10,44 +10,56 @@
 
 namespace lncl::inference {
 
-std::vector<util::Matrix> HmmCrowd::Infer(
+std::vector<util::Matrix> RunSequenceEm(
     const crowd::AnnotationSet& annotations,
-    const std::vector<int>& items_per_instance, util::Rng*) const {
-  const int k = annotations.num_classes();
+    const std::vector<int>& items_per_instance, const SequenceEmModel& model) {
+  const ItemView view = FlattenItems(annotations, items_per_instance);
+  const int k = view.num_classes;
+  // Marginals, one row per token, initialized by majority vote. One data()
+  // for the whole run: a mutable Row() draws a version ticket.
+  util::Matrix marginals = MajorityVotePosteriors(view);
+  float* const gamma = marginals.data();
   const int num_instances = annotations.num_instances();
-  const int num_annotators = annotations.num_annotators();
-
-  // Initialize marginals by majority vote.
-  std::vector<util::Matrix> gamma =
-      annotations.MajorityVote(items_per_instance);
+  const int num_annotators = view.num_annotators;
+  const std::pair<int, int>* const labels = view.labels.data();
+  // Table of label e at token t of a sentence with n entries: annotator
+  // a's, or with the context split a's "inside" table, num_annotators + a,
+  // when the entry's previous label (n back) is not O. Branch-free: the
+  // previous label is a data-dependent O/entity pattern.
+  const int inside = model.previous_label_context ? num_annotators : 0;
+  const auto table = [&](int e, int t, int n) {
+    const int prev = labels[t > 0 ? e - n : e].second;
+    return labels[e].first + ((t > 0) & (prev != 0)) * inside;
+  };
 
   util::Vector prior(k, 1.0f / k);
   util::Matrix transition(k, k, 1.0f / k);
-  crowd::ConfusionSet pis(num_annotators, crowd::ConfusionMatrix(k, 0.7));
+  const int tables = (model.previous_label_context ? 2 : 1) * num_annotators;
+  crowd::ConfusionSet pis(tables, crowd::ConfusionMatrix(k, 0.7));
+  crowd::ConfusionCounts counts(tables, k);
 
   // One group of sentences at a time: their emissions and new marginals.
   std::array<util::Matrix, util::kChainLanes> emission;
   std::array<util::Matrix, util::kChainLanes> new_gamma;
   util::Matrix xi_sum(k, k);
-  util::Vector lp(k);
   bool have_xi = false;
-  for (int iter = 0; iter < options_.max_iters; ++iter) {
+  for (int iter = 0; iter < model.max_iters; ++iter) {
     // ---- M-step from current marginals. ----
-    util::Vector prior_counts(k, static_cast<float>(options_.smoothing));
-    util::Matrix trans_counts(k, k, static_cast<float>(options_.smoothing));
+    util::Vector prior_counts(k, model.prior_pseudo);
+    util::Matrix trans_counts(k, k, model.transition_pseudo);
     if (have_xi) trans_counts.AddScaled(xi_sum, 1.0f);
     float* const tc = trans_counts.data();
-    for (auto& pi : pis) pi.matrix().Zero();
+    counts.Zero();
     for (int i = 0; i < num_instances; ++i) {
-      const util::Matrix& g = gamma[i];
-      if (g.rows() == 0) continue;
-      const float* const gd = g.data();
+      const int t_len = items_per_instance[i];
+      if (t_len == 0) continue;
+      const float* const gd = gamma + static_cast<size_t>(view.begin[i]) * k;
       for (int m = 0; m < k; ++m) prior_counts[m] += gd[m];
       // On the first iteration no exact pairwise posteriors exist yet, so
       // approximate transition counts with products of adjacent marginals;
       // later iterations use the xi counts from ChainForwardBackward.
       if (!have_xi) {
-        for (int t = 0; t + 1 < g.rows(); ++t) {
+        for (int t = 0; t + 1 < t_len; ++t) {
           const float* g0 = gd + t * k;
           const float* g1 = g0 + k;
           for (int a = 0; a < k; ++a) {
@@ -55,13 +67,15 @@ std::vector<util::Matrix> HmmCrowd::Infer(
           }
         }
       }
-      for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
-        float* const c = pis[e.annotator].matrix().data();
-        for (size_t t = 0; t < e.labels.size(); ++t) {
-          const float* gt = gd + t * k;
-          const int y = e.labels[t];
-          LNCL_DCHECK(y >= 0 && y < k);
-          for (int m = 0; m < k; ++m) c[m * k + y] += gt[m];
+      // Entry by entry, then token by token, so a count cell takes its adds
+      // in the same order when an annotator labels a sentence twice.
+      const int first = view.label_begin[view.begin[i]];
+      const int n = view.label_begin[view.begin[i] + 1] - first;
+      for (int p = 0; p < n; ++p) {
+        for (int t = 0; t < t_len; ++t) {
+          const int e = first + t * n + p;
+          LNCL_DCHECK(labels[e].second >= 0 && labels[e].second < k);
+          counts.Add(table(e, t, n), labels[e].second, gd + t * k);
         }
       }
     }
@@ -79,7 +93,8 @@ std::vector<util::Matrix> HmmCrowd::Infer(
         tr_a[b] = static_cast<float>(tc_a[b] / row_total);
       }
     }
-    for (auto& pi : pis) pi.NormalizeRows(options_.smoothing);
+    counts.ToConfusions(&pis, model.diag_pseudo, model.confusion_pseudo);
+    // Const, so the E-step's per-token Row() reads draw no version ticket.
     const std::vector<util::Matrix> log_pis = crowd::LogConfusions(pis);
 
     // ---- E-step: exact smoothing, kChainLanes sentences per call. ----
@@ -91,21 +106,21 @@ std::vector<util::Matrix> HmmCrowd::Infer(
       const int group = std::min(util::kChainLanes, num_instances - i0);
       for (int j = 0; j < group; ++j) {
         const int t_len = items_per_instance[i0 + j];
-        const std::vector<crowd::AnnotatorLabels>& entries =
-            annotations.instance(i0 + j).entries;
         emission[j].ResizeNoZero(t_len, k);
         float* const em = emission[j].data();
-        // Log-space emission accumulation, exponentiated with per-row shift.
+        // Log-space emission sums, exponentiated with a per-row shift.
         for (int t = 0; t < t_len; ++t) {
-          std::fill(lp.begin(), lp.end(), 0.0f);
-          for (const crowd::AnnotatorLabels& e : entries) {
-            const float* log_pi = log_pis[e.annotator].data();
-            const int y = e.labels[t];
-            for (int m = 0; m < k; ++m) lp[m] += log_pi[m * k + y];
+          const int it = view.begin[i0 + j] + t;
+          const int end = view.label_begin[it + 1];
+          const int n = end - view.label_begin[it];
+          float* const lp = em + t * k;
+          std::fill_n(lp, k, 0.0f);
+          for (int e = view.label_begin[it]; e < end; ++e) {
+            const float* const row =
+                log_pis[table(e, t, n)].Row(labels[e].second);
+            for (int m = 0; m < k; ++m) lp[m] += row[m];
           }
-          float mx = lp[0];
-          for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-          for (int m = 0; m < k; ++m) em[t * k + m] = std::exp(lp[m] - mx);
+          crowd::ExpShifted(lp, k);
         }
       }
       util::ChainForwardBackward(prior, transition,
@@ -114,7 +129,7 @@ std::vector<util::Matrix> HmmCrowd::Infer(
       for (int j = 0; j < group; ++j) {
         const int t_len = items_per_instance[i0 + j];
         const float* const ng = new_gamma[j].data();
-        float* const g = gamma[i0 + j].data();
+        float* const g = gamma + static_cast<size_t>(view.begin[i0 + j]) * k;
         for (int idx = 0; idx < t_len * k; ++idx) {
           delta += std::fabs(ng[idx] - g[idx]);
           g[idx] = ng[idx];
@@ -122,11 +137,25 @@ std::vector<util::Matrix> HmmCrowd::Infer(
         items += t_len;
       }
     }
-    if (items > 0 && delta / static_cast<double>(items * k) < options_.tol) {
+    if (items > 0 && delta / static_cast<double>(items * k) < model.tol) {
       break;
     }
   }
-  return gamma;
+  return UnflattenPosteriors(view, marginals);
+}
+
+std::vector<util::Matrix> HmmCrowd::Infer(
+    const crowd::AnnotationSet& annotations,
+    const std::vector<int>& items_per_instance, util::Rng*) const {
+  const auto smoothing = static_cast<float>(options_.smoothing);
+  return RunSequenceEm(annotations, items_per_instance,
+                       {.previous_label_context = false,
+                        .prior_pseudo = smoothing,
+                        .transition_pseudo = smoothing,
+                        .diag_pseudo = 0.0,
+                        .confusion_pseudo = options_.smoothing,
+                        .max_iters = options_.max_iters,
+                        .tol = options_.tol});
 }
 
 }  // namespace lncl::inference

@@ -31,5 +31,25 @@ class HmmCrowd : public TruthInference {
   Options options_;
 };
 
-}  // namespace lncl::inference
+// The sequence EM of HMM-Crowd, which BSC-seq (bsc_seq.h) runs too: MV
+// initial marginals; M-step counts of prior, transitions (adjacent-marginal
+// products, then the smoother's xi) and confusions, each plus its
+// pseudo-count; E-step emissions smoothed kChainLanes sentences per call.
+// The two models differ only in these fields.
+struct SequenceEmModel {
+  // BSC-seq: a label's confusion table depends on the annotator's own
+  // previous label (O or sentence start vs. any other tag).
+  bool previous_label_context = false;
+  float prior_pseudo = 0.0f;
+  float transition_pseudo = 0.0f;
+  double diag_pseudo = 0.0;       // added to every confusion diagonal
+  double confusion_pseudo = 0.0;  // NormalizeRows smoothing
+  int max_iters = 0;
+  double tol = 0.0;  // stop once the mean |change| of gamma falls below
+};
 
+std::vector<util::Matrix> RunSequenceEm(
+    const crowd::AnnotationSet& annotations,
+    const std::vector<int>& items_per_instance, const SequenceEmModel& model);
+
+}  // namespace lncl::inference

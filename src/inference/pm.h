@@ -33,5 +33,14 @@ class Pm : public TruthInference {
   Options options_;
 };
 
+// One weighted-vote round, shared with CATD: each item's row of q (items x
+// K) becomes its weight-normalized label tallies (uniform where the
+// weights sum to 0); then, against the row's argmax (the lowest class on
+// ties), every label of annotator j adds 1 to (*labels)[j], and 1 to
+// (*misses)[j] when it disagrees.
+void WeightedVote(const ItemView& view, const std::vector<double>& weight,
+                  float* q, std::vector<double>* labels,
+                  std::vector<double>* misses);
+
 }  // namespace lncl::inference
 

@@ -4,7 +4,6 @@
 
 #include "util/check.h"
 
-
 namespace lncl::inference {
 
 std::vector<int> ItemsPerInstance(const data::Dataset& dataset) {
@@ -15,47 +14,73 @@ std::vector<int> ItemsPerInstance(const data::Dataset& dataset) {
 
 ItemView FlattenItems(const crowd::AnnotationSet& annotations,
                       const std::vector<int>& items_per_instance) {
-  LNCL_DCHECK(static_cast<int>(items_per_instance.size()) ==
-         annotations.num_instances());
+  annotations.CheckShape(items_per_instance);
+  const int num_instances = annotations.num_instances();
   ItemView view;
   view.num_annotators = annotations.num_annotators();
   view.num_classes = annotations.num_classes();
-  view.begin.resize(items_per_instance.size() + 1, 0);
-  int total = 0;
-  for (size_t i = 0; i < items_per_instance.size(); ++i) {
-    view.begin[i] = total;
-    total += items_per_instance[i];
+  view.begin.resize(num_instances + 1, 0);
+  long total_labels = 0;
+  for (int i = 0; i < num_instances; ++i) {
+    view.begin[i + 1] = view.begin[i] + items_per_instance[i];
+    total_labels += static_cast<long>(items_per_instance[i]) *
+                    annotations.NumAnnotators(i);
   }
-  view.begin.back() = total;
-  view.items.resize(total);
-  for (int i = 0; i < annotations.num_instances(); ++i) {
-    for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
-      LNCL_DCHECK(static_cast<int>(e.labels.size()) == items_per_instance[i]);
-      for (size_t t = 0; t < e.labels.size(); ++t) {
-        view.items[view.begin[i] + static_cast<int>(t)].labels.emplace_back(
-            e.annotator, e.labels[t]);
+  view.label_begin.resize(view.begin.back() + 1);
+  view.labels.resize(total_labels);
+  int at = 0;
+  for (int i = 0; i < num_instances; ++i) {
+    const std::vector<crowd::AnnotatorLabels>& entries =
+        annotations.instance(i).entries;
+    const int n = static_cast<int>(entries.size());
+    for (int t = 0; t < items_per_instance[i]; ++t) {
+      view.label_begin[view.begin[i] + t] = at;
+      for (int p = 0; p < n; ++p) {
+        view.labels[at + p] = {entries[p].annotator, entries[p].labels[t]};
       }
+      at += n;
     }
   }
+  view.label_begin.back() = at;
   return view;
 }
 
-std::vector<util::Matrix> UnflattenPosteriors(
-    const ItemView& view, const std::vector<util::Vector>& posterior) {
-  LNCL_DCHECK(posterior.size() == view.items.size());
+util::Matrix MajorityVotePosteriors(const ItemView& view) {
+  const int k = view.num_classes;
+  util::Matrix q(view.num_items(), k);
+  // One data() for the whole matrix: a mutable q(t, y) draws a version
+  // ticket per call.
+  float* const qd = q.data();
+  for (int it = 0; it < view.num_items(); ++it) {
+    float* const row = qd + static_cast<size_t>(it) * k;
+    const std::span<const std::pair<int, int>> labels = view.item(it);
+    if (labels.empty()) {
+      for (int m = 0; m < k; ++m) row[m] = 1.0f / static_cast<float>(k);
+      continue;
+    }
+    for (const auto& [j, y] : labels) {
+      LNCL_DCHECK(y >= 0 && y < k);
+      row[y] += 1.0f;
+    }
+    const float inv = 1.0f / static_cast<float>(labels.size());
+    for (int m = 0; m < k; ++m) row[m] *= inv;
+  }
+  LNCL_AUDIT_SIMPLEX(q);
+  return q;
+}
+
+std::vector<util::Matrix> UnflattenPosteriors(const ItemView& view,
+                                              const util::Matrix& posterior) {
+  const int k = view.num_classes;
+  LNCL_DCHECK(posterior.rows() == view.num_items() && posterior.cols() == k);
   std::vector<util::Matrix> out;
   const int num_instances = static_cast<int>(view.begin.size()) - 1;
   out.reserve(num_instances);
   for (int i = 0; i < num_instances; ++i) {
     const int items = view.begin[i + 1] - view.begin[i];
-    util::Matrix m(items, view.num_classes);
-    // One data() per matrix: a mutable m(t, k) draws a version ticket.
-    float* const md = m.data();
-    for (int t = 0; t < items; ++t) {
-      const util::Vector& p = posterior[view.begin[i] + t];
-      LNCL_DCHECK(static_cast<int>(p.size()) == view.num_classes);
-      std::copy_n(p.data(), view.num_classes, md + t * view.num_classes);
-    }
+    util::Matrix m(items, k);
+    std::copy_n(posterior.Row(view.begin[i]), static_cast<size_t>(items) * k,
+                m.data());
     LNCL_AUDIT_SIMPLEX(m);
     out.push_back(std::move(m));
   }

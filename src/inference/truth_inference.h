@@ -1,7 +1,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crowd/annotation.h"
@@ -34,26 +36,40 @@ using TruthInferencePtr = std::unique_ptr<TruthInference>;
 // Item counts of a dataset split, for passing to Infer.
 std::vector<int> ItemsPerInstance(const data::Dataset& dataset);
 
-// A flattened view of an annotation set: every item across all instances in
-// one array, each with its (annotator, label) pairs. Used by the
-// item-independent methods (MV, DS, GLAD, IBCC, PM, CATD).
+// A flattened view of an annotation set in compressed-row form, holding no
+// per-item heap object: one (annotator, label) array of every received
+// label, item by item, item `it`'s in [label_begin[it], label_begin[it +
+// 1]), instance i's items in [begin[i], begin[i + 1]). An item lists its
+// labels in the order of its instance's n entries, so entry p's label at
+// token t is labels[label_begin[begin[i]] + t * n + p], n positions after
+// the same entry's label at t - 1. Used by every aggregator.
 struct ItemView {
-  struct Item {
-    std::vector<std::pair<int, int>> labels;  // (annotator, label)
-  };
-  std::vector<Item> items;
-  // items index range [begin[i], begin[i+1]) belongs to instance i.
-  std::vector<int> begin;
+  std::vector<std::pair<int, int>> labels;  // (annotator, label)
+  std::vector<int> label_begin;             // num_items() + 1 offsets
+  std::vector<int> begin;                   // num_instances + 1 offsets
   int num_annotators = 0;
   int num_classes = 0;
+
+  int num_items() const { return static_cast<int>(label_begin.size()) - 1; }
+  // Labels of item `it`.
+  std::span<const std::pair<int, int>> item(int it) const {
+    return {labels.data() + label_begin[it],
+            static_cast<size_t>(label_begin[it + 1] - label_begin[it])};
+  }
 };
 
+// Builds the view; checks the crowd's shape first
+// (crowd::AnnotationSet::CheckShape).
 ItemView FlattenItems(const crowd::AnnotationSet& annotations,
                       const std::vector<int>& items_per_instance);
 
-// Reassembles flat per-item posteriors into per-instance matrices.
-std::vector<util::Matrix> UnflattenPosteriors(
-    const ItemView& view, const std::vector<util::Vector>& posterior);
+// Majority-vote posteriors over the view, one row per item: the floats of
+// AnnotationSet::MajorityVote, flat.
+util::Matrix MajorityVotePosteriors(const ItemView& view);
+
+// Splits flat (items x K) posteriors into per-instance matrices.
+std::vector<util::Matrix> UnflattenPosteriors(const ItemView& view,
+                                              const util::Matrix& posterior);
 
 }  // namespace lncl::inference
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crowd/simulator.h"
@@ -122,11 +123,70 @@ std::vector<int>* ClassificationInferenceTest::items_ = nullptr;
 
 TEST_F(ClassificationInferenceTest, FlattenRoundTrip) {
   const ItemView view = FlattenItems(*annotations_, *items_);
-  EXPECT_EQ(view.items.size(), static_cast<size_t>(corpus_->train.size()));
+  EXPECT_EQ(view.num_items(), corpus_->train.size());
   EXPECT_EQ(view.num_classes, 2);
-  long labels = 0;
-  for (const auto& item : view.items) labels += item.labels.size();
-  EXPECT_EQ(labels, annotations_->TotalAnnotations());
+  EXPECT_EQ(static_cast<long>(view.labels.size()),
+            annotations_->TotalAnnotations());
+  for (int i = 0; i < annotations_->num_instances(); ++i) {
+    const auto& entries = annotations_->instance(i).entries;
+    ASSERT_EQ(view.item(i).size(), entries.size());
+    for (size_t p = 0; p < entries.size(); ++p) {
+      EXPECT_EQ(view.item(i)[p].first, entries[p].annotator);
+      EXPECT_EQ(view.item(i)[p].second, entries[p].labels[0]);
+    }
+  }
+}
+
+// A sequence view lists each token's labels in entry order, so entry p's
+// label at token t sits at label_begin[begin[i]] + t * entries + p.
+TEST(ItemViewTest, SequenceLabelsAreTokenMajorInEntryOrder) {
+  crowd::AnnotationSet ann(3, 3, 4);
+  ann.instance(0).entries.push_back({2, {0, 1, 2}});
+  ann.instance(0).entries.push_back({0, {3, 3, 0}});
+  ann.instance(1).entries.push_back({1, {}});
+  ann.instance(2).entries.push_back({1, {2, 1}});
+  const ItemView view = FlattenItems(ann, {3, 0, 2});
+  EXPECT_EQ(view.begin, (std::vector<int>{0, 3, 3, 5}));
+  EXPECT_EQ(view.label_begin, (std::vector<int>{0, 2, 4, 6, 7, 8}));
+  const std::vector<std::pair<int, int>> labels = {
+      {2, 0}, {0, 3}, {2, 1}, {0, 3}, {2, 2}, {0, 0}, {1, 2}, {1, 1}};
+  EXPECT_EQ(view.labels, labels);
+  const std::vector<util::Matrix> mv =
+      UnflattenPosteriors(view, MajorityVotePosteriors(view));
+  const std::vector<util::Matrix> expected = ann.MajorityVote({3, 0, 2});
+  ASSERT_EQ(mv.size(), expected.size());
+  for (size_t i = 0; i < mv.size(); ++i) {
+    EXPECT_EQ(HashMatrix(mv[i]), HashMatrix(expected[i])) << i;
+  }
+}
+
+// A crowd whose entries do not match its corpus's item counts is refused
+// with a message naming the instance, by every aggregator, before any
+// label is read (unchecked, an entry longer than its sentence is written
+// past the item array, and a shorter one is read past its labels).
+TEST(ItemViewDeathTest, MismatchedEntryLengthsAbortNamingTheInstance) {
+  const std::vector<int> items = {4, 2};
+  crowd::AnnotationSet longer(2, 2, 3);
+  longer.instance(0).entries.push_back({0, {0, 1, 2, 0}});
+  longer.instance(1).entries.push_back({1, {0, 1, 2}});  // 3 labels for 2
+  crowd::AnnotationSet shorter(2, 2, 3);
+  shorter.instance(0).entries.push_back({0, {0, 1, 2, 0}});
+  shorter.instance(0).entries.push_back({1, {0, 1}});  // 2 labels for 4
+  MajorityVote mv;
+  DawidSkene ds;
+  HmmCrowd hmm;
+  const TruthInference* methods[] = {&mv, &ds, &hmm};
+  for (const TruthInference* method : methods) {
+    Rng rng(1);
+    EXPECT_DEATH(method->Infer(longer, items, &rng),
+                 "instance 1: annotator 1 gave 3 labels for 2 items")
+        << method->name();
+    EXPECT_DEATH(method->Infer(shorter, items, &rng),
+                 "instance 0: annotator 1 gave 2 labels for 4 items")
+        << method->name();
+  }
+  Rng rng(1);
+  EXPECT_DEATH(mv.Infer(longer, {4}, &rng), "items_per_instance.size\\(\\)");
 }
 
 TEST_F(ClassificationInferenceTest, MajorityVoteBetterThanChance) {
@@ -211,6 +271,31 @@ TEST_F(ClassificationInferenceTest, GladEstimatesAbilityOrdering) {
   }
   ASSERT_GE(best, 0);
   EXPECT_GT(empirical[best].Reliability(), 0.7);
+}
+
+// Posterior fingerprints of the item-independent EM aggregators on this
+// fixture (default options), taken from the reference implementation under
+// the toolchain of SequenceInferenceTest.PosteriorsMatchGoldenHashes below:
+// a change to the flat item view or to any E-/M-step operand or its order
+// must re-take them.
+TEST_F(ClassificationInferenceTest, PosteriorsMatchGoldenHashes) {
+  struct Case {
+    std::unique_ptr<TruthInference> method;
+    uint64_t hash;
+  };
+  Case cases[] = {
+      {std::make_unique<DawidSkene>(), 0x3e89e20a130146d6ull},
+      {std::make_unique<Ibcc>(), 0xeb802a0768ad25c9ull},
+      {std::make_unique<Glad>(), 0xc8ef46db09a3290bull},
+      {std::make_unique<Pm>(), 0xce40323761421ceaull},
+      {std::make_unique<Catd>(), 0xec1ddcc158bb150dull},
+  };
+  for (const Case& c : cases) {
+    Rng rng(7);
+    const uint64_t h =
+        HashMatrices(c.method->Infer(*annotations_, *items_, &rng));
+    EXPECT_EQ(h, c.hash) << c.method->name() << ": 0x" << std::hex << h;
+  }
 }
 
 // --------------------------------------------------------------- Chain --
@@ -911,6 +996,10 @@ TEST_F(SequenceInferenceTest, PosteriorsMatchGoldenHashes) {
        0x56423e4f4c58d4b7ull},
       {"HMM-Crowd fixed", std::make_unique<HmmCrowd>(hmm_fixed),
        0x67b6fa9c6021300full},
+      {"MV", std::make_unique<MajorityVote>(), 0xf92ae90191d08104ull},
+      {"GLAD default", std::make_unique<Glad>(), 0xc277a1856c753882ull},
+      {"PM default", std::make_unique<Pm>(), 0x31fce168385e10a3ull},
+      {"CATD default", std::make_unique<Catd>(), 0xe776cf3b5e592705ull},
   };
   for (const Case& c : cases) {
     Rng rng(7);
@@ -932,11 +1021,16 @@ TEST(SequenceEdgeTest, EmAggregatorsStayValidOnDegenerateCrowd) {
   ann.instance(1).entries.push_back({0, {}});
   ann.instance(3).entries.push_back({1, {1, 1, 0}});
   // Annotator 2 labels nothing; instances 2 and 4 have no entries.
+  MajorityVote mv;
   DawidSkene ds;
   Ibcc ibcc;
+  Glad glad;
+  Pm pm;
+  Catd catd;
   BscSeq bsc;
   HmmCrowd hmm;
-  const TruthInference* methods[] = {&ds, &ibcc, &bsc, &hmm};
+  const TruthInference* methods[] = {&mv, &ds,   &ibcc, &glad,
+                                     &pm, &catd, &bsc,  &hmm};
   for (const TruthInference* method : methods) {
     Rng rng(3);
     ExpectValidPosteriors(method->Infer(ann, items, &rng), items, k,
