@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "logic/sequence_rules.h"
 #include "util/chain.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace lncl {
 namespace {
@@ -164,7 +164,10 @@ BENCHMARK(BM_UpdateConfusions)->Arg(100)->Arg(1000);
 // The EM aggregators of the ner_aggregate benchmark workload with its
 // fixed iteration counts (a negative tolerance never stops early), on a
 // reduced NER crowd from the table3 setup: 1,000 sentences, 47 annotators.
-// Arg 0-3: DS, IBCC, BSC-seq, HMM-Crowd. Items are tokens.
+// range(0) 0-3: DS, IBCC, BSC-seq, HMM-Crowd, through the EM cores their
+// Infer runs (DawidSkene::Run, RunSequenceEm); range(1): the workers of
+// their Parallelizer, 1 and one per hardware thread. Real time, since the
+// default CPU time counts the calling thread alone. Items are tokens.
 void BM_TruthInference(benchmark::State& state) {
   static const bench::NerSetup setup = [] {
     bench::Scale scale;
@@ -174,39 +177,56 @@ void BM_TruthInference(benchmark::State& state) {
   }();
   static const std::vector<int> items =
       inference::ItemsPerInstance(setup.corpus.train);
-  std::unique_ptr<inference::TruthInference> method;
-  switch (state.range(0)) {
-    case 0:
-      method = std::make_unique<inference::DawidSkene>(
-          inference::DawidSkene::Options{
-              .max_iters = 5, .tol = -1.0, .smoothing = 1e-2});
-      break;
-    case 1:
-      method = std::make_unique<inference::Ibcc>(inference::Ibcc::Options{
-          .diag_pseudo = 2.0, .smoothing = 0.5, .max_iters = 4});
-      break;
-    case 2:
-      method = std::make_unique<inference::BscSeq>(
-          inference::BscSeq::Options{.max_iters = 10,
-                                     .confusion_pseudo = 0.3,
-                                     .diag_pseudo = 1.0,
-                                     .transition_pseudo = 0.2,
-                                     .tol = -1.0});
-      break;
-    default:
-      method = std::make_unique<inference::HmmCrowd>(
-          inference::HmmCrowd::Options{
-              .max_iters = 5, .smoothing = 0.1, .tol = -1.0});
-  }
-  state.SetLabel(method->name());
-  util::Rng rng(1);
+  const crowd::AnnotationSet& crowd = setup.annotations;
+  util::Parallelizer exec(static_cast<int>(state.range(1)));
+  const auto flat_em = [&](const inference::DawidSkene& core,
+                           double diag_pseudo) {
+    const inference::ItemView view = inference::FlattenItems(crowd, items);
+    return inference::UnflattenPosteriors(
+        view, core.Run(view, diag_pseudo, nullptr, &exec));
+  };
+  const inference::DawidSkene ds({.max_iters = 5, .tol = -1.0,
+                                  .smoothing = 1e-2});
+  const inference::Ibcc::Options ibcc = {
+      .diag_pseudo = 2.0, .smoothing = 0.5, .max_iters = 4};
+  const inference::DawidSkene ibcc_core(
+      {.max_iters = ibcc.max_iters, .smoothing = ibcc.smoothing});
+  const inference::SequenceEmModel bsc =
+      inference::BscSeq({.max_iters = 10,
+                         .confusion_pseudo = 0.3,
+                         .diag_pseudo = 1.0,
+                         .transition_pseudo = 0.2,
+                         .tol = -1.0})
+          .model();
+  const inference::SequenceEmModel hmm =
+      inference::HmmCrowd({.max_iters = 5, .smoothing = 0.1, .tol = -1.0})
+          .model();
+  const char* const names[] = {"DS", "IBCC", "BSC-seq", "HMM-Crowd"};
+  state.SetLabel(names[state.range(0)]);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(method->Infer(setup.annotations, items, &rng));
+    switch (state.range(0)) {
+      case 0:
+        benchmark::DoNotOptimize(flat_em(ds, 0.0));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(flat_em(ibcc_core, ibcc.diag_pseudo));
+        break;
+      case 2:
+        benchmark::DoNotOptimize(
+            inference::RunSequenceEm(crowd, items, bsc, &exec));
+        break;
+      default:
+        benchmark::DoNotOptimize(
+            inference::RunSequenceEm(crowd, items, hmm, &exec));
+    }
   }
   state.SetItemsProcessed(state.iterations() *
                           setup.corpus.train.TotalItems());
 }
-BENCHMARK(BM_TruthInference)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TruthInference)
+    ->ArgsProduct({{0, 1, 2, 3}, {1, util::HardwareThreads()}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lncl

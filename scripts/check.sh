@@ -25,10 +25,12 @@
 #                      finding is fatal (-fno-sanitize-recover=all, set by
 #                      CMakeLists.txt for any LNCL_SANITIZE build)
 #   thread             TSan (exercises the deterministic parallel training
-#                      paths in determinism_test / util_test and the
-#                      per-thread chain-smoother buffers in inference_test
-#                      with real data races flagged, not just bit-identity
-#                      checked)
+#                      paths in determinism_test / util_test, and in
+#                      inference_test the per-thread chain-smoother buffers
+#                      and the parallel EM aggregators, DS and IBCC
+#                      (DawidSkene::Run) and HMM-Crowd and BSC-seq
+#                      (RunSequenceEm), at 1-4 workers, with real data races
+#                      flagged, not just bit-identity checked)
 #   portable           -DLNCL_NATIVE_ARCH=OFF: a Release build for the
 #                      baseline x86-64 ISA (SSE2), running the suites that
 #                      pin bits (inference, determinism, util, models,
@@ -37,9 +39,11 @@
 #                      golden hash must still hold
 #
 # Sanitizer sweeps finish with an explicit run of the batched-prediction
-# equivalence + determinism tests so the PredictBatch bit-identity contract
-# is checked under both sanitizers. The ASan/UBSan sweep additionally reruns
-# the whole suite with LNCL_GEMM_KERNEL=scalar so the scalar GEMM twin (the
+# equivalence, determinism and inference tests, one at a time, so the
+# PredictBatch bit-identity contract and the aggregators' worker-count
+# invariance are checked under both sanitizers with no other suite
+# competing for cores. The ASan/UBSan sweep additionally reruns the whole
+# suite with LNCL_GEMM_KERNEL=scalar so the scalar GEMM twin (the
 # bit-equality reference for the SIMD microkernels) gets its own sanitized
 # pass. All sweeps build with -DLNCL_WERROR=ON: the tree must stay
 # warning-clean under -Wall -Wextra -Wshadow.
@@ -195,8 +199,9 @@ for sweep in "${sweeps[@]}"; do
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "$build" -j "$(nproc)"
   ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
-  echo "----- ${san}: batched-prediction equivalence + determinism -----"
-  ctest --test-dir "$build" --output-on-failure -R 'batch_predict|determinism'
+  echo "----- ${san}: batched prediction, determinism, aggregators -----"
+  ctest --test-dir "$build" --output-on-failure \
+    -R 'batch_predict|determinism|inference_test'
   if [ "$san" = "address,undefined,float-cast-overflow" ]; then
     echo "----- ${san}: full suite under LNCL_GEMM_KERNEL=scalar -----"
     LNCL_GEMM_KERNEL=scalar ctest --test-dir "$build" \

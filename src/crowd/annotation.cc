@@ -1,9 +1,9 @@
 #include "crowd/annotation.h"
 
+#include <algorithm>
 #include <string>
 
 #include "util/check.h"
-
 
 namespace lncl::crowd {
 
@@ -30,6 +30,15 @@ void AnnotationSet::CheckShape(
   LNCL_CHECK(items_per_instance.size() == instances_.size());
   for (size_t i = 0; i < instances_.size(); ++i) {
     for (const AnnotatorLabels& e : instances_[i].entries) {
+      if (e.annotator < 0 || e.annotator >= num_annotators_) {
+        util::CheckFailure(__FILE__, __LINE__,
+                           "0 <= annotator < num_annotators",
+                           "instance " + std::to_string(i) + ": annotator " +
+                               std::to_string(e.annotator) +
+                               " is outside the pool of " +
+                               std::to_string(num_annotators_) +
+                               " annotators");
+      }
       if (static_cast<int>(e.labels.size()) != items_per_instance[i]) {
         util::CheckFailure(
             __FILE__, __LINE__, "labels.size() == items_per_instance[i]",
@@ -42,9 +51,28 @@ void AnnotationSet::CheckShape(
   }
 }
 
+void AnnotationSet::FailLabelRange(int i) const {
+  for (const AnnotatorLabels& e : instances_.at(i).entries) {
+    for (const int y : e.labels) {
+      if (y < 0 || y >= num_classes_) {
+        util::CheckFailure(__FILE__, __LINE__, "0 <= label < num_classes",
+                           "instance " + std::to_string(i) + ": annotator " +
+                               std::to_string(e.annotator) + " gave label " +
+                               std::to_string(y) + ", outside [0, " +
+                               std::to_string(num_classes_) + ")");
+      }
+    }
+  }
+  util::CheckFailure(__FILE__, __LINE__, "FailLabelRange",
+                     "instance " + std::to_string(i) +
+                         " holds no label outside [0, " +
+                         std::to_string(num_classes_) + ")");
+}
+
 std::vector<util::Matrix> AnnotationSet::MajorityVote(
     const std::vector<int>& items_per_instance) const {
   CheckShape(items_per_instance);
+  const auto num_classes = static_cast<unsigned>(num_classes_);
   std::vector<util::Matrix> result;
   result.reserve(instances_.size());
   for (size_t i = 0; i < instances_.size(); ++i) {
@@ -55,8 +83,14 @@ std::vector<util::Matrix> AnnotationSet::MajorityVote(
     float* const qd = q.data();
     std::vector<int> total(items, 0);
     for (const AnnotatorLabels& e : instances_[i].entries) {
+      // The entry's labels are checked before any is counted (a negative
+      // label is above every class as unsigned), then read again from L1.
+      unsigned top = 0;
       for (int t = 0; t < items; ++t) {
-        LNCL_DCHECK(e.labels[t] >= 0 && e.labels[t] < num_classes_);
+        top = std::max(top, static_cast<unsigned>(e.labels[t]));
+      }
+      if (items > 0 && top >= num_classes) FailLabelRange(static_cast<int>(i));
+      for (int t = 0; t < items; ++t) {
         qd[t * num_classes_ + e.labels[t]] += 1.0f;
         ++total[t];
       }

@@ -47,12 +47,25 @@ class AnnotationSet {
   // Total number of (instance, annotator) annotation events.
   long TotalAnnotations() const;
 
-  // Aborts, naming the first offending instance, unless there is one item
-  // count per instance and every entry of instance i holds exactly
+  // Aborts, naming the first offending instance, its annotator and the bad
+  // value, unless there is one item count per instance and every entry of
+  // instance i has an annotator id in [0, num_annotators) and exactly
   // items_per_instance[i] labels. A crowd read from one file and a corpus
-  // from another are paired only here: MajorityVote (so Logic-LNCL's start)
-  // and the aggregators' flat view (inference::FlattenItems) check first.
+  // from another are paired only here, and a crowd built in code is
+  // checked only here and in the two label loops below: MajorityVote (so
+  // Logic-LNCL's start) and the aggregators' flat view
+  // (inference::FlattenItems) check first, so no M-step count table or
+  // vote row is indexed out of range.
   void CheckShape(const std::vector<int>& items_per_instance) const;
+
+  // Aborts naming the first entry of instance i that holds a label outside
+  // [0, num_classes), its annotator and the label. The label range is
+  // checked in the loops that read every label anyway (MajorityVote and
+  // inference::FlattenItems keep a running maximum of an instance's labels
+  // as unsigned, which a negative label exceeds too) and this runs only
+  // when that maximum reaches num_classes: a pass of its own over the
+  // labels costs about 1% of a ner_aggregate round.
+  [[noreturn]] void FailLabelRange(int i) const;
 
   // Per-instance majority-vote distributions: for every instance an
   // (items x K) matrix with the empirical label frequencies (uniform when an

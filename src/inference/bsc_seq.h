@@ -1,5 +1,6 @@
 #pragma once
 
+#include "inference/hmm_crowd.h"
 #include "inference/truth_inference.h"
 
 namespace lncl::inference {
@@ -36,6 +37,9 @@ class BscSeq : public TruthInference {
   std::vector<util::Matrix> Infer(const crowd::AnnotationSet& annotations,
                                   const std::vector<int>& items_per_instance,
                                   util::Rng* rng) const override;
+
+  // The RunSequenceEm settings of these options.
+  SequenceEmModel model() const;
 
  private:
   Options options_;

@@ -1,37 +1,56 @@
 #include "inference/dawid_skene.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace lncl::inference {
 
 util::Matrix DawidSkene::Run(const ItemView& view, double diag_pseudo,
-                             crowd::ConfusionSet* confusions) const {
+                             crowd::ConfusionSet* confusions,
+                             util::Parallelizer* exec) const {
+  constexpr int kSlots = util::Parallelizer::kSlots;
   const int k = view.num_classes;
   const int num_items = view.num_items();
+  const int workers = exec->num_threads();
   util::Matrix posterior = MajorityVotePosteriors(view);
   // One data() for the whole run: a mutable Row() draws a version ticket.
   float* const q = posterior.data();
 
   crowd::ConfusionSet pis(view.num_annotators, crowd::ConfusionMatrix(k, 0.7));
+  // One count table per worker; worker w counts the labels of the
+  // annotators it owns, in item order, so each cell takes the adds of the
+  // one-table loop in the same order, and the merge adds exact zeros.
+  const std::vector<int> owner = AnnotatorOwners(view, workers);
+  std::vector<crowd::ConfusionCounts> worker_counts(
+      workers, crowd::ConfusionCounts(view.num_annotators, k));
   crowd::ConfusionCounts counts(view.num_annotators, k);
   util::Vector log_prior(k);
-  util::Vector lp(k);
+  std::array<double, kSlots> slot_delta{};
 
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- M-step: confusions + prior from current posteriors. ----
+    exec->RunSlots(workers, [&](int w) {
+      worker_counts[w].Zero();
+      for (int i = 0; i < num_items; ++i) {
+        for (const auto& [j, y] : view.item(i)) {
+          if (owner[j] != w) continue;
+          LNCL_DCHECK(y >= 0 && y < k);
+          worker_counts[w].Add(j, y, q + static_cast<size_t>(i) * k);
+        }
+      }
+    });
     counts.Zero();
+    for (const crowd::ConfusionCounts& part : worker_counts) {
+      counts.AddCounts(part);
+    }
+    counts.ToConfusions(&pis, diag_pseudo > 0.0 ? diag_pseudo : 0.0,
+                        options_.smoothing);
     std::vector<double> class_counts(k, options_.smoothing);
     for (int i = 0; i < num_items; ++i) {
       const float* qi = q + static_cast<size_t>(i) * k;
       for (int m = 0; m < k; ++m) class_counts[m] += qi[m];
-      for (const auto& [j, y] : view.item(i)) {
-        LNCL_DCHECK(y >= 0 && y < k);
-        counts.Add(j, y, qi);
-      }
     }
-    counts.ToConfusions(&pis, diag_pseudo > 0.0 ? diag_pseudo : 0.0,
-                        options_.smoothing);
     double prior_total = 0.0;
     for (double c : class_counts) prior_total += c;
     for (int m = 0; m < k; ++m) {
@@ -40,22 +59,29 @@ util::Matrix DawidSkene::Run(const ItemView& view, double diag_pseudo,
     }
     const std::vector<util::Matrix> log_pis = crowd::LogConfusions(pis);
 
-    // ---- E-step: posteriors from confusions (log space). ----
+    // ---- E-step: posteriors from confusions (log space), per item slot.
+    exec->RunSlots(kSlots, [&](int s) {
+      const auto [b, e] = util::Parallelizer::SlotRange(num_items, s, kSlots);
+      util::Vector lp(k);
+      double change = 0.0;
+      for (int i = b; i < e; ++i) {
+        lp = log_prior;
+        for (const auto& [j, y] : view.item(i)) {
+          const float* const row = log_pis[j].Row(y);
+          for (int m = 0; m < k; ++m) lp[m] += row[m];
+        }
+        const double sum = crowd::ExpShifted(lp.data(), k);
+        float* const qi = q + static_cast<size_t>(i) * k;
+        for (int m = 0; m < k; ++m) {
+          const float v = static_cast<float>(lp[m] / sum);
+          change += std::fabs(v - qi[m]);
+          qi[m] = v;
+        }
+      }
+      slot_delta[s] = change;
+    });
     double delta = 0.0;
-    for (int i = 0; i < num_items; ++i) {
-      lp = log_prior;
-      for (const auto& [j, y] : view.item(i)) {
-        const float* const row = log_pis[j].Row(y);
-        for (int m = 0; m < k; ++m) lp[m] += row[m];
-      }
-      const double sum = crowd::ExpShifted(lp.data(), k);
-      float* qi = q + static_cast<size_t>(i) * k;
-      for (int m = 0; m < k; ++m) {
-        const float v = static_cast<float>(lp[m] / sum);
-        delta += std::fabs(v - qi[m]);
-        qi[m] = v;
-      }
-    }
+    for (const double d : slot_delta) delta += d;
     delta /= static_cast<double>(static_cast<size_t>(num_items) * k);
     if (delta < options_.tol) break;
   }
@@ -68,7 +94,9 @@ std::vector<util::Matrix> DawidSkene::Infer(
     const crowd::AnnotationSet& annotations,
     const std::vector<int>& items_per_instance, util::Rng*) const {
   const ItemView view = FlattenItems(annotations, items_per_instance);
-  return UnflattenPosteriors(view, Run(view, /*diag_pseudo=*/0.0, nullptr));
+  util::Parallelizer exec(util::HardwareThreads());
+  return UnflattenPosteriors(view,
+                             Run(view, /*diag_pseudo=*/0.0, nullptr, &exec));
 }
 
 }  // namespace lncl::inference

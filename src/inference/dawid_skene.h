@@ -2,6 +2,7 @@
 
 #include "crowd/confusion.h"
 #include "inference/truth_inference.h"
+#include "util/threadpool.h"
 
 namespace lncl::inference {
 
@@ -34,9 +35,13 @@ class DawidSkene : public TruthInference {
   // posteriors. Exposed for reuse by IBCC and the tests; fills `confusions`
   // with the final annotator estimates when non-null. `diag_pseudo` adds
   // extra pseudo-counts on the confusion diagonal (IBCC's informative
-  // prior); 0 disables.
+  // prior); 0 disables. Runs on `exec`: the E-step over its kSlots fixed
+  // item slots, the M-step's confusion counts split by annotator over its
+  // workers (AnnotatorOwners); the posteriors are bit-identical for any
+  // worker count.
   util::Matrix Run(const ItemView& view, double diag_pseudo,
-                   crowd::ConfusionSet* confusions) const;
+                   crowd::ConfusionSet* confusions,
+                   util::Parallelizer* exec) const;
 
  private:
   Options options_;

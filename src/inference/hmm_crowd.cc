@@ -12,7 +12,9 @@ namespace lncl::inference {
 
 std::vector<util::Matrix> RunSequenceEm(
     const crowd::AnnotationSet& annotations,
-    const std::vector<int>& items_per_instance, const SequenceEmModel& model) {
+    const std::vector<int>& items_per_instance, const SequenceEmModel& model,
+    util::Parallelizer* exec) {
+  constexpr int kSlots = util::Parallelizer::kSlots;
   const ItemView view = FlattenItems(annotations, items_per_instance);
   const int k = view.num_classes;
   // Marginals, one row per token, initialized by majority vote. One data()
@@ -21,6 +23,7 @@ std::vector<util::Matrix> RunSequenceEm(
   float* const gamma = marginals.data();
   const int num_instances = annotations.num_instances();
   const int num_annotators = view.num_annotators;
+  const int workers = exec->num_threads();
   const std::pair<int, int>* const labels = view.labels.data();
   // Table of label e at token t of a sentence with n entries: annotator
   // a's, or with the context split a's "inside" table, num_annotators + a,
@@ -36,11 +39,21 @@ std::vector<util::Matrix> RunSequenceEm(
   util::Matrix transition(k, k, 1.0f / k);
   const int tables = (model.previous_label_context ? 2 : 1) * num_annotators;
   crowd::ConfusionSet pis(tables, crowd::ConfusionMatrix(k, 0.7));
+  // One count table per worker; worker w counts the entries of the
+  // annotators it owns (both of an annotator's tables), so each cell takes
+  // the adds of the one-table loop in the same order, and the merge adds
+  // exact zeros.
+  const std::vector<int> owner = AnnotatorOwners(view, workers);
+  std::vector<crowd::ConfusionCounts> worker_counts(
+      workers, crowd::ConfusionCounts(tables, k));
   crowd::ConfusionCounts counts(tables, k);
 
-  // One group of sentences at a time: their emissions and new marginals.
-  std::array<util::Matrix, util::kChainLanes> emission;
-  std::array<util::Matrix, util::kChainLanes> new_gamma;
+  // Per E-step slot: one group of its sentences at a time (their emissions
+  // and new marginals), its xi sum and its change of gamma.
+  std::array<std::array<util::Matrix, util::kChainLanes>, kSlots> emission;
+  std::array<std::array<util::Matrix, util::kChainLanes>, kSlots> new_gamma;
+  std::array<util::Matrix, kSlots> slot_xi;
+  std::array<double, kSlots> slot_delta{};
   util::Matrix xi_sum(k, k);
   bool have_xi = false;
   for (int iter = 0; iter < model.max_iters; ++iter) {
@@ -49,7 +62,6 @@ std::vector<util::Matrix> RunSequenceEm(
     util::Matrix trans_counts(k, k, model.transition_pseudo);
     if (have_xi) trans_counts.AddScaled(xi_sum, 1.0f);
     float* const tc = trans_counts.data();
-    counts.Zero();
     for (int i = 0; i < num_instances; ++i) {
       const int t_len = items_per_instance[i];
       if (t_len == 0) continue;
@@ -67,17 +79,32 @@ std::vector<util::Matrix> RunSequenceEm(
           }
         }
       }
-      // Entry by entry, then token by token, so a count cell takes its adds
-      // in the same order when an annotator labels a sentence twice.
-      const int first = view.label_begin[view.begin[i]];
-      const int n = view.label_begin[view.begin[i] + 1] - first;
-      for (int p = 0; p < n; ++p) {
-        for (int t = 0; t < t_len; ++t) {
-          const int e = first + t * n + p;
-          LNCL_DCHECK(labels[e].second >= 0 && labels[e].second < k);
-          counts.Add(table(e, t, n), labels[e].second, gd + t * k);
+    }
+    exec->RunSlots(workers, [&](int w) {
+      worker_counts[w].Zero();
+      for (int i = 0; i < num_instances; ++i) {
+        const int t_len = items_per_instance[i];
+        if (t_len == 0) continue;
+        const float* const gd =
+            gamma + static_cast<size_t>(view.begin[i]) * k;
+        // Entry by entry, then token by token, so a count cell takes its
+        // adds in the same order when an annotator labels a sentence twice.
+        const int first = view.label_begin[view.begin[i]];
+        const int n = view.label_begin[view.begin[i] + 1] - first;
+        for (int p = 0; p < n; ++p) {
+          if (owner[labels[first + p].first] != w) continue;
+          for (int t = 0; t < t_len; ++t) {
+            const int e = first + t * n + p;
+            LNCL_DCHECK(labels[e].second >= 0 && labels[e].second < k);
+            worker_counts[w].Add(table(e, t, n), labels[e].second,
+                                 gd + t * k);
+          }
         }
       }
+    });
+    counts.Zero();
+    for (const crowd::ConfusionCounts& part : worker_counts) {
+      counts.AddCounts(part);
     }
     double prior_total = 0.0;
     for (float c : prior_counts) prior_total += c;
@@ -97,46 +124,57 @@ std::vector<util::Matrix> RunSequenceEm(
     // Const, so the E-step's per-token Row() reads draw no version ticket.
     const std::vector<util::Matrix> log_pis = crowd::LogConfusions(pis);
 
-    // ---- E-step: exact smoothing, kChainLanes sentences per call. ----
-    double delta = 0.0;
-    long items = 0;
-    xi_sum.Zero();
-    have_xi = true;
-    for (int i0 = 0; i0 < num_instances; i0 += util::kChainLanes) {
-      const int group = std::min(util::kChainLanes, num_instances - i0);
-      for (int j = 0; j < group; ++j) {
-        const int t_len = items_per_instance[i0 + j];
-        emission[j].ResizeNoZero(t_len, k);
-        float* const em = emission[j].data();
-        // Log-space emission sums, exponentiated with a per-row shift.
-        for (int t = 0; t < t_len; ++t) {
-          const int it = view.begin[i0 + j] + t;
-          const int end = view.label_begin[it + 1];
-          const int n = end - view.label_begin[it];
-          float* const lp = em + t * k;
-          std::fill_n(lp, k, 0.0f);
-          for (int e = view.label_begin[it]; e < end; ++e) {
-            const float* const row =
-                log_pis[table(e, t, n)].Row(labels[e].second);
-            for (int m = 0; m < k; ++m) lp[m] += row[m];
+    // ---- E-step: exact smoothing per sentence slot, kChainLanes sentences
+    // per call. ----
+    exec->RunSlots(kSlots, [&](int s) {
+      const auto [b, e] =
+          util::Parallelizer::SlotRange(num_instances, s, kSlots);
+      slot_xi[s].Resize(k, k);
+      double change = 0.0;
+      for (int i0 = b; i0 < e; i0 += util::kChainLanes) {
+        const int group = std::min(util::kChainLanes, e - i0);
+        for (int j = 0; j < group; ++j) {
+          const int t_len = items_per_instance[i0 + j];
+          emission[s][j].ResizeNoZero(t_len, k);
+          float* const em = emission[s][j].data();
+          // Log-space emission sums, exponentiated with a per-row shift.
+          for (int t = 0; t < t_len; ++t) {
+            const int it = view.begin[i0 + j] + t;
+            const int end = view.label_begin[it + 1];
+            const int n = end - view.label_begin[it];
+            float* const lp = em + t * k;
+            std::fill_n(lp, k, 0.0f);
+            for (int l = view.label_begin[it]; l < end; ++l) {
+              const float* const row =
+                  log_pis[table(l, t, n)].Row(labels[l].second);
+              for (int m = 0; m < k; ++m) lp[m] += row[m];
+            }
+            crowd::ExpShifted(lp, k);
           }
-          crowd::ExpShifted(lp, k);
+        }
+        util::ChainForwardBackward(prior, transition,
+                                   std::span(emission[s]).first(group),
+                                   std::span(new_gamma[s]).first(group),
+                                   &slot_xi[s]);
+        for (int j = 0; j < group; ++j) {
+          const int t_len = items_per_instance[i0 + j];
+          const float* const ng = new_gamma[s][j].data();
+          float* const g =
+              gamma + static_cast<size_t>(view.begin[i0 + j]) * k;
+          for (int idx = 0; idx < t_len * k; ++idx) {
+            change += std::fabs(ng[idx] - g[idx]);
+            g[idx] = ng[idx];
+          }
         }
       }
-      util::ChainForwardBackward(prior, transition,
-                                 std::span(emission).first(group),
-                                 std::span(new_gamma).first(group), &xi_sum);
-      for (int j = 0; j < group; ++j) {
-        const int t_len = items_per_instance[i0 + j];
-        const float* const ng = new_gamma[j].data();
-        float* const g = gamma + static_cast<size_t>(view.begin[i0 + j]) * k;
-        for (int idx = 0; idx < t_len * k; ++idx) {
-          delta += std::fabs(ng[idx] - g[idx]);
-          g[idx] = ng[idx];
-        }
-        items += t_len;
-      }
-    }
+      slot_delta[s] = change;
+    });
+    xi_sum.Zero();
+    for (const util::Matrix& xi : slot_xi) xi_sum.AddScaled(xi, 1.0f);
+    have_xi = true;
+    double delta = 0.0;
+    for (const double d : slot_delta) delta += d;
+    const long items = view.num_items();
     if (items > 0 && delta / static_cast<double>(items * k) < model.tol) {
       break;
     }
@@ -144,18 +182,22 @@ std::vector<util::Matrix> RunSequenceEm(
   return UnflattenPosteriors(view, marginals);
 }
 
+SequenceEmModel HmmCrowd::model() const {
+  const auto smoothing = static_cast<float>(options_.smoothing);
+  return {.previous_label_context = false,
+          .prior_pseudo = smoothing,
+          .transition_pseudo = smoothing,
+          .diag_pseudo = 0.0,
+          .confusion_pseudo = options_.smoothing,
+          .max_iters = options_.max_iters,
+          .tol = options_.tol};
+}
+
 std::vector<util::Matrix> HmmCrowd::Infer(
     const crowd::AnnotationSet& annotations,
     const std::vector<int>& items_per_instance, util::Rng*) const {
-  const auto smoothing = static_cast<float>(options_.smoothing);
-  return RunSequenceEm(annotations, items_per_instance,
-                       {.previous_label_context = false,
-                        .prior_pseudo = smoothing,
-                        .transition_pseudo = smoothing,
-                        .diag_pseudo = 0.0,
-                        .confusion_pseudo = options_.smoothing,
-                        .max_iters = options_.max_iters,
-                        .tol = options_.tol});
+  util::Parallelizer exec(util::HardwareThreads());
+  return RunSequenceEm(annotations, items_per_instance, model(), &exec);
 }
 
 }  // namespace lncl::inference

@@ -1,8 +1,35 @@
 #pragma once
 
 #include "inference/truth_inference.h"
+#include "util/threadpool.h"
 
 namespace lncl::inference {
+
+// The sequence EM of HMM-Crowd, which BSC-seq (bsc_seq.h) runs too: MV
+// initial marginals; M-step counts of prior, transitions (adjacent-marginal
+// products, then the smoother's xi) and confusions, each plus its
+// pseudo-count; E-step emissions smoothed kChainLanes sentences per call.
+// The two models differ only in these fields.
+struct SequenceEmModel {
+  // BSC-seq: a label's confusion table depends on the annotator's own
+  // previous label (O or sentence start vs. any other tag).
+  bool previous_label_context = false;
+  float prior_pseudo = 0.0f;
+  float transition_pseudo = 0.0f;
+  double diag_pseudo = 0.0;       // added to every confusion diagonal
+  double confusion_pseudo = 0.0;  // NormalizeRows smoothing
+  int max_iters = 0;
+  double tol = 0.0;  // stop once the mean |change| of gamma falls below
+};
+
+// Runs the sequence EM on `exec`. The E-step smooths kSlots fixed sentence
+// slots, each with its own xi sum, merged in slot order; the M-step's
+// confusion counts are split by annotator over the workers
+// (AnnotatorOwners). The posteriors are bit-identical for any worker count.
+std::vector<util::Matrix> RunSequenceEm(
+    const crowd::AnnotationSet& annotations,
+    const std::vector<int>& items_per_instance, const SequenceEmModel& model,
+    util::Parallelizer* exec);
 
 // HMM-Crowd (Nguyen et al., 2017): sequence-aware crowd aggregation. The
 // latent true tag sequence follows a first-order Markov chain (initial
@@ -27,29 +54,11 @@ class HmmCrowd : public TruthInference {
                                   const std::vector<int>& items_per_instance,
                                   util::Rng* rng) const override;
 
+  // The RunSequenceEm settings of these options.
+  SequenceEmModel model() const;
+
  private:
   Options options_;
 };
-
-// The sequence EM of HMM-Crowd, which BSC-seq (bsc_seq.h) runs too: MV
-// initial marginals; M-step counts of prior, transitions (adjacent-marginal
-// products, then the smoother's xi) and confusions, each plus its
-// pseudo-count; E-step emissions smoothed kChainLanes sentences per call.
-// The two models differ only in these fields.
-struct SequenceEmModel {
-  // BSC-seq: a label's confusion table depends on the annotator's own
-  // previous label (O or sentence start vs. any other tag).
-  bool previous_label_context = false;
-  float prior_pseudo = 0.0f;
-  float transition_pseudo = 0.0f;
-  double diag_pseudo = 0.0;       // added to every confusion diagonal
-  double confusion_pseudo = 0.0;  // NormalizeRows smoothing
-  int max_iters = 0;
-  double tol = 0.0;  // stop once the mean |change| of gamma falls below
-};
-
-std::vector<util::Matrix> RunSequenceEm(
-    const crowd::AnnotationSet& annotations,
-    const std::vector<int>& items_per_instance, const SequenceEmModel& model);
 
 }  // namespace lncl::inference

@@ -10,8 +10,9 @@ std::vector<util::Matrix> Ibcc::Infer(
   ds_options.smoothing = options_.smoothing;
   DawidSkene ds(ds_options);
   const ItemView view = FlattenItems(annotations, items_per_instance);
-  return UnflattenPosteriors(view,
-                             ds.Run(view, options_.diag_pseudo, nullptr));
+  util::Parallelizer exec(util::HardwareThreads());
+  return UnflattenPosteriors(
+      view, ds.Run(view, options_.diag_pseudo, nullptr, &exec));
 }
 
 }  // namespace lncl::inference

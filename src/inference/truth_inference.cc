@@ -28,21 +28,54 @@ ItemView FlattenItems(const crowd::AnnotationSet& annotations,
   }
   view.label_begin.resize(view.begin.back() + 1);
   view.labels.resize(total_labels);
+  const auto num_classes = static_cast<unsigned>(view.num_classes);
   int at = 0;
   for (int i = 0; i < num_instances; ++i) {
     const std::vector<crowd::AnnotatorLabels>& entries =
         annotations.instance(i).entries;
     const int n = static_cast<int>(entries.size());
+    const int first = at;
+    // The label range check (AnnotationSet::FailLabelRange): a negative
+    // label is above every class as unsigned.
+    unsigned top = 0;
     for (int t = 0; t < items_per_instance[i]; ++t) {
       view.label_begin[view.begin[i] + t] = at;
       for (int p = 0; p < n; ++p) {
-        view.labels[at + p] = {entries[p].annotator, entries[p].labels[t]};
+        const int y = entries[p].labels[t];
+        top = std::max(top, static_cast<unsigned>(y));
+        view.labels[at + p] = {entries[p].annotator, y};
       }
       at += n;
     }
+    if (at > first && top >= num_classes) annotations.FailLabelRange(i);
   }
   view.label_begin.back() = at;
   return view;
+}
+
+std::vector<int> AnnotatorOwners(const ItemView& view, int workers) {
+  // Label volume per annotator: an instance's entries label all its items.
+  std::vector<long> volume(view.num_annotators, 0);
+  for (int i = 0; i + 1 < static_cast<int>(view.begin.size()); ++i) {
+    const int items = view.begin[i + 1] - view.begin[i];
+    if (items == 0) continue;
+    const int first = view.label_begin[view.begin[i]];
+    const int n = view.label_begin[view.begin[i] + 1] - first;
+    for (int p = 0; p < n; ++p) volume[view.labels[first + p].first] += items;
+  }
+  const long total = static_cast<long>(view.labels.size());
+  std::vector<int> owner(view.num_annotators, 0);
+  long before = 0;
+  for (int a = 0; a < view.num_annotators; ++a) {
+    // The worker whose share of the label volume holds a's middle label.
+    const long middle = before + volume[a] / 2;
+    if (total > 0) {
+      owner[a] = static_cast<int>(
+          std::min<long>(workers - 1, middle * workers / total));
+    }
+    before += volume[a];
+  }
+  return owner;
 }
 
 util::Matrix MajorityVotePosteriors(const ItemView& view) {

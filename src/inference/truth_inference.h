@@ -26,6 +26,14 @@ class TruthInference {
   // Returns per-instance (items x K) row-stochastic posterior estimates.
   // `items_per_instance` gives the item count of every instance (1 for
   // classification, sequence length for tagging).
+  //
+  // Threads: DS, IBCC, HMM-Crowd and BSC-seq build a util::Parallelizer of
+  // util::HardwareThreads() workers per call and join them before
+  // returning, so no thread exists before the first call or outlives one;
+  // the other aggregators run on the calling thread. The posteriors are
+  // bit-identical for any worker count (DESIGN.md §5). A call from inside a
+  // pool job gets workers of its own: a bench whose runs share a pool then
+  // runs more threads than cores for that call, with the same bits.
   virtual std::vector<util::Matrix> Infer(
       const crowd::AnnotationSet& annotations,
       const std::vector<int>& items_per_instance, util::Rng* rng) const = 0;
@@ -59,9 +67,17 @@ struct ItemView {
 };
 
 // Builds the view; checks the crowd's shape first
-// (crowd::AnnotationSet::CheckShape).
+// (crowd::AnnotationSet::CheckShape) and its labels' range as it copies
+// them (FailLabelRange).
 ItemView FlattenItems(const crowd::AnnotationSet& annotations,
                       const std::vector<int>& items_per_instance);
+
+// The EM M-steps' split of the confusion counts over `workers` count
+// tables: annotator a's labels are counted into table owner[a] alone, so
+// every cell is nonzero in one table at most, and the tables merge cell by
+// cell exactly, in any order. Contiguous annotator ranges of about equal
+// label volume.
+std::vector<int> AnnotatorOwners(const ItemView& view, int workers);
 
 // Majority-vote posteriors over the view, one row per item: the floats of
 // AnnotationSet::MajorityVote, flat.

@@ -5,10 +5,12 @@
 
 namespace lncl::util {
 
+int HardwareThreads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
 ThreadPool::ThreadPool(int num_threads) {
-  if (num_threads <= 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (num_threads <= 0) num_threads = HardwareThreads();
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

@@ -11,6 +11,11 @@
 
 namespace lncl::util {
 
+// std::thread::hardware_concurrency(), or 1 where it is unknown: the worker
+// count of a ThreadPool built with num_threads <= 0, and of the EM
+// aggregators' Infer (inference/truth_inference.h).
+int HardwareThreads();
+
 // Fixed-size worker pool. Used in two ways:
 //  * by the benchmark harness to run independent (method, seed) experiments
 //    concurrently — each submitted job owns all of its state;

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -54,6 +59,57 @@ uint64_t HashMatrices(const std::vector<util::Matrix>& ms) {
   uint64_t h = kFnvOffset;
   for (const util::Matrix& m : ms) h = HashMatrix(m, h);
   return h;
+}
+
+// The ner_aggregate benchmark workload's aggregator options: a fixed
+// number of EM iterations (a negative tolerance never converges early).
+constexpr DawidSkene::Options kDsFixed = {
+    .max_iters = 5, .tol = -1.0, .smoothing = 1e-2};
+constexpr Ibcc::Options kIbccFixed = {
+    .diag_pseudo = 2.0, .smoothing = 0.5, .max_iters = 4};
+constexpr BscSeq::Options kBscFixed = {.max_iters = 10,
+                                       .confusion_pseudo = 0.3,
+                                       .diag_pseudo = 1.0,
+                                       .transition_pseudo = 0.2,
+                                       .tol = -1.0};
+constexpr HmmCrowd::Options kHmmFixed = {
+    .max_iters = 5, .smoothing = 0.1, .tol = -1.0};
+
+// The EM cores that run on a Parallelizer (DS and IBCC through
+// DawidSkene::Run, HMM-Crowd and BSC-seq through RunSequenceEm), at their
+// default settings, give the same bits at 1, 2, 3 and 4 workers. Explicit
+// worker counts, so a sanitizer sees real concurrency on any host.
+void ExpectSameBitsAtEveryWorkerCount(const crowd::AnnotationSet& ann,
+                                      const std::vector<int>& items) {
+  const ItemView view = FlattenItems(ann, items);
+  const Ibcc::Options ibcc;
+  const DawidSkene ds;
+  const DawidSkene ibcc_core(
+      {.max_iters = ibcc.max_iters, .smoothing = ibcc.smoothing});
+  std::vector<uint64_t> reference;
+  for (int workers = 1; workers <= 4; ++workers) {
+    util::Parallelizer exec(workers);
+    const std::vector<uint64_t> hashes = {
+        HashMatrix(ds.Run(view, 0.0, nullptr, &exec)),
+        HashMatrix(ibcc_core.Run(view, ibcc.diag_pseudo, nullptr, &exec)),
+        HashMatrices(RunSequenceEm(ann, items, HmmCrowd().model(), &exec)),
+        HashMatrices(RunSequenceEm(ann, items, BscSeq().model(), &exec)),
+    };
+    if (workers == 1) {
+      reference = hashes;
+    } else {
+      EXPECT_EQ(hashes, reference) << workers << " workers";
+    }
+  }
+}
+
+// Threads of this process, or -1 where /proc/self/task is absent.
+int ProcessThreads() {
+  std::error_code error;
+  const std::filesystem::directory_iterator tasks("/proc/self/task", error);
+  if (error) return -1;
+  return static_cast<int>(
+      std::distance(tasks, std::filesystem::directory_iterator()));
 }
 
 // Every posterior has `items_per_instance[i]` rows of K finite
@@ -189,6 +245,40 @@ TEST(ItemViewDeathTest, MismatchedEntryLengthsAbortNamingTheInstance) {
   EXPECT_DEATH(mv.Infer(longer, {4}, &rng), "items_per_instance.size\\(\\)");
 }
 
+// A crowd built in code can hold an annotator id outside the pool or a
+// label outside [0, K); every aggregator refuses it with a message naming
+// the instance, the annotator and the value (unchecked, such an entry is
+// counted past the M-steps' confusion tables and the majority vote's rows).
+TEST(ItemViewDeathTest, OutOfRangeEntriesAbortNamingTheValue) {
+  const std::vector<int> items = {3, 2};
+  crowd::AnnotationSet bad_id(2, 2, 3);
+  bad_id.instance(0).entries.push_back({0, {0, 1, 2}});
+  bad_id.instance(1).entries.push_back({2, {0, 1}});  // the pool is {0, 1}
+  crowd::AnnotationSet bad_label(2, 2, 3);
+  bad_label.instance(0).entries.push_back({0, {0, 1, 2}});
+  bad_label.instance(1).entries.push_back({0, {0, 1}});
+  bad_label.instance(1).entries.push_back({1, {0, 3}});  // K = 3
+  crowd::AnnotationSet negative(2, 2, 3);
+  negative.instance(0).entries.push_back({1, {2, -1, 0}});
+  MajorityVote mv;
+  DawidSkene ds;
+  HmmCrowd hmm;
+  const TruthInference* methods[] = {&mv, &ds, &hmm};
+  for (const TruthInference* method : methods) {
+    Rng rng(1);
+    EXPECT_DEATH(method->Infer(bad_id, items, &rng),
+                 "instance 1: annotator 2 is outside the pool of 2 "
+                 "annotators")
+        << method->name();
+    EXPECT_DEATH(method->Infer(bad_label, items, &rng),
+                 "instance 1: annotator 1 gave label 3, outside \\[0, 3\\)")
+        << method->name();
+    EXPECT_DEATH(method->Infer(negative, items, &rng),
+                 "instance 0: annotator 1 gave label -1, outside \\[0, 3\\)")
+        << method->name();
+  }
+}
+
 TEST_F(ClassificationInferenceTest, MajorityVoteBetterThanChance) {
   MajorityVote mv;
   EXPECT_GT(RunAccuracy(mv), 0.62);  // default crowd config is quite noisy
@@ -225,7 +315,8 @@ TEST_F(ClassificationInferenceTest, DsRecoversAnnotatorReliabilityOrdering) {
   DawidSkene ds;
   const ItemView view = FlattenItems(*annotations_, *items_);
   crowd::ConfusionSet confusions;
-  ds.Run(view, 0.0, &confusions);
+  util::Parallelizer exec;
+  ds.Run(view, 0.0, &confusions, &exec);
   const crowd::ConfusionSet empirical =
       crowd::EmpiricalConfusions(*annotations_, corpus_->train);
   const auto labels = annotations_->LabelsPerAnnotator();
@@ -296,6 +387,10 @@ TEST_F(ClassificationInferenceTest, PosteriorsMatchGoldenHashes) {
         HashMatrices(c.method->Infer(*annotations_, *items_, &rng));
     EXPECT_EQ(h, c.hash) << c.method->name() << ": 0x" << std::hex << h;
   }
+}
+
+TEST_F(ClassificationInferenceTest, EmCoresMatchAtEveryWorkerCount) {
+  ExpectSameBitsAtEveryWorkerCount(*annotations_, *items_);
 }
 
 // --------------------------------------------------------------- Chain --
@@ -965,19 +1060,13 @@ TEST_F(SequenceInferenceTest, PosteriorsRowStochastic) {
 // glibc libm). They pin every E-/M-step operand and its order: an
 // intentional numeric change must re-take them. The fixed-iteration options
 // are the ner_aggregate benchmark workload's (a negative tolerance never
-// converges early); the defaults run to convergence.
+// converges early); the defaults run to convergence. The four HMM-Crowd and
+// BSC-seq hashes were re-taken once when the sequence E-step moved to
+// Parallelizer::kSlots sentence slots, each with its own xi sum merged in
+// slot order: built with a single E-step slot, that code reproduces the
+// previous four hashes, so the slot merge of xi is their only numeric
+// change.
 TEST_F(SequenceInferenceTest, PosteriorsMatchGoldenHashes) {
-  const DawidSkene::Options ds_fixed = {
-      .max_iters = 5, .tol = -1.0, .smoothing = 1e-2};
-  const Ibcc::Options ibcc_fixed = {
-      .diag_pseudo = 2.0, .smoothing = 0.5, .max_iters = 4};
-  const BscSeq::Options bsc_fixed = {.max_iters = 10,
-                                     .confusion_pseudo = 0.3,
-                                     .diag_pseudo = 1.0,
-                                     .transition_pseudo = 0.2,
-                                     .tol = -1.0};
-  const HmmCrowd::Options hmm_fixed = {
-      .max_iters = 5, .smoothing = 0.1, .tol = -1.0};
   struct Case {
     const char* label;
     std::unique_ptr<TruthInference> method;
@@ -985,17 +1074,17 @@ TEST_F(SequenceInferenceTest, PosteriorsMatchGoldenHashes) {
   };
   Case cases[] = {
       {"DS default", std::make_unique<DawidSkene>(), 0x4cf346d3a5b985bbull},
-      {"DS fixed", std::make_unique<DawidSkene>(ds_fixed),
+      {"DS fixed", std::make_unique<DawidSkene>(kDsFixed),
        0xc3c151af83af542dull},
       {"IBCC default", std::make_unique<Ibcc>(), 0xce17173befe18beaull},
-      {"IBCC fixed", std::make_unique<Ibcc>(ibcc_fixed), 0x32b5c066ab18e0d0ull},
-      {"BSC-seq default", std::make_unique<BscSeq>(), 0xcbd92c24597a245aull},
-      {"BSC-seq fixed", std::make_unique<BscSeq>(bsc_fixed),
-       0xd9fb16335bde68c7ull},
+      {"IBCC fixed", std::make_unique<Ibcc>(kIbccFixed), 0x32b5c066ab18e0d0ull},
+      {"BSC-seq default", std::make_unique<BscSeq>(), 0xf587833fe263c7f7ull},
+      {"BSC-seq fixed", std::make_unique<BscSeq>(kBscFixed),
+       0xf8cdd72cb1f6cda8ull},
       {"HMM-Crowd default", std::make_unique<HmmCrowd>(),
-       0x56423e4f4c58d4b7ull},
-      {"HMM-Crowd fixed", std::make_unique<HmmCrowd>(hmm_fixed),
-       0x67b6fa9c6021300full},
+       0x80466b643b32352full},
+      {"HMM-Crowd fixed", std::make_unique<HmmCrowd>(kHmmFixed),
+       0x8a1345d1566cfd42ull},
       {"MV", std::make_unique<MajorityVote>(), 0xf92ae90191d08104ull},
       {"GLAD default", std::make_unique<Glad>(), 0xc277a1856c753882ull},
       {"PM default", std::make_unique<Pm>(), 0x31fce168385e10a3ull},
@@ -1006,6 +1095,37 @@ TEST_F(SequenceInferenceTest, PosteriorsMatchGoldenHashes) {
     const uint64_t h =
         HashMatrices(c.method->Infer(*annotations_, *items_, &rng));
     EXPECT_EQ(h, c.hash) << c.label << ": 0x" << std::hex << h;
+  }
+}
+
+TEST_F(SequenceInferenceTest, EmCoresMatchAtEveryWorkerCount) {
+  ExpectSameBitsAtEveryWorkerCount(*annotations_, *items_);
+}
+
+// The ner_aggregate benchmark workload times its set-up (corpus, crowd,
+// item counts and the five aggregators' constructors) apart from its
+// rounds: constructing an aggregator starts no thread, and every Infer
+// joins the workers it starts before it returns.
+TEST_F(SequenceInferenceTest, AggregatorsStartNoThreadOutsideInfer) {
+  const int before = ProcessThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this host";
+  std::vector<std::unique_ptr<TruthInference>> methods;
+  methods.push_back(std::make_unique<MajorityVote>());
+  methods.push_back(std::make_unique<DawidSkene>(kDsFixed));
+  methods.push_back(std::make_unique<Ibcc>(kIbccFixed));
+  methods.push_back(std::make_unique<BscSeq>(kBscFixed));
+  methods.push_back(std::make_unique<HmmCrowd>(kHmmFixed));
+  EXPECT_EQ(ProcessThreads(), before);
+  for (const auto& method : methods) {
+    Rng rng(7);
+    method->Infer(*annotations_, *items_, &rng);
+    // A joined worker leaves the task list asynchronously: wait up to 2 s.
+    int now = ProcessThreads();
+    for (int waits = 0; waits < 200 && now != before; ++waits) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      now = ProcessThreads();
+    }
+    EXPECT_EQ(now, before) << method->name();
   }
 }
 
@@ -1186,7 +1306,8 @@ TEST(DawidSkeneToyTest, DiscountsAdversarialAnnotator) {
   // And the confusion estimate of the adversary has a low diagonal.
   const ItemView view = FlattenItems(ann, std::vector<int>(n, 1));
   crowd::ConfusionSet confusions;
-  ds.Run(view, 0.0, &confusions);
+  util::Parallelizer exec(2);
+  ds.Run(view, 0.0, &confusions, &exec);
   EXPECT_LT(confusions[2].Reliability(), 0.2);
   EXPECT_GT(confusions[0].Reliability(), 0.9);
 }
