@@ -162,22 +162,34 @@ void BM_UpdateConfusions(benchmark::State& state) {
 BENCHMARK(BM_UpdateConfusions)->Arg(100)->Arg(1000);
 
 // The EM aggregators of the ner_aggregate benchmark workload with its
-// fixed iteration counts (a negative tolerance never stops early), on a
-// reduced NER crowd from the table3 setup: 1,000 sentences, 47 annotators.
-// range(0) 0-3: DS, IBCC, BSC-seq, HMM-Crowd, through the EM cores their
-// Infer runs (DawidSkene::Run, RunSequenceEm); range(1): the workers of
-// their Parallelizer, 1 and one per hardware thread. Real time, since the
-// default CPU time counts the calling thread alone. Items are tokens.
+// fixed iteration counts (a negative tolerance never stops early), through
+// the EM cores their Infer runs (DawidSkene::Run, RunSequenceEm).
+// range(0) 0-3: DS, IBCC, BSC-seq, HMM-Crowd on a reduced NER crowd from
+// the table3 setup (1,000 sentences, 47 annotators; K = 9, the kernels'
+// compile-time K); 4-5: DS and IBCC on a K = 2 crowd of the sentiment
+// shape (4,999 instances, 203 annotators, about 5.5 labels each), which
+// runs the run-time-K kernels. range(1): the workers of their
+// Parallelizer, 1 and one per hardware thread. Real time, since the
+// default CPU time counts the calling thread alone. Items are tokens or
+// sentences.
 void BM_TruthInference(benchmark::State& state) {
-  static const bench::NerSetup setup = [] {
+  static const bench::NerSetup ner = [] {
     bench::Scale scale;
     scale.train = 1000;
     scale.annotators = 47;
     return bench::MakeNerSetup(scale, 1);
   }();
-  static const std::vector<int> items =
-      inference::ItemsPerInstance(setup.corpus.train);
-  const crowd::AnnotationSet& crowd = setup.annotations;
+  static const bench::SentimentSetup sentiment = [] {
+    bench::Scale scale;
+    scale.train = 4999;
+    scale.annotators = 203;
+    return bench::MakeSentimentSetup(scale, 1);
+  }();
+  const bool k2 = state.range(0) >= 4;
+  const data::Dataset& train = k2 ? sentiment.corpus.train : ner.corpus.train;
+  const crowd::AnnotationSet& crowd =
+      k2 ? sentiment.annotations : ner.annotations;
+  const std::vector<int> items = inference::ItemsPerInstance(train);
   util::Parallelizer exec(static_cast<int>(state.range(1)));
   const auto flat_em = [&](const inference::DawidSkene& core,
                            double diag_pseudo) {
@@ -201,14 +213,17 @@ void BM_TruthInference(benchmark::State& state) {
   const inference::SequenceEmModel hmm =
       inference::HmmCrowd({.max_iters = 5, .smoothing = 0.1, .tol = -1.0})
           .model();
-  const char* const names[] = {"DS", "IBCC", "BSC-seq", "HMM-Crowd"};
+  const char* const names[] = {"DS",        "IBCC",   "BSC-seq",
+                               "HMM-Crowd", "DS K=2", "IBCC K=2"};
   state.SetLabel(names[state.range(0)]);
   for (auto _ : state) {
     switch (state.range(0)) {
       case 0:
+      case 4:
         benchmark::DoNotOptimize(flat_em(ds, 0.0));
         break;
       case 1:
+      case 5:
         benchmark::DoNotOptimize(flat_em(ibcc_core, ibcc.diag_pseudo));
         break;
       case 2:
@@ -220,11 +235,10 @@ void BM_TruthInference(benchmark::State& state) {
             inference::RunSequenceEm(crowd, items, hmm, &exec));
     }
   }
-  state.SetItemsProcessed(state.iterations() *
-                          setup.corpus.train.TotalItems());
+  state.SetItemsProcessed(state.iterations() * train.TotalItems());
 }
 BENCHMARK(BM_TruthInference)
-    ->ArgsProduct({{0, 1, 2, 3}, {1, util::HardwareThreads()}})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {1, util::HardwareThreads()}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

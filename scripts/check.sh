@@ -29,12 +29,16 @@
 #                      inference_test the per-thread chain-smoother buffers
 #                      and the parallel EM aggregators, DS and IBCC
 #                      (DawidSkene::Run) and HMM-Crowd and BSC-seq
-#                      (RunSequenceEm), at 1-4 workers, with real data races
-#                      flagged, not just bit-identity checked)
+#                      (RunSequenceEm), whose E-steps and M-step count
+#                      tables split the items or sentences into the same
+#                      fixed slots, at 1-4 workers and with empty slots,
+#                      with real data races flagged, not just bit-identity
+#                      checked)
 #   portable           -DLNCL_NATIVE_ARCH=OFF: a Release build for the
 #                      baseline x86-64 ISA (SSE2), running the suites that
 #                      pin bits (inference, determinism, util, models,
-#                      logic). The chain smoother's lane vectors and the
+#                      logic). The chain smoother's lane vectors, the
+#                      aggregators' compile-time-K (K = 9) kernels and the
 #                      GEMM dispatch then run at SSE2 width, and every
 #                      golden hash must still hold
 #

@@ -78,8 +78,12 @@ CrowdLayerResult CrowdLayer::Fit(const data::Dataset& train,
                                  const crowd::AnnotationSet& annotations,
                                  const data::Dataset& dev, util::Rng* rng) {
   CrowdLayerResult result;
+  // The crowd layer indexes its tables by every entry's annotator and
+  // labels: refuse a crowd that does not fit the training split first.
+  annotations.CheckEntries(inference::ItemsPerInstance(train));
   model_ = factory_(rng);
   const int k = model_->num_classes();
+  LNCL_CHECK(annotations.num_classes() == k);
 
   // Identity-like initialization: the crowd layer starts as a pass-through.
   annotator_params_.clear();

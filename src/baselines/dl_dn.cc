@@ -15,6 +15,10 @@ void DlDn::Fit(const data::Dataset& train,
                const data::Dataset& dev, util::Rng* rng) {
   networks_.clear();
   dev_weight_.clear();
+  // Targets are one-hot rows of every entry's labels, one per item of the
+  // annotator's sub-dataset: refuse a crowd that does not fit the split.
+  annotations.CheckEntries(inference::ItemsPerInstance(train));
+  LNCL_CHECK(annotations.num_classes() == train.num_classes);
 
   // Per-annotator sub-datasets with hard targets from that annotator.
   const int num_annotators = annotations.num_annotators();

@@ -69,6 +69,22 @@ void AnnotationSet::FailLabelRange(int i) const {
                          std::to_string(num_classes_) + ")");
 }
 
+void AnnotationSet::CheckEntries(
+    const std::vector<int>& items_per_instance) const {
+  CheckShape(items_per_instance);
+  // A negative label is above every class as unsigned.
+  const auto num_classes = static_cast<unsigned>(num_classes_);
+  for (size_t i = 0; i < instances_.size(); ++i) {
+    for (const AnnotatorLabels& e : instances_[i].entries) {
+      for (const int y : e.labels) {
+        if (static_cast<unsigned>(y) >= num_classes) {
+          FailLabelRange(static_cast<int>(i));
+        }
+      }
+    }
+  }
+}
+
 std::vector<util::Matrix> AnnotationSet::MajorityVote(
     const std::vector<int>& items_per_instance) const {
   CheckShape(items_per_instance);

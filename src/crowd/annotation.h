@@ -52,10 +52,10 @@ class AnnotationSet {
   // instance i has an annotator id in [0, num_annotators) and exactly
   // items_per_instance[i] labels. A crowd read from one file and a corpus
   // from another are paired only here, and a crowd built in code is
-  // checked only here and in the two label loops below: MajorityVote (so
-  // Logic-LNCL's start) and the aggregators' flat view
-  // (inference::FlattenItems) check first, so no M-step count table or
-  // vote row is indexed out of range.
+  // checked only here and in the label passes below: MajorityVote (so
+  // Logic-LNCL's start), the aggregators' flat view
+  // (inference::FlattenItems) and CheckEntries check first, so no M-step
+  // count table, vote row or per-annotator table is indexed out of range.
   void CheckShape(const std::vector<int>& items_per_instance) const;
 
   // Aborts naming the first entry of instance i that holds a label outside
@@ -66,6 +66,13 @@ class AnnotationSet {
   // when that maximum reaches num_classes: a pass of its own over the
   // labels costs about 1% of a ner_aggregate round.
   [[noreturn]] void FailLabelRange(int i) const;
+
+  // CheckShape, then a pass over every label that aborts through
+  // FailLabelRange at the first instance holding a label outside [0,
+  // num_classes). For the readers that index a table by every entry but
+  // build no majority vote or flat view first: crowd::EmpiricalConfusions
+  // and the CrowdLayer and DL-DN fits.
+  void CheckEntries(const std::vector<int>& items_per_instance) const;
 
   // Per-instance majority-vote distributions: for every instance an
   // (items x K) matrix with the empirical label frequencies (uniform when an

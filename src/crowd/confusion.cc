@@ -61,6 +61,9 @@ double ConfusionMatrix::Distance(const ConfusionMatrix& other) const {
 
 ConfusionSet EmpiricalConfusions(const AnnotationSet& annotations,
                                  const data::Dataset& dataset) {
+  std::vector<int> items(dataset.size());
+  for (int i = 0; i < dataset.size(); ++i) items[i] = dataset.NumItems(i);
+  annotations.CheckEntries(items);
   const int k = annotations.num_classes();
   ConfusionSet result(annotations.num_annotators(), ConfusionMatrix(k, 0.0));
   for (auto& cm : result) cm.matrix().Zero();

@@ -102,6 +102,8 @@ class ConfusionCounts {
 
 // Empirical confusion matrices computed from crowd labels against ground
 // truth (item granularity). Annotators with no labels get uniform rows.
+// Aborts naming the instance, the annotator and the value when the crowd
+// does not fit the dataset (AnnotationSet::CheckEntries).
 ConfusionSet EmpiricalConfusions(const AnnotationSet& annotations,
                                  const data::Dataset& dataset);
 

@@ -35,10 +35,12 @@ class DawidSkene : public TruthInference {
   // posteriors. Exposed for reuse by IBCC and the tests; fills `confusions`
   // with the final annotator estimates when non-null. `diag_pseudo` adds
   // extra pseudo-counts on the confusion diagonal (IBCC's informative
-  // prior); 0 disables. Runs on `exec`: the E-step over its kSlots fixed
-  // item slots, the M-step's confusion counts split by annotator over its
-  // workers (AnnotatorOwners); the posteriors are bit-identical for any
-  // worker count.
+  // prior); 0 disables. Runs on `exec` over its kSlots fixed item slots:
+  // the E-step writes each slot's posterior rows, and the M-step counts each
+  // slot's labels into a confusion-count table of its own, the tables
+  // merged in slot order; the posteriors are bit-identical for any worker
+  // count. The E-step's row sums run at a compile-time K for K =
+  // kCompiledClasses.
   util::Matrix Run(const ItemView& view, double diag_pseudo,
                    crowd::ConfusionSet* confusions,
                    util::Parallelizer* exec) const;

@@ -22,10 +22,14 @@ struct SequenceEmModel {
   double tol = 0.0;  // stop once the mean |change| of gamma falls below
 };
 
-// Runs the sequence EM on `exec`. The E-step smooths kSlots fixed sentence
-// slots, each with its own xi sum, merged in slot order; the M-step's
-// confusion counts are split by annotator over the workers
-// (AnnotatorOwners). The posteriors are bit-identical for any worker count.
+// Runs the sequence EM on `exec` over kSlots fixed sentence slots. The
+// E-step smooths each slot's sentences with the slot's own xi sum; the
+// M-step counts each slot's confusion soft-labels (entry by entry within a
+// sentence) into a table of its own; both merge in slot order. The prior
+// and transition counts stay on the calling thread. The posteriors are
+// bit-identical for any worker count. The emission rows and the first
+// iteration's transition products run at a compile-time K for K =
+// kCompiledClasses.
 std::vector<util::Matrix> RunSequenceEm(
     const crowd::AnnotationSet& annotations,
     const std::vector<int>& items_per_instance, const SequenceEmModel& model,

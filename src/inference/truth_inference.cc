@@ -53,31 +53,6 @@ ItemView FlattenItems(const crowd::AnnotationSet& annotations,
   return view;
 }
 
-std::vector<int> AnnotatorOwners(const ItemView& view, int workers) {
-  // Label volume per annotator: an instance's entries label all its items.
-  std::vector<long> volume(view.num_annotators, 0);
-  for (int i = 0; i + 1 < static_cast<int>(view.begin.size()); ++i) {
-    const int items = view.begin[i + 1] - view.begin[i];
-    if (items == 0) continue;
-    const int first = view.label_begin[view.begin[i]];
-    const int n = view.label_begin[view.begin[i] + 1] - first;
-    for (int p = 0; p < n; ++p) volume[view.labels[first + p].first] += items;
-  }
-  const long total = static_cast<long>(view.labels.size());
-  std::vector<int> owner(view.num_annotators, 0);
-  long before = 0;
-  for (int a = 0; a < view.num_annotators; ++a) {
-    // The worker whose share of the label volume holds a's middle label.
-    const long middle = before + volume[a] / 2;
-    if (total > 0) {
-      owner[a] = static_cast<int>(
-          std::min<long>(workers - 1, middle * workers / total));
-    }
-    before += volume[a];
-  }
-  return owner;
-}
-
 util::Matrix MajorityVotePosteriors(const ItemView& view) {
   const int k = view.num_classes;
   util::Matrix q(view.num_items(), k);

@@ -30,10 +30,13 @@ class TruthInference {
   // Threads: DS, IBCC, HMM-Crowd and BSC-seq build a util::Parallelizer of
   // util::HardwareThreads() workers per call and join them before
   // returning, so no thread exists before the first call or outlives one;
-  // the other aggregators run on the calling thread. The posteriors are
-  // bit-identical for any worker count (DESIGN.md §5). A call from inside a
-  // pool job gets workers of its own: a bench whose runs share a pool then
-  // runs more threads than cores for that call, with the same bits.
+  // the other aggregators run on the calling thread. Their E-steps and
+  // M-step confusion counts run over the same Parallelizer::kSlots fixed
+  // item or sentence slots, each slot's sums merged in slot order, so the
+  // posteriors are bit-identical for any worker count (DESIGN.md §5). A
+  // call from inside a pool job gets workers of its own: a bench whose runs
+  // share a pool then runs more threads than cores for that call, with the
+  // same bits.
   virtual std::vector<util::Matrix> Infer(
       const crowd::AnnotationSet& annotations,
       const std::vector<int>& items_per_instance, util::Rng* rng) const = 0;
@@ -72,12 +75,14 @@ struct ItemView {
 ItemView FlattenItems(const crowd::AnnotationSet& annotations,
                       const std::vector<int>& items_per_instance);
 
-// The EM M-steps' split of the confusion counts over `workers` count
-// tables: annotator a's labels are counted into table owner[a] alone, so
-// every cell is nonzero in one table at most, and the tables merge cell by
-// cell exactly, in any order. Contiguous annotator ranges of about equal
-// label volume.
-std::vector<int> AnnotatorOwners(const ItemView& view, int workers);
+// The class count the EM kernels are compiled for: the NER tag set (BIO
+// over four entity types). DawidSkene::Run's E-step and RunSequenceEm's
+// emission rows and first transition counts are one template body each over
+// a class count K, instantiated for this K and for K = 0, which reads the
+// run-time view.num_classes; each run picks its instantiation once. A
+// compile-time K lets a kernel keep its K-wide sums in a stack array, in
+// registers; both instantiations add the same operands in the same order.
+inline constexpr int kCompiledClasses = 9;
 
 // Majority-vote posteriors over the view, one row per item: the floats of
 // AnnotationSet::MajorityVote, flat.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "baselines/crowd_layer.h"
 #include "baselines/dl_dn.h"
@@ -254,6 +255,59 @@ TEST_F(BaselinesTest, DlDnSkipsLowVolumeAnnotators) {
   Rng rng(23);
   dldn.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
   EXPECT_EQ(dldn.num_networks(), 0);
+}
+
+// A crowd built in code with an annotator id outside the pool, a label
+// outside [0, K) or an entry shorter than its instance is refused at the
+// entry of CrowdLayer::Fit (without MV pre-training, which checked it
+// before) and DlDn::Fit, naming the instance, the annotator and the value.
+// Unchecked, the crowd layer indexed its per-annotator parameters and their
+// gradient rows with them, and DL-DN its sub-datasets and one-hot targets.
+using BaselinesDeathTest = BaselinesTest;
+
+TEST_F(BaselinesDeathTest, FitsRefuseOutOfRangeEntries) {
+  constexpr int kInstance = 5;
+  ASSERT_FALSE(annotations_->instance(kInstance).entries.empty());
+  const int annotator = annotations_->instance(kInstance).entries[0].annotator;
+  const std::string who = "instance " + std::to_string(kInstance) +
+                          ": annotator ";
+  crowd::AnnotationSet bad_id = *annotations_;
+  bad_id.instance(kInstance).entries[0].annotator = 20;  // the pool is 0-19
+  crowd::AnnotationSet bad_label = *annotations_;
+  bad_label.instance(kInstance).entries[0].labels = {2};  // K = 2
+  crowd::AnnotationSet shorter = *annotations_;
+  shorter.instance(kInstance).entries[0].labels.clear();
+  CrowdLayerConfig cl_config;
+  cl_config.optimizer = FastAdam();
+  DlDnConfig dn_config;
+  dn_config.optimizer = FastAdam();
+  const auto fits = [&](const crowd::AnnotationSet& crowd) {
+    Rng rng(1);
+    CrowdLayer(cl_config, factory_).Fit(corpus_.train, crowd, corpus_.dev,
+                                        &rng);
+  };
+  const auto dl_dn = [&](const crowd::AnnotationSet& crowd) {
+    Rng rng(1);
+    DlDn(dn_config, factory_).Fit(corpus_.train, crowd, corpus_.dev, &rng);
+  };
+  EXPECT_DEATH(fits(bad_id), who + "20 is outside the pool of 20");
+  EXPECT_DEATH(dl_dn(bad_id), who + "20 is outside the pool of 20");
+  const std::string label = who + std::to_string(annotator) +
+                            " gave label 2, outside \\[0, 2\\)";
+  EXPECT_DEATH(fits(bad_label), label);
+  EXPECT_DEATH(dl_dn(bad_label), label);
+  const std::string length =
+      who + std::to_string(annotator) + " gave 0 labels for 1 items";
+  EXPECT_DEATH(fits(shorter), length);
+  EXPECT_DEATH(dl_dn(shorter), length);
+  // Labels in range for a K = 3 crowd still index past a K = 2 model.
+  crowd::AnnotationSet wider(annotations_->num_instances(),
+                             annotations_->num_annotators(), 3);
+  for (int i = 0; i < annotations_->num_instances(); ++i) {
+    wider.instance(i) = annotations_->instance(i);
+  }
+  EXPECT_DEATH(fits(wider), "annotations.num_classes\\(\\) == k");
+  EXPECT_DEATH(dl_dn(wider), "annotations.num_classes\\(\\) == train");
 }
 
 // ------------------------------------------------------------ FixedTarget --

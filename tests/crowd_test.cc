@@ -110,6 +110,38 @@ TEST(EmpiricalConfusionsTest, RecoversPlantedLabels) {
   EXPECT_NEAR(cs[0](1, 1), 1.0, 1e-5);
 }
 
+// A crowd that does not fit the dataset is refused before any confusion
+// cell is indexed, naming the instance, the annotator and the value.
+// Unchecked, an annotator id outside the pool or a label outside [0, K)
+// indexed past the confusion set, and an entry whose length is not its
+// sentence's was counted against the wrong tags (a longer one read past
+// them).
+TEST(EmpiricalConfusionsDeathTest, OutOfRangeEntriesAbortNamingTheValue) {
+  data::Dataset d;
+  d.num_classes = 3;
+  d.sequence = true;
+  for (int i = 0; i < 2; ++i) {
+    data::Instance x;
+    x.tokens = {1, 2, 3};
+    x.tag_labels = {0, 1, 2};
+    d.instances.push_back(x);
+  }
+  AnnotationSet bad_id(2, 2, 3);
+  bad_id.instance(0).entries.push_back({0, {0, 1, 2}});
+  bad_id.instance(1).entries.push_back({2, {0, 1, 2}});  // the pool is {0, 1}
+  AnnotationSet bad_label(2, 2, 3);
+  bad_label.instance(0).entries.push_back({0, {0, 1, 2}});
+  bad_label.instance(1).entries.push_back({1, {0, 3, 2}});  // K = 3
+  AnnotationSet shorter(2, 2, 3);
+  shorter.instance(0).entries.push_back({1, {0, 1}});  // 2 labels for 3
+  EXPECT_DEATH(EmpiricalConfusions(bad_id, d),
+               "instance 1: annotator 2 is outside the pool of 2 annotators");
+  EXPECT_DEATH(EmpiricalConfusions(bad_label, d),
+               "instance 1: annotator 1 gave label 3, outside \\[0, 3\\)");
+  EXPECT_DEATH(EmpiricalConfusions(shorter, d),
+               "instance 0: annotator 1 gave 2 labels for 3 items");
+}
+
 // -------------------------------------------------------------- NerNoise --
 
 class NerNoiseTest : public testing::Test {

@@ -368,15 +368,17 @@ TEST_F(ClassificationInferenceTest, GladEstimatesAbilityOrdering) {
 // fixture (default options), taken from the reference implementation under
 // the toolchain of SequenceInferenceTest.PosteriorsMatchGoldenHashes below:
 // a change to the flat item view or to any E-/M-step operand or its order
-// must re-take them.
+// must re-take them. K = 2 runs the run-time-K instantiation of the E-step
+// kernel. DS and IBCC were re-taken once, when the M-step counts moved to
+// the E-step's item slots (see the sequence test's comment).
 TEST_F(ClassificationInferenceTest, PosteriorsMatchGoldenHashes) {
   struct Case {
     std::unique_ptr<TruthInference> method;
     uint64_t hash;
   };
   Case cases[] = {
-      {std::make_unique<DawidSkene>(), 0x3e89e20a130146d6ull},
-      {std::make_unique<Ibcc>(), 0xeb802a0768ad25c9ull},
+      {std::make_unique<DawidSkene>(), 0xa3e8a1484459bbdcull},
+      {std::make_unique<Ibcc>(), 0x0d359bc7f6ac2616ull},
       {std::make_unique<Glad>(), 0xc8ef46db09a3290bull},
       {std::make_unique<Pm>(), 0xce40323761421ceaull},
       {std::make_unique<Catd>(), 0xec1ddcc158bb150dull},
@@ -1065,6 +1067,14 @@ TEST_F(SequenceInferenceTest, PosteriorsRowStochastic) {
 // Parallelizer::kSlots sentence slots, each with its own xi sum merged in
 // slot order: built with a single E-step slot, that code reproduces the
 // previous four hashes, so the slot merge of xi is their only numeric
+// change. The DS, IBCC, BSC-seq and HMM-Crowd hashes here and DS and IBCC
+// on the classification fixture (ten) were re-taken once more when the
+// M-step confusion counts moved from per-annotator worker tables to the
+// E-step's item or sentence slots, one count table per slot merged in slot
+// order. The compile-time-K kernels that landed with that change (K = 9
+// here) keep every literal on their own, and a build of that code that
+// counts each M-step's labels in one slot reproduces the ten previous
+// hashes, so the slot grouping of each count cell is their only numeric
 // change.
 TEST_F(SequenceInferenceTest, PosteriorsMatchGoldenHashes) {
   struct Case {
@@ -1073,18 +1083,18 @@ TEST_F(SequenceInferenceTest, PosteriorsMatchGoldenHashes) {
     uint64_t hash;
   };
   Case cases[] = {
-      {"DS default", std::make_unique<DawidSkene>(), 0x4cf346d3a5b985bbull},
+      {"DS default", std::make_unique<DawidSkene>(), 0xfb8a76c8cc9cf2e8ull},
       {"DS fixed", std::make_unique<DawidSkene>(kDsFixed),
-       0xc3c151af83af542dull},
-      {"IBCC default", std::make_unique<Ibcc>(), 0xce17173befe18beaull},
-      {"IBCC fixed", std::make_unique<Ibcc>(kIbccFixed), 0x32b5c066ab18e0d0ull},
-      {"BSC-seq default", std::make_unique<BscSeq>(), 0xf587833fe263c7f7ull},
+       0x87a38389d910ae24ull},
+      {"IBCC default", std::make_unique<Ibcc>(), 0x8742e7cb05589e69ull},
+      {"IBCC fixed", std::make_unique<Ibcc>(kIbccFixed), 0x0a30d60688c18496ull},
+      {"BSC-seq default", std::make_unique<BscSeq>(), 0x74df21ff1dd9d958ull},
       {"BSC-seq fixed", std::make_unique<BscSeq>(kBscFixed),
-       0xf8cdd72cb1f6cda8ull},
+       0xa0af4b18a909a674ull},
       {"HMM-Crowd default", std::make_unique<HmmCrowd>(),
-       0x80466b643b32352full},
+       0xf90a460280b0d445ull},
       {"HMM-Crowd fixed", std::make_unique<HmmCrowd>(kHmmFixed),
-       0x8a1345d1566cfd42ull},
+       0x8fc8008d28fb4bc0ull},
       {"MV", std::make_unique<MajorityVote>(), 0xf92ae90191d08104ull},
       {"GLAD default", std::make_unique<Glad>(), 0xc277a1856c753882ull},
       {"PM default", std::make_unique<Pm>(), 0x31fce168385e10a3ull},
@@ -1130,31 +1140,63 @@ TEST_F(SequenceInferenceTest, AggregatorsStartNoThreadOutsideInfer) {
 }
 
 // Degenerate crowds: an empty sentence (with and without an empty label
-// entry), a sentence nobody labeled, an annotator who never labels, K = 2.
+// entry), a sentence nobody labeled, an annotator who never labels; K = 2
+// and K = 9, so both instantiations of the EM kernels (kCompiledClasses)
+// see them. Label 1 of the K = 2 crowd is K - 1.
 TEST(SequenceEdgeTest, EmAggregatorsStayValidOnDegenerateCrowd) {
-  const int k = 2;
-  const std::vector<int> items = {5, 0, 4, 3, 0};
-  crowd::AnnotationSet ann(static_cast<int>(items.size()),
-                           /*num_annotators=*/3, k);
-  ann.instance(0).entries.push_back({0, {0, 1, 1, 0, 0}});
-  ann.instance(0).entries.push_back({1, {0, 1, 0, 0, 1}});
-  ann.instance(1).entries.push_back({0, {}});
-  ann.instance(3).entries.push_back({1, {1, 1, 0}});
-  // Annotator 2 labels nothing; instances 2 and 4 have no entries.
-  MajorityVote mv;
-  DawidSkene ds;
-  Ibcc ibcc;
-  Glad glad;
-  Pm pm;
-  Catd catd;
-  BscSeq bsc;
-  HmmCrowd hmm;
-  const TruthInference* methods[] = {&mv, &ds,   &ibcc, &glad,
-                                     &pm, &catd, &bsc,  &hmm};
-  for (const TruthInference* method : methods) {
-    Rng rng(3);
-    ExpectValidPosteriors(method->Infer(ann, items, &rng), items, k,
-                          method->name());
+  for (const int k : {2, kCompiledClasses}) {
+    const int e = k - 1;
+    const std::vector<int> items = {5, 0, 4, 3, 0};
+    crowd::AnnotationSet ann(static_cast<int>(items.size()),
+                             /*num_annotators=*/3, k);
+    ann.instance(0).entries.push_back({0, {0, e, e, 0, 0}});
+    ann.instance(0).entries.push_back({1, {0, e, 0, 0, e}});
+    ann.instance(1).entries.push_back({0, {}});
+    ann.instance(3).entries.push_back({1, {e, e, 0}});
+    // Annotator 2 labels nothing; instances 2 and 4 have no entries.
+    MajorityVote mv;
+    DawidSkene ds;
+    Ibcc ibcc;
+    Glad glad;
+    Pm pm;
+    Catd catd;
+    BscSeq bsc;
+    HmmCrowd hmm;
+    const TruthInference* methods[] = {&mv, &ds,   &ibcc, &glad,
+                                       &pm, &catd, &bsc,  &hmm};
+    for (const TruthInference* method : methods) {
+      Rng rng(3);
+      ExpectValidPosteriors(method->Infer(ann, items, &rng), items, k,
+                            method->name() + " K=" + std::to_string(k));
+    }
+  }
+}
+
+// Fewer sentences (3) and items (5) than Parallelizer::kSlots: the empty
+// E- and M-step slots add nothing, and the four EM cores give valid
+// posteriors with the same bits at 1-4 workers, at K = 2 and K = 9.
+TEST(SequenceEdgeTest, EmCoresMatchAtEveryWorkerCountWithEmptySlots) {
+  static_assert(util::Parallelizer::kSlots > 5);
+  for (const int k : {2, kCompiledClasses}) {
+    const int e = k - 1;
+    const std::vector<int> items = {3, 0, 2};
+    crowd::AnnotationSet ann(static_cast<int>(items.size()),
+                             /*num_annotators=*/3, k);
+    ann.instance(0).entries.push_back({0, {0, e, 1}});
+    ann.instance(0).entries.push_back({2, {0, e, 0}});
+    ann.instance(1).entries.push_back({1, {}});
+    ann.instance(2).entries.push_back({1, {e, 0}});
+    ExpectSameBitsAtEveryWorkerCount(ann, items);
+    DawidSkene ds;
+    Ibcc ibcc;
+    BscSeq bsc;
+    HmmCrowd hmm;
+    const TruthInference* methods[] = {&ds, &ibcc, &bsc, &hmm};
+    for (const TruthInference* method : methods) {
+      Rng rng(3);
+      ExpectValidPosteriors(method->Infer(ann, items, &rng), items, k,
+                            method->name() + " K=" + std::to_string(k));
+    }
   }
 }
 
