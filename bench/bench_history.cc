@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "obs/mem_stats.h"
-#include "obs/perf_counters.h"
+#include "obs/trace.h"
 #include "util/check.h"
 
 namespace lncl::bench {
@@ -108,16 +108,9 @@ std::string Num(double v) {
 
 void WriteCounters(std::ostream& os, const obs::Prof::SpanAgg& agg) {
   const obs::CounterValues& t = agg.totals;
-  os << "{\"spans\": " << agg.spans << ", \"cycles\": " << t.cycles
-     << ", \"instructions\": " << t.instructions
-     << ", \"cache_references\": " << t.cache_references
-     << ", \"cache_misses\": " << t.cache_misses
-     << ", \"branch_misses\": " << t.branch_misses
+  os << "{\"spans\": " << agg.spans
      << ", \"task_clock_ns\": " << t.task_clock_ns
-     << ", \"page_faults\": " << t.page_faults
-     << ", \"context_switches\": " << t.context_switches
-     << ", \"ipc\": " << Num(t.Ipc())
-     << ", \"cache_miss_rate\": " << Num(t.CacheMissRate()) << "}";
+     << ", \"page_faults\": " << t.page_faults << "}";
 }
 
 }  // namespace
@@ -149,10 +142,6 @@ bool AppendBenchHistory(const std::string& id, double wall_seconds,
      << ", \"audit\": " << (LNCL_AUDIT_ENABLED ? "true" : "false")
      << ", \"prof_active\": "
      << (fit_counters.spans > 0 ? "true" : "false")
-     << ", \"hw_counters_available\": "
-     << (obs::Prof::HwCountersAvailable() ? "true" : "false")
-     << ", \"sw_counters_available\": "
-     << (obs::Prof::SwCountersAvailable() ? "true" : "false")
      << ", \"peak_rss_kb\": " << (mem.ok ? mem.vm_hwm_kb : 0)
      << ", \"wall_seconds\": " << Num(wall_seconds) << ", \"counters\": ";
   WriteCounters(os, fit_counters);

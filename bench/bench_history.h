@@ -3,19 +3,20 @@
 // Append-only bench history (schema lncl.bench.v1) + the metadata it needs.
 //
 // Every bench run appends one JSONL record to results/BENCH_history.jsonl:
-// the digest and phase seconds of its timed fit, perf-counter aggregates of
-// the "fit" span (when a Prof session ran), peak RSS, git revision, and
-// host fingerprint. The history accumulates, so the perf trajectory across
-// commits is a file, not folklore. It is for observability, not a gate:
-// wall times are only comparable between records of the same host.
+// the digest and phase seconds of its timed fit, the on-CPU time and page
+// faults of the "fit" span (when a Prof session ran), peak RSS, git
+// revision, and host fingerprint. The history accumulates, so the perf
+// trajectory across commits is a file, not folklore. It is for
+// observability, not a gate: wall times are only comparable between records
+// of the same host.
 //
 // Record shape (one line, abridged):
 //   {"schema": "lncl.bench.v1", "bench": "table2", "unix_time": ...,
 //    "git_rev": "<12 hex or unknown>", "host": "<HostFingerprint()>",
-//    "audit": false, "prof_active": true, "hw_counters_available": false,
-//    "sw_counters_available": true, "peak_rss_kb": 123456,
+//    "audit": false, "prof_active": true, "peak_rss_kb": 123456,
 //    "wall_seconds": 1.23,
-//    "counters": {"spans": 1, "cycles": 0, ..., "ipc": 0.0, ...},
+//    "counters": {"spans": 1, "task_clock_ns": 1230000000,
+//                 "page_faults": 134},
 //    "fits": [{"mode": "batched", "digest": "...", "fit_seconds": 0.2,
 //              "phase_seconds": {"m_step": ..., ...}}],
 //    "shape_checks": [{"name": "table3....", "values": {"teacher_pred":
@@ -26,7 +27,8 @@
 // Benches with no timed fit (figs, micro) pass no fit; the record then
 // carries an empty fits array and zero counters unless a Prof session
 // supplied them. Older lines of the committed ledger also hold a
-// "per_instance" fit.
+// "per_instance" fit, and more "counters" fields plus two availability flags
+// from the retired hardware-counter profiler.
 
 #include <string>
 #include <vector>

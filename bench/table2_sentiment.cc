@@ -26,7 +26,6 @@
 #include "models/logreg.h"
 #include "obs/mem_stats.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/run_log.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -341,8 +340,8 @@ int Run(int argc, char** argv) {
   const int status = ReportShapeChecks(&checks);
 
   // ---- Timed end-to-end fit, the telemetry showcase: metrics registry
-  // enabled, a Perfetto-loadable trace, a per-epoch run log, and
-  // perf-counter span attribution (obs::Prof, results/prof_table2.json).
+  // enabled, a Perfetto-loadable trace, a per-epoch run log, and per-span
+  // CPU time and page faults (obs::Prof, results/prof_table2.json).
   // All of it only observes, so the fit is bit-identical to a plain one.
   obs::Metrics::Enable(true);
   obs::Metrics::Reset();
@@ -372,9 +371,7 @@ int Run(int argc, char** argv) {
   obs::Metrics::WriteSnapshotJson("results/metrics_table2.json");
   std::cout << "[telemetry: results/trace_table2.json "
                "results/runlog_table2.jsonl results/metrics_table2.json "
-               "results/prof_table2.json (hw counters "
-            << (obs::Prof::HwCountersAvailable() ? "on" : "unavailable")
-            << ")]\n";
+               "results/prof_table2.json]\n";
   AppendBenchHistory("table2", bench_timer.Seconds(), &res, &int8_gate,
                      &checks);
   return status;

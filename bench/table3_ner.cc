@@ -24,7 +24,6 @@
 #include "inference/majority_vote.h"
 #include "obs/mem_stats.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/run_log.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -337,7 +336,7 @@ int Run(int argc, char** argv) {
   }
 
   // ---- Timed end-to-end fit under full telemetry: a trace, a per-epoch
-  // run log, a metrics snapshot, and perf-counter span attribution
+  // run log, a metrics snapshot, and per-span CPU time and page faults
   // (results/prof_table3.json). All of it only observes.
   obs::Metrics::Enable(true);
   obs::Metrics::Reset();
@@ -365,9 +364,7 @@ int Run(int argc, char** argv) {
   obs::Metrics::WriteSnapshotJson("results/metrics_table3.json");
   std::cout << "[telemetry: results/trace_table3.json "
                "results/runlog_table3.jsonl results/metrics_table3.json "
-               "results/prof_table3.json (hw counters "
-            << (obs::Prof::HwCountersAvailable() ? "on" : "unavailable")
-            << ")]\n";
+               "results/prof_table3.json]\n";
   AppendBenchHistory("table3", bench_timer.Seconds(), &res, &int8_gate,
                      &checks);
   return status;

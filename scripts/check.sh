@@ -56,12 +56,14 @@
 # and validates the artifacts of its timed fit: the trace file must parse as
 # Chrome trace-event JSON with span events, every run-log line must parse as
 # JSON carrying the lncl.em_run.v1 schema, the prof file must carry
-# lncl.prof.v1 span aggregates, and the bench-history append must be a
-# well-formed lncl.bench.v1 record holding exactly one (batched) fit and an
-# empty shape_checks array (a --runs=0 bench has no means to check). The
-# same smoke run then drives tools/prof_report.py end to end: the merged
-# per-span table with the per-epoch run-log table, and the trace alone. The
-# report's fixture self-test runs with the lint pass.
+# lncl.prof.v1 span aggregates (span count, on-CPU ns, page faults) with a
+# nonzero on-CPU time for the fit span, and the bench-history append must be
+# a well-formed lncl.bench.v1 record holding exactly one (batched) fit, the
+# fit span's nonzero on-CPU time, and an empty shape_checks array (a
+# --runs=0 bench has no means to check). The same smoke run then drives
+# tools/prof_report.py end to end: the merged per-span table with the
+# per-epoch run-log table, and the trace alone. The report's fixture
+# self-test runs with the lint pass.
 #
 # A claims step then runs the three paper-table benches (table2_sentiment,
 # table3_ner, table4_ablation) at default scale, in a temporary directory
@@ -122,11 +124,10 @@ json.load(open(f"{smoke}/results/metrics_table2.json"))
 prof = json.load(open(f"{smoke}/results/prof_table2.json"))
 assert prof["schema"] == "lncl.prof.v1", prof
 assert "fit" in prof["spans"], sorted(prof["spans"])
-assert "sw_counters_available" in prof and "hw_counters_available" in prof
 for span in prof["spans"].values():
-    for key in ("spans", "cycles", "instructions", "task_clock_ns",
-                "ipc", "cache_miss_rate"):
+    for key in ("spans", "task_clock_ns", "page_faults"):
         assert key in span, f"prof span missing {key}: {span}"
+assert prof["spans"]["fit"]["task_clock_ns"] > 0, prof["spans"]["fit"]
 
 history = [json.loads(l) for l in
            open(f"{smoke}/results/BENCH_history.jsonl") if l.strip()]
@@ -135,6 +136,7 @@ rec = history[0]
 assert rec["schema"] == "lncl.bench.v1", rec
 assert rec["bench"] == "table2" and rec["prof_active"] is True, rec
 assert rec["peak_rss_kb"] > 0 and rec["wall_seconds"] > 0, rec
+assert rec["counters"]["task_clock_ns"] > 0, rec["counters"]
 assert len(rec["fits"]) == 1, f"expected one timed fit: {rec['fits']}"
 assert rec["fits"][0]["mode"] == "batched" and rec["fits"][0]["digest"], rec
 assert rec["shape_checks"] == [], f"--runs=0 checks nothing: {rec}"

@@ -1,6 +1,7 @@
 #include "data/io.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -81,12 +82,18 @@ bool LoadSentimentTsv(std::istream& is, Vocab* vocab, Dataset* dataset) {
     const size_t tab = line.find('\t');
     if (tab == std::string::npos) return false;
     Instance x;
+    const std::string label = line.substr(0, tab);
     try {
-      x.label = std::stoi(line.substr(0, tab));
+      size_t used = 0;
+      x.label = std::stoi(label, &used);
+      if (used != label.size()) return false;
     } catch (...) {
       return false;
     }
-    if (x.label < 0) return false;
+    // num_classes is max_label + 1, so the largest int is no label.
+    if (x.label < 0 || x.label == std::numeric_limits<int>::max()) {
+      return false;
+    }
     max_label = std::max(max_label, x.label);
     std::istringstream tokens(line.substr(tab + 1));
     std::string token;

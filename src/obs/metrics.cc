@@ -59,7 +59,7 @@ std::string EscapeJson(const std::string& s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);  // lint: allow(io)
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
           out += buf;
         } else {
           out += c;

@@ -1,9 +1,13 @@
 #include "obs/trace.h"
 
+#include <sys/resource.h>
+#include <time.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -165,11 +169,118 @@ uint64_t Trace::dropped_events() {
   return dropped;
 }
 
+namespace {
+
+uint64_t SatSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
+
+struct ProfState {
+  std::mutex mu;
+  std::map<std::string, Prof::SpanAgg> spans;  // name-sorted
+};
+
+ProfState& GetProfState() {
+  // Leaked singleton: span destructors may run during static teardown.
+  static ProfState* state = new ProfState();
+  return *state;
+}
+
+std::atomic<bool> g_prof_active{false};
+
+}  // namespace
+
+CounterValues& CounterValues::operator+=(const CounterValues& o) {
+  task_clock_ns += o.task_clock_ns;
+  page_faults += o.page_faults;
+  return *this;
+}
+
+CounterValues CounterValues::operator-(const CounterValues& o) const {
+  CounterValues d;
+  d.task_clock_ns = SatSub(task_clock_ns, o.task_clock_ns);
+  d.page_faults = SatSub(page_faults, o.page_faults);
+  return d;
+}
+
+// Time comes from the thread's CPU clock, one nanosecond count, rather than
+// getrusage's microsecond utime + stime pair.
+CounterValues ReadThreadCounters() {
+  CounterValues v;
+  timespec cpu{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu) == 0) {
+    v.task_clock_ns = static_cast<uint64_t>(cpu.tv_sec) * 1000000000u +
+                      static_cast<uint64_t>(cpu.tv_nsec);
+  }
+  rusage usage{};
+  if (getrusage(RUSAGE_THREAD, &usage) == 0) {
+    v.page_faults = static_cast<uint64_t>(usage.ru_minflt) +
+                    static_cast<uint64_t>(usage.ru_majflt);
+  }
+  return v;
+}
+
+bool Prof::Start() {
+  bool expected = false;
+  if (!g_prof_active.compare_exchange_strong(expected, true)) return false;
+  ProfState& state = GetProfState();
+  std::lock_guard<std::mutex> lock(state.mu);
+  state.spans.clear();
+  return true;
+}
+
+bool Prof::Stop() {
+  bool expected = true;
+  return g_prof_active.compare_exchange_strong(expected, false);
+}
+
+bool Prof::active() { return g_prof_active.load(std::memory_order_relaxed); }
+
+void Prof::RecordSpan(const char* name, const CounterValues& delta) {
+  ProfState& state = GetProfState();
+  std::lock_guard<std::mutex> lock(state.mu);
+  SpanAgg& agg = state.spans[name];
+  if (agg.name.empty()) agg.name = name;
+  agg.spans += 1;
+  agg.totals += delta;
+}
+
+Prof::SpanAgg Prof::SnapshotSpan(const std::string& name) {
+  ProfState& state = GetProfState();
+  std::lock_guard<std::mutex> lock(state.mu);
+  const auto it = state.spans.find(name);
+  if (it != state.spans.end()) return it->second;
+  SpanAgg empty;
+  empty.name = name;
+  return empty;
+}
+
+bool Prof::WriteJson(const std::string& path) {
+  std::map<std::string, SpanAgg> spans;
+  {
+    ProfState& state = GetProfState();
+    std::lock_guard<std::mutex> lock(state.mu);
+    spans = state.spans;
+  }
+  std::ofstream os(path);
+  if (!os) return false;
+  // Span names are string literals of the code, written unescaped as in the
+  // trace.
+  os << "{\n  \"schema\": \"lncl.prof.v1\",\n  \"spans\": {";
+  const char* sep = "\n";
+  for (const auto& [name, agg] : spans) {
+    os << sep << "    \"" << name << "\": {\"spans\": " << agg.spans
+       << ", \"task_clock_ns\": " << agg.totals.task_clock_ns
+       << ", \"page_faults\": " << agg.totals.page_faults << "}";
+    sep = ",\n";
+  }
+  os << "\n  }\n}\n";
+  return static_cast<bool>(os);
+}
+
 PhaseSpan::PhaseSpan(const char* name, double* accum)
     : name_(name), accum_(accum), start_ns_(NowNs()), start_us_(-1.0) {
   if (Trace::active()) start_us_ = trace_internal::NowUs();
   if (Prof::active()) {
-    prof_start_ = PerfCounters::PerThread().Read();
+    prof_start_ = ReadThreadCounters();
     prof_on_ = true;
   }
 }
@@ -181,7 +292,7 @@ PhaseSpan::~PhaseSpan() {
         name_, start_us_, trace_internal::NowUs() - start_us_, nullptr, 0);
   }
   if (prof_on_ && Prof::active()) {
-    Prof::RecordSpan(name_, PerfCounters::PerThread().Read() - prof_start_);
+    Prof::RecordSpan(name_, ReadThreadCounters() - prof_start_);
   }
 }
 

@@ -20,17 +20,18 @@
 // it for the m_step / confusion / e_step / dev_eval phases, so
 // LogicLnclResult::phase_seconds is derived from the very spans the trace
 // shows instead of a parallel Stopwatch::Lap() bookkeeping chain.
-
-// When a Prof session is active, every span — TraceSpan and PhaseSpan
-// alike — also reads the calling thread's perf counter groups at entry/exit
-// and feeds the delta to Prof::RecordSpan, giving the whole span tree IPC
-// and cache-miss attribution on top of wall time. Same bit-identity
-// contract: counters observe, they never steer.
+//
+// Prof is the second session gate, beside Trace. While a Prof session is
+// active, every span (TraceSpan and PhaseSpan alike) also reads the calling
+// thread's own OS accounting at entry and exit, its on-CPU time
+// (CLOCK_THREAD_CPUTIME_ID) and its page faults (getrusage RUSAGE_THREAD),
+// and adds the difference to a per-span-name aggregate. Prof::WriteJson()
+// writes the aggregates (results/prof_*.json, schema lncl.prof.v1), and
+// tools/prof_report.py puts each span's CPU time beside its wall time. Same
+// bit-identity contract: the readings observe, they never steer.
 
 #include <cstdint>
 #include <string>
-
-#include "obs/perf_counters.h"
 
 namespace lncl::obs {
 
@@ -63,6 +64,49 @@ double NowUs();
 
 }  // namespace trace_internal
 
+// One reading (or delta) of the calling thread's OS accounting.
+struct CounterValues {
+  uint64_t task_clock_ns = 0;  // on-CPU time
+  uint64_t page_faults = 0;    // minor + major
+
+  CounterValues& operator+=(const CounterValues& o);
+  CounterValues operator-(const CounterValues& o) const;  // saturating at 0
+};
+
+// The calling thread's cumulative readings since it started.
+CounterValues ReadThreadCounters();
+
+// Session gate + per-span aggregation. All methods are safe from any thread;
+// RecordSpan is called by the span destructors below.
+class Prof {
+ public:
+  // Arms span attribution. False when a session is already active. Clears
+  // aggregates.
+  static bool Start();
+
+  // Disarms. Aggregates survive until the next Start() so reporting can
+  // happen after the measured region. False when no session was active.
+  static bool Stop();
+
+  static bool active();
+
+  struct SpanAgg {
+    std::string name;
+    uint64_t spans = 0;       // completed span count
+    CounterValues totals;     // summed deltas
+  };
+
+  // Aggregate for one span name; zeros when the span never completed.
+  static SpanAgg SnapshotSpan(const std::string& name);
+
+  // Writes the session as JSON (schema lncl.prof.v1): one object per span
+  // name, sorted by name. False on I/O failure.
+  static bool WriteJson(const std::string& path);
+
+  // Span hook (internal). Accumulates a completed span's counter delta.
+  static void RecordSpan(const char* name, const CounterValues& delta);
+};
+
 // RAII span: records a complete event covering its lifetime when a session
 // is active at destruction time.
 class TraceSpan {
@@ -72,7 +116,7 @@ class TraceSpan {
       : name_(name), arg_name_(arg_name), arg_(arg) {
     if (Trace::active()) start_us_ = trace_internal::NowUs();
     if (Prof::active()) {
-      prof_start_ = PerfCounters::PerThread().Read();
+      prof_start_ = ReadThreadCounters();
       prof_on_ = true;
     }
   }
@@ -83,7 +127,7 @@ class TraceSpan {
           arg_);
     }
     if (prof_on_ && Prof::active()) {
-      Prof::RecordSpan(name_, PerfCounters::PerThread().Read() - prof_start_);
+      Prof::RecordSpan(name_, ReadThreadCounters() - prof_start_);
     }
   }
 

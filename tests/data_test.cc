@@ -392,6 +392,12 @@ TEST(SentimentTsvTest, RejectsBadLabels) {
   Dataset d2;
   std::stringstream junk("abc\tsome words\n");
   EXPECT_FALSE(LoadSentimentTsv(junk, &vocab, &d2));
+  Dataset d3;
+  std::stringstream trailing("1x\tgood movie\n");
+  EXPECT_FALSE(LoadSentimentTsv(trailing, &vocab, &d3));
+  Dataset d4;
+  std::stringstream int_max("2147483647\tgood movie\n");
+  EXPECT_FALSE(LoadSentimentTsv(int_max, &vocab, &d4));
 }
 
 

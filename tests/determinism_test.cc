@@ -27,7 +27,6 @@
 #include "models/crf_tagger.h"
 #include "models/ner_tagger.h"
 #include "models/text_cnn.h"
-#include "obs/perf_counters.h"
 #include "obs/run_log.h"
 #include "obs/trace.h"
 #include "util/gemm_kernel.h"

@@ -27,14 +27,11 @@ Rules (each with a per-rule allowlist of path globs):
                contract has a single enforcement point.
   prof         perf_event_open (and its __NR_ spelling) and procfs reads
                (/proc/self, /proc/cpuinfo) are banned in src/ and bench/
-               outside src/obs/ — the raw syscall/procfs surface lives
-               behind obs::PerfCounters / obs::ReadSelfStatus so its
-               graceful-degradation story (PMU-less VMs, seccomp,
-               perf_event_paranoid) has a single enforcement point.
+               outside src/obs/ — process and host introspection lives
+               behind obs::ReadSelfStatus / obs::HostFingerprint, and
+               per-span CPU time and page faults behind obs::Prof, so the
+               rest of the tree has no platform-specific reads.
                (bench/bench_history.cc reads only .git, not procfs.)
-
-A line may waive a rule explicitly with a trailing `// lint: allow(<rule>)`
-comment; prefer extending the allowlist for whole-file exemptions.
 
 Rules that need structure rather than a regex live in tools/analyze/ (the
 AST-grounded analyzer). The old `rng` rule moved there: the determinism
@@ -138,7 +135,7 @@ RULES = [
     ),
     Rule(
         name="prof",
-        description="raw perf/procfs access; use obs::PerfCounters / "
+        description="raw perf/procfs access; use obs::Prof / "
                     "obs::ReadSelfStatus",
         # No \b before perf_event_open: it must also catch the
         # __NR_perf_event_open syscall-number spelling.
@@ -148,8 +145,6 @@ RULES = [
         allowlist=("src/obs/*",),
     ),
 ]
-
-WAIVER = re.compile(r"//\s*lint:\s*allow\(([\w-]+)\)")
 
 
 def iter_files(root):
@@ -175,12 +170,8 @@ def lint_file(root, relpath):
                 violations.append((relpath, 1, rule, "(missing #pragma once)"))
             continue
         for i, line in enumerate(lines, start=1):
-            if not rule.pattern.search(line):
-                continue
-            waiver = WAIVER.search(line)
-            if waiver and waiver.group(1) == rule.name:
-                continue
-            violations.append((relpath, i, rule, line.strip()))
+            if rule.pattern.search(line):
+                violations.append((relpath, i, rule, line.strip()))
     return violations
 
 

@@ -9,9 +9,8 @@ Joins, per span name:
     to end"; self time answers "where is the clock actually spent" — an
     epoch span is ~100% inclusive but near-0% self, because its time
     belongs to the m_step/e_step/... spans nested inside it;
-  * results/prof_<id>.json   (lncl.prof.v1, optional) — task-clock CPU ms,
-    IPC and cache-miss rate (zeros with a "hw counters unavailable" note on
-    PMU-less hosts, where only the software group counts), page faults;
+  * results/prof_<id>.json   (lncl.prof.v1, optional) — on-CPU ms
+    (task_clock_ns, the recording thread's CPU clock) and page faults;
   * results/metrics_<id>.json (lncl.metrics.v1 snapshot, optional) —
     gemm.flops, turned into achieved GFLOP/s over the fit span's CPU time
     and compared against the roofline peak from results/BENCH_micro.json
@@ -22,9 +21,11 @@ per-epoch table — loss, dev score, k(t), KL(q_a‖q_b), rule satisfaction,
 phase seconds, E-step throughput — plus the fit_end summary line.
 
 The trace and the prof file see the same spans from two angles: the trace
-measures wall time between ctor and dtor, the prof file counts what the
-CPU retired in between. Divergence between self wall-ms and task-clock ms
-is scheduling (preemption, page faults), not compute.
+measures wall time between ctor and dtor, the prof file the thread's
+on-CPU time in between. Divergence between self wall-ms and cpu ms is
+scheduling (preemption, blocking, page faults), not compute. Files written
+before the hardware-counter profiler was retired carry more fields per
+span; only task_clock_ns and page_faults are read.
 
 Usage:
   tools/prof_report.py --id table3     # every results/*_table3.* present
@@ -137,7 +138,7 @@ def micro_roofline_gflops(path):
 
 
 def build_report(trace_spans, prof_doc=None, metrics_doc=None, roofline=0.0):
-    """Pure merge -> {"spans", "threads", "rows", "prof", "hw", "gemm"}.
+    """Pure merge -> {"spans", "threads", "rows", "prof", "gemm"}.
 
     Without a prof document the rows carry the trace columns only."""
     trace_agg = aggregate_trace(trace_spans)
@@ -158,8 +159,6 @@ def build_report(trace_spans, prof_doc=None, metrics_doc=None, roofline=0.0):
             "mean_ms": incl_ms / count if count else 0.0,
             "self_ms": t["self_us"] / 1000.0,
             "cpu_ms": p.get("task_clock_ns", 0) / 1e6,
-            "ipc": p.get("ipc", 0.0),
-            "cache_miss_rate": p.get("cache_miss_rate", 0.0),
             "page_faults": p.get("page_faults", 0),
         })
 
@@ -167,8 +166,8 @@ def build_report(trace_spans, prof_doc=None, metrics_doc=None, roofline=0.0):
     if metrics_doc is not None:
         flops = metrics_doc.get("counters", {}).get("gemm.flops", 0)
         fit = prof_spans.get("fit", {})
-        # Prefer the fit span's CPU time (task-clock, survives preemption);
-        # fall back to its inclusive wall time from the trace.
+        # Prefer the fit span's CPU time (survives preemption); fall back
+        # to its inclusive wall time from the trace.
         fit_s = fit.get("task_clock_ns", 0) / 1e9
         basis = "fit task-clock"
         if fit_s <= 0.0:
@@ -182,9 +181,7 @@ def build_report(trace_spans, prof_doc=None, metrics_doc=None, roofline=0.0):
                                      if roofline > 0 else 0.0)}
     return {"spans": len(trace_spans),
             "threads": len({e.get("tid") for e in trace_spans}),
-            "rows": rows, "prof": prof_doc is not None,
-            "hw": bool(prof_doc and prof_doc.get("hw_counters_available")),
-            "gemm": gemm}
+            "rows": rows, "prof": prof_doc is not None, "gemm": gemm}
 
 
 def print_report(report, title=""):
@@ -197,19 +194,15 @@ def print_report(report, title=""):
     header = (f"   {'span':<16} {'count':>7} {'incl ms':>10} {'mean ms':>9} "
               f"{'self ms':>10} {'self%':>6}")
     if report["prof"]:
-        header += f" {'cpu ms':>10} {'ipc':>6} {'miss%':>6} {'pgflt':>7}"
+        header += f" {'cpu ms':>10} {'pgflt':>7}"
     print(header)
     for r in report["rows"]:
         line = (f"   {r['span']:<16} {r['count']:>7} {r['incl_ms']:>10.2f} "
                 f"{r['mean_ms']:>9.4f} {r['self_ms']:>10.2f} "
                 f"{r['self_ms'] / total_self:>6.1%}")
         if report["prof"]:
-            line += (f" {r['cpu_ms']:>10.2f} {r['ipc']:>6.2f} "
-                     f"{r['cache_miss_rate']:>6.1%} {r['page_faults']:>7}")
+            line += f" {r['cpu_ms']:>10.2f} {r['page_faults']:>7}"
         print(line)
-    if report["prof"] and not report["hw"]:
-        print("   (hw counters unavailable on this host — ipc/miss% are "
-              "zeros; cpu ms/pgflt come from the software group)")
     g = report["gemm"]
     if g is not None:
         line = (f"   gemm: {g['flops']:,} flops / {g['seconds']:.3f}s "
@@ -276,17 +269,12 @@ def self_test():
         {"ph": "X", "tid": 1, "ts": 500, "dur": 350, "name": "e_step"},
         {"ph": "X", "tid": 2, "ts": 0, "dur": 300, "name": "e_step_shard"},
     ]}
-    prof = {"schema": "lncl.prof.v1", "hw_counters_available": True,
-            "sw_counters_available": True,
+    prof = {"schema": "lncl.prof.v1",
             "spans": {
-                "fit": {"spans": 1, "cycles": 4000, "instructions": 8000,
-                        "cache_references": 1000, "cache_misses": 100,
-                        "branch_misses": 5, "task_clock_ns": 2_000_000_000,
-                        "page_faults": 7, "context_switches": 1,
-                        "ipc": 2.0, "cache_miss_rate": 0.1},
-                "m_step": {"spans": 1, "cycles": 1000, "instructions": 1500,
-                           "task_clock_ns": 300_000, "page_faults": 2,
-                           "ipc": 1.5, "cache_miss_rate": 0.0},
+                "fit": {"spans": 1, "task_clock_ns": 2_000_000_000,
+                        "page_faults": 7},
+                "m_step": {"spans": 1, "task_clock_ns": 300_000,
+                           "page_faults": 2},
             }}
     metrics = {"counters": {"gemm.flops": 4_000_000_000}}
     micro = {"benchmarks": [
@@ -343,7 +331,6 @@ def self_test():
         # Counter join: prof rows land on the right spans.
         check("fit cpu ms", abs(rows["fit"]["cpu_ms"] - 2000.0) < 1e-9,
               str(rows["fit"]["cpu_ms"]))
-        check("fit ipc", rows["fit"]["ipc"] == 2.0)
         check("m_step page faults", rows["m_step"]["page_faults"] == 2)
         check("prof-less span zeroed", rows["e_step"]["cpu_ms"] == 0.0)
 
