@@ -43,6 +43,9 @@ std::vector<float> RandomBuffer(size_t n, util::Rng* rng) {
 //   64x32x32    GRU recurrent gate over a 64-row length bucket
 //   1x32x32     GRU recurrent gate, per-instance serving
 //   1x2x48      Kim-CNN fc head, per-instance serving
+//   {7,9,13,16}x16x160  Kim-CNN conv rows of shorter and longer sentences:
+//               one row block, and the balanced two-block splits
+//   {9,13}x64x160       NER conv rows of short sentences
 // Bias + ReLU ride the fused epilogue, as in the layer code.
 void GemmShapeBench(benchmark::State& state, util::gemm::Kind kind) {
   const int m = static_cast<int>(state.range(0));
@@ -76,6 +79,12 @@ void BM_GemmMicrokernel(benchmark::State& state) {
 BENCHMARK(BM_GemmMicrokernel)
     ->Args({14, 16, 160})
     ->Args({14, 64, 160})
+    ->Args({7, 16, 160})
+    ->Args({9, 16, 160})
+    ->Args({13, 16, 160})
+    ->Args({16, 16, 160})
+    ->Args({9, 64, 160})
+    ->Args({13, 64, 160})
     ->Args({14, 32, 64})
     ->Args({64, 32, 32})
     ->Args({1, 32, 32})

@@ -41,6 +41,13 @@
 #                      aggregators' compile-time-K (K = 9) kernels and the
 #                      GEMM dispatch then run at SSE2 width, and every
 #                      golden hash must still hold
+#   avx2               -DLNCL_NATIVE_ARCH=OFF -march=x86-64-v3: the AVX2
+#                      GEMM microkernels (16 ymm registers, row blocks of
+#                      at most 6 against AVX-512's 12), which a native build
+#                      on an AVX-512 host never compiles. Runs the portable
+#                      suites plus gemm_kernel_test, nn_test and
+#                      batch_predict_test, and fails unless the SIMD tests
+#                      ran with ISA avx2
 #
 # Sanitizer sweeps finish with an explicit run of the batched-prediction
 # equivalence, determinism and inference tests, one at a time, so the
@@ -71,10 +78,11 @@
 # alone. Each bench exits non-zero when one of its shape checks fails
 # without EXPERIMENTS.md naming it as a deviation, which fails the step.
 #
-#   scripts/check.sh              # lint + smoke + claims + all four sweeps
+#   scripts/check.sh              # lint + smoke + claims + all five sweeps
 #   scripts/check.sh audit        # lint + smoke + claims + audit sweep only
 #   scripts/check.sh thread       # lint + smoke + claims + TSan only
 #   scripts/check.sh portable     # lint + smoke + claims + portable only
+#   scripts/check.sh avx2         # lint + smoke + claims + AVX2 only
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
@@ -165,7 +173,8 @@ done
 rm -rf "$claims"
 trap - EXIT
 
-sweeps=("audit" "address,undefined,float-cast-overflow" "thread" "portable")
+sweeps=("audit" "address,undefined,float-cast-overflow" "thread" "portable"
+        "avx2")
 if [ $# -ge 1 ]; then
   sweeps=("$@")
 fi
@@ -186,15 +195,33 @@ for sweep in "${sweeps[@]}"; do
     ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
     continue
   fi
-  if [ "$sweep" = "portable" ]; then
-    build="build-portable-check"
+  if [ "$sweep" = "portable" ] || [ "$sweep" = "avx2" ]; then
     suites="inference_test determinism_test util_test models_test logic_test"
-    echo "===== LNCL_NATIVE_ARCH=OFF (${build}) ====="
-    cmake -B "$build" -S . -DLNCL_NATIVE_ARCH=OFF -DLNCL_WERROR=ON >/dev/null
+    flags=(-DLNCL_NATIVE_ARCH=OFF -DLNCL_WERROR=ON)
+    if [ "$sweep" = "portable" ]; then
+      build="build-portable-check"
+      echo "===== LNCL_NATIVE_ARCH=OFF (${build}) ====="
+    else
+      build="build-avx2-check"
+      suites="$suites gemm_kernel_test nn_test batch_predict_test"
+      flags+=(-DCMAKE_CXX_FLAGS=-march=x86-64-v3)
+      echo "===== LNCL_NATIVE_ARCH=OFF -march=x86-64-v3 (${build}) ====="
+    fi
+    cmake -B "$build" -S . "${flags[@]}" >/dev/null
     # shellcheck disable=SC2086
     cmake --build "$build" -j "$(nproc)" --target $suites
     ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
       -R "^(${suites// /|})\$"
+    if [ "$sweep" = "avx2" ]; then
+      isa=$("$build/tests/gemm_kernel_test" \
+        --gtest_filter='GemmKernelTest.SimdMatchesScalarBitwiseAllTransVariants' \
+        | sed -n 's/^simd isa=//p')
+      if [ "$isa" != "avx2" ]; then
+        echo "avx2 sweep: the SIMD tests ran with ISA '${isa:-none}'" >&2
+        exit 1
+      fi
+      echo "avx2 sweep: SIMD tests ran with ISA avx2"
+    fi
     continue
   fi
   san="$sweep"

@@ -113,25 +113,24 @@ const util::Matrix& TextCnn::ForwardTrain(const data::Instance& x,
   } else {
     embeddings_->Lookup(x.tokens, &cache_.embedded);
   }
-  // resize, not assign: the cached matrices keep their allocations across
+  // resize, not assign: the cached buffers keep their allocations across
   // steps (Resize reuses capacity).
-  cache_.conv_post.resize(convs_.size());
   cache_.argmax.resize(convs_.size());
   const int f = config_.feature_maps;
-  util::Vector feat(convs_.size() * f, 0.0f);
+  cache_.pooled.resize(convs_.size() * f);
   util::Vector pooled;
   for (size_t wi = 0; wi < convs_.size(); ++wi) {
-    convs_[wi]->Forward(cache_.embedded, &cache_.conv_post[wi],
-                        util::Act::kRelu);
-    nn::MaxOverTimeForward(cache_.conv_post[wi], &pooled, &cache_.argmax[wi]);
+    convs_[wi]->Forward(cache_.embedded, &cache_.conv_post, util::Act::kRelu);
+    nn::MaxOverTimeForward(cache_.conv_post, &pooled, &cache_.argmax[wi]);
     std::copy(pooled.begin(), pooled.end(),
-              feat.begin() + static_cast<long>(wi) * f);
+              cache_.pooled.begin() + static_cast<long>(wi) * f);
   }
-  nn::DropoutForward(config_.dropout, rng, &feat, &cache_.dropout_mask);
-  cache_.feat_dropped = feat;
+  cache_.feat_dropped = cache_.pooled;
+  nn::DropoutForward(config_.dropout, rng, &cache_.feat_dropped,
+                     &cache_.dropout_mask);
 
   util::Vector logits, probs;
-  fc_.Forward(feat, &logits);
+  fc_.Forward(cache_.feat_dropped, &logits);
   nn::Softmax(logits, &probs);
   cache_.probs.Resize(1, config_.num_classes);
   std::copy(probs.begin(), probs.end(), cache_.probs.Row(0));
@@ -142,6 +141,9 @@ void TextCnn::BackwardFromLogits(const util::Vector& grad_logits) {
   util::Vector grad_feat;
   fc_.Backward(cache_.feat_dropped, grad_logits, &grad_feat);
   nn::DropoutBackward(config_.dropout, cache_.dropout_mask, &grad_feat);
+  // ReLU's gate at each filter's winning row, whose post-activation is the
+  // pooled value: grad_feat is now the pooled gradient of every filter.
+  nn::ReluBackward(cache_.pooled, &grad_feat);
 
   const int f = config_.feature_maps;
   util::Matrix grad_embedded;
@@ -150,14 +152,9 @@ void TextCnn::BackwardFromLogits(const util::Vector& grad_logits) {
   }
   util::Matrix grad_x;
   for (size_t wi = 0; wi < convs_.size(); ++wi) {
-    util::Vector grad_pooled(grad_feat.begin() + static_cast<long>(wi) * f,
-                             grad_feat.begin() + static_cast<long>(wi + 1) * f);
-    util::Matrix grad_post;
-    nn::MaxOverTimeBackward(cache_.argmax[wi], grad_pooled,
-                            cache_.conv_post[wi].rows(), &grad_post);
-    nn::ReluBackward(cache_.conv_post[wi], &grad_post);
-    convs_[wi]->Backward(cache_.embedded, grad_post,
-                         trainable_ != nullptr ? &grad_x : nullptr);
+    convs_[wi]->BackwardPooled(cache_.embedded, cache_.argmax[wi],
+                               grad_feat.data() + wi * f,
+                               trainable_ != nullptr ? &grad_x : nullptr);
     if (trainable_ != nullptr) grad_embedded.AddScaled(grad_x, 1.0f);
   }
   if (trainable_ != nullptr) {

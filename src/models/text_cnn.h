@@ -68,8 +68,9 @@ class TextCnn : public Model {
   struct Cache {
     std::vector<int> tokens;                   // for the embedding backward
     util::Matrix embedded;                     // T x D
-    std::vector<util::Matrix> conv_post;       // per window: rows x F (ReLU'd)
-    std::vector<std::vector<int>> argmax;      // per window: F winners
+    util::Matrix conv_post;                    // one window's rows x F (ReLU'd)
+    std::vector<std::vector<int>> argmax;      // per window: F winning rows
+    util::Vector pooled;                       // 3F pooled, before dropout
     util::Vector feat_dropped;                 // 3F after dropout
     std::vector<uint8_t> dropout_mask;
     util::Matrix probs;                        // 1 x K

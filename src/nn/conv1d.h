@@ -38,11 +38,13 @@ class Conv1d {
   // x: T x in_dim. y: rows depend on padding (see above), cols = filters,
   // y = act(conv(x) + bias). For kValid inputs shorter than `window`, the
   // input is implicitly zero-padded at the end to `window` rows (output has
-  // exactly one row). Implemented as a strided GEMM directly over x's
-  // sliding windows (im2row without the copy), so convolutions share the
-  // blocked microkernels with Linear and the recurrent gate projections;
-  // safe to call concurrently from multiple threads (the filter panel comes
-  // from the per-thread pack cache).
+  // exactly one row). Implemented as one strided GEMM of OutRows(T) rows
+  // over x's sliding windows (x is copied between zero rows first when a
+  // window reaches past it), so convolutions share the blocked microkernels
+  // with Linear and the recurrent gate projections; each output is
+  // bit-equal to the fma chain over its clipped window. Safe to call
+  // concurrently from multiple threads (the filter panel comes from the
+  // per-thread pack cache, the padded copy from the thread's workspace).
   void Forward(const util::Matrix& x, util::Matrix* y,
                util::Act act = util::Act::kNone) const;
 
@@ -50,9 +52,7 @@ class Conv1d {
   // x_packed ((batch * t) x in_dim; instance b occupies rows [b*t, (b+1)*t)).
   // y_packed gets the same instance-major layout, (batch * OutRows(t)) x
   // filters. Each instance's block is byte-for-byte what Forward produces on
-  // its slice (Forward is this on a batch of one): interior windows go
-  // through one GEMM per instance, boundary rows through m = 1 GEMMs over
-  // the clipped window.
+  // its slice (Forward is this on a batch of one): one GEMM per instance.
   void ForwardPacked(const util::Matrix& x_packed, int batch, int t,
                      util::Matrix* y_packed,
                      util::Act act = util::Act::kNone) const;
@@ -61,6 +61,15 @@ class Conv1d {
   // is non-null.
   void Backward(const util::Matrix& x, const util::Matrix& grad_y,
                 util::Matrix* grad_x);
+
+  // Backward through max-over-time pooling: grad_y is zero except
+  // grad_pooled[fi] at row argmax[fi] of column fi (F entries each). Applies
+  // one rank-1 update per filter with a nonzero gradient, at its clipped
+  // window, instead of reading the dense T x F gradient. Parameter grads
+  // are bit-equal to Backward on that dense grad_y. grad_x, when non-null,
+  // is written with the filters summed in index order.
+  void BackwardPooled(const util::Matrix& x, const std::vector<int>& argmax,
+                      const float* grad_pooled, util::Matrix* grad_x);
 
   std::vector<Parameter*> Params() { return {&w_, &b_}; }
 
@@ -84,6 +93,14 @@ class Conv1d {
   int WindowStart(int o) const {
     return padding_ == Padding::kSame ? o - (window_ - 1) / 2 : o;
   }
+
+  // The rank-1 update of one nonzero grad_y(o, fi) = g over output row o's
+  // clipped window: adds g * window(x) to filter fi's row of the weight
+  // grad (gw_base) and, when gx_base is non-null, g * that filter's weights
+  // to the window's rows of grad_x (T x in_dim). The bias is the caller's.
+  void AddWindowUpdate(const util::Matrix& x, int o, int fi, float g,
+                       float* gw_base, const float* w_base,
+                       float* gx_base) const;
 
   int window_;
   int in_dim_;

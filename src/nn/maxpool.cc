@@ -1,6 +1,8 @@
 #include "nn/maxpool.h"
-#include "util/check.h"
 
+#include <algorithm>
+
+#include "util/check.h"
 
 namespace lncl::nn {
 
@@ -9,19 +11,18 @@ void MaxOverTimeForward(const util::Matrix& x, util::Vector* out,
   const int t = x.rows();
   const int f = x.cols();
   LNCL_DCHECK(t > 0);
-  out->assign(f, 0.0f);
+  out->assign(x.Row(0), x.Row(0) + f);
   argmax->assign(f, 0);
-  for (int c = 0; c < f; ++c) {
-    float best = x(0, c);
-    int best_r = 0;
-    for (int r = 1; r < t; ++r) {
-      if (x(r, c) > best) {
-        best = x(r, c);
-        best_r = r;
+  float* const best = out->data();
+  int* const best_r = argmax->data();
+  for (int r = 1; r < t; ++r) {
+    const float* xr = x.Row(r);
+    for (int c = 0; c < f; ++c) {
+      if (xr[c] > best[c]) {
+        best[c] = xr[c];
+        best_r[c] = r;
       }
     }
-    (*out)[c] = best;
-    (*argmax)[c] = best_r;
   }
 }
 
@@ -29,25 +30,12 @@ void MaxOverTimeRange(const util::Matrix& x, int row_begin, int row_end,
                       float* out) {
   const int f = x.cols();
   LNCL_DCHECK(row_end > row_begin);
-  for (int c = 0; c < f; ++c) {
-    float best = x(row_begin, c);
-    for (int r = row_begin + 1; r < row_end; ++r) {
-      if (x(r, c) > best) best = x(r, c);
+  std::copy_n(x.Row(row_begin), f, out);
+  for (int r = row_begin + 1; r < row_end; ++r) {
+    const float* xr = x.Row(r);
+    for (int c = 0; c < f; ++c) {
+      if (xr[c] > out[c]) out[c] = xr[c];
     }
-    out[c] = best;
-  }
-}
-
-void MaxOverTimeBackward(const std::vector<int>& argmax,
-                         const util::Vector& grad_out, int rows,
-                         util::Matrix* grad_x) {
-  LNCL_DCHECK(argmax.size() == grad_out.size());
-  const size_t cols = grad_out.size();
-  grad_x->Resize(rows, static_cast<int>(cols));
-  float* const g = grad_x->data();
-  for (size_t c = 0; c < cols; ++c) {
-    LNCL_DCHECK(argmax[c] >= 0 && argmax[c] < rows);
-    g[static_cast<size_t>(argmax[c]) * cols + c] = grad_out[c];
   }
 }
 

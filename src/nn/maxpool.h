@@ -8,7 +8,9 @@ namespace lncl::nn {
 
 // Max-over-time pooling: collapses a T x F feature map to an F-vector by
 // taking the per-column maximum (Kim 2014). `argmax` records, per column,
-// the winning row index for the backward pass.
+// the winning row index (the first one on ties) for the backward pass,
+// Conv1d::BackwardPooled. The scan walks rows in order and, per column,
+// replaces the running maximum only on a strict >.
 void MaxOverTimeForward(const util::Matrix& x, util::Vector* out,
                         std::vector<int>* argmax);
 
@@ -19,12 +21,6 @@ void MaxOverTimeForward(const util::Matrix& x, util::Vector* out,
 // (inference only).
 void MaxOverTimeRange(const util::Matrix& x, int row_begin, int row_end,
                       float* out);
-
-// Routes dL/dout back to the winning rows; grad_x is resized to rows x F and
-// zero elsewhere.
-void MaxOverTimeBackward(const std::vector<int>& argmax,
-                         const util::Vector& grad_out, int rows,
-                         util::Matrix* grad_x);
 
 }  // namespace lncl::nn
 

@@ -21,11 +21,6 @@
 namespace lncl::util::gemm {
 namespace {
 
-// Row-block height of the microkernel: 6 C rows x 2 vector registers of
-// accumulators leaves broadcast and B-load registers free in both the
-// 16-register AVX2 file and the 32-register AVX-512 file.
-constexpr int kMr = 6;
-
 // A(i, k) under the trans_a flag: kTa reads A stored k x m.
 template <bool kTa>
 inline float AElem(const float* a, int lda, int i, int k) {
@@ -284,42 +279,61 @@ void SimdRowBlock(int n, int kd, float alpha, const float* a, int lda, int i0,
   }
 }
 
+// Tallest fp32 row block: kMrMax C rows x 2 vector registers of
+// accumulators, plus the 2 B vectors and a broadcast. On AVX-512 that is 27
+// of the 32 zmm registers; AVX2 has 16 ymm registers and stops at 6 rows.
+// The TN form (A read k-major) only computes weight gradients and stays at
+// 6 rows: its 7..12-row blocks add about 170 KB of text, and with them
+// ner_fit's peak RSS read 3-7% above the 6-row TN form's.
+#if defined(__AVX512F__)
+constexpr int kMrTall = 12;
+#else
+constexpr int kMrTall = 6;
+#endif
+template <bool kTa>
+constexpr int kMrMax = kTa ? 6 : kMrTall;
+
+// SimdRowBlock at the compile-time height equal to h, 1 <= h <= kMrT.
+template <bool kTa, int kMrT>
+void SimdRowBlockOfHeight(int h, int n, int kd, float alpha, const float* a,
+                          int lda, int i0, const float* b, int ldb,
+                          float beta, float* c, int ldc, const float* bias,
+                          Act act) {
+  if constexpr (kMrT > 1) {
+    if (h < kMrT) {
+      SimdRowBlockOfHeight<kTa, kMrT - 1>(h, n, kd, alpha, a, lda, i0, b, ldb,
+                                          beta, c, ldc, bias, act);
+      return;
+    }
+  }
+  SimdRowBlock<kTa, kMrT>(n, kd, alpha, a, lda, i0, b, ldb, beta, c, ldc,
+                          bias, act);
+}
+
+// ceil(m / kMrMax) row blocks whose heights differ by at most one: m = 13
+// runs as 7 + 6, not 12 + 1, so no block is a short latency-bound chain.
+// Rows are independent, so the split never changes a result bit.
 template <bool kTa>
 void SimdGemmImpl(int m, int n, int kd, float alpha, const float* a, int lda,
                   const float* b, int ldb, float beta, float* c, int ldc,
                   const float* bias, Act act) {
-  for (int i0 = 0; i0 < m; i0 += kMr) {
-    switch (std::min(kMr, m - i0)) {
-      case 6:
-        SimdRowBlock<kTa, 6>(n, kd, alpha, a, lda, i0, b, ldb, beta, c, ldc,
-                             bias, act);
-        break;
-      case 5:
-        SimdRowBlock<kTa, 5>(n, kd, alpha, a, lda, i0, b, ldb, beta, c, ldc,
-                             bias, act);
-        break;
-      case 4:
-        SimdRowBlock<kTa, 4>(n, kd, alpha, a, lda, i0, b, ldb, beta, c, ldc,
-                             bias, act);
-        break;
-      case 3:
-        SimdRowBlock<kTa, 3>(n, kd, alpha, a, lda, i0, b, ldb, beta, c, ldc,
-                             bias, act);
-        break;
-      case 2:
-        SimdRowBlock<kTa, 2>(n, kd, alpha, a, lda, i0, b, ldb, beta, c, ldc,
-                             bias, act);
-        break;
-      default:
-        SimdRowBlock<kTa, 1>(n, kd, alpha, a, lda, i0, b, ldb, beta, c, ldc,
-                             bias, act);
-        break;
-    }
+  constexpr int kCap = kMrMax<kTa>;
+  const int blocks = (m + kCap - 1) / kCap;
+  const int base = m / blocks;
+  const int taller = m % blocks;  // blocks of base + 1 rows, first
+  for (int bi = 0, i0 = 0; bi < blocks; ++bi) {
+    const int h = base + (bi < taller ? 1 : 0);
+    SimdRowBlockOfHeight<kTa, kCap>(h, n, kd, alpha, a, lda, i0, b, ldb,
+                                    beta, c, ldc, bias, act);
+    i0 += h;
   }
 }
 
 // Int8 analog: B lanes come from a widening int8 -> fp32 conversion (exact
 // for the int8 range), scales fold in through the epilogue's alpha slot.
+// Fixed 6-row blocks of one vector register per row.
+constexpr int kMr = 6;
+
 template <int kMrT>
 inline void SimdInt8Block(int kd, const float* a, int lda, int i0,
                           const int8_t* q, int n, int j0, int width,

@@ -7,6 +7,7 @@
 #include "util/gemm_kernel.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -74,16 +75,23 @@ BothKinds RunBothKinds(int m, int n, int k, float alpha,
 
 TEST_F(GemmKernelTest, SimdMatchesScalarBitwiseAllTransVariants) {
   if (!SimdCompiled()) GTEST_SKIP() << "no SIMD kernel in this build";
-  // Sizes cross every microkernel boundary: sub-block m tails (1..5), the
-  // full 6-row block, one/two-vector n strips, and masked n tails for both
-  // 8-lane and 16-lane ISAs.
-  const int sizes[] = {1, 3, 6, 16, 17, 33};
+  // The ISA the row-block cap belongs to (NN form: 12 rows on AVX-512, 6 on
+  // AVX2; TN form: 6); scripts/check.sh's avx2 sweep reads this line.
+  std::printf("simd isa=%s\n", SimdIsa());
+  // m = 1..13 is every block height up to the 12-row cap and its first
+  // balanced two-block split (7 + 6); 16, 17, 24, 25 and 33 are two- to
+  // six-block splits at both caps. n crosses one/two-vector strips and
+  // masked tails for 8-lane and 16-lane ISAs; 16 is the text-CNN's filters.
+  const int ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 24, 25,
+                    33};
+  const int ns[] = {1, 3, 6, 9, 16, 17, 32, 33, 64};
+  const int ks[] = {1, 3, 6, 16, 17, 33};
   TestRng rng(123);
   for (Trans ta : {Trans::kNo, Trans::kYes}) {
     for (Trans tb : {Trans::kNo, Trans::kYes}) {
-      for (int m : sizes) {
-        for (int n : sizes) {
-          for (int k : sizes) {
+      for (int m : ms) {
+        for (int n : ns) {
+          for (int k : ks) {
             for (float alpha : {1.0f, 0.5f}) {
               for (float beta : {0.0f, 1.0f, 0.5f}) {
                 const int lda = ta == Trans::kNo ? k : m;

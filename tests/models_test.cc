@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "data/embedding.h"
 #include "models/crf_tagger.h"
@@ -9,7 +11,12 @@
 #include "models/model.h"
 #include "models/ner_tagger.h"
 #include "models/text_cnn.h"
+#include "nn/activations.h"
+#include "nn/conv1d.h"
+#include "nn/dropout.h"
 #include "nn/gradcheck.h"
+#include "nn/linear.h"
+#include "nn/maxpool.h"
 #include "nn/optimizer.h"
 #include "nn/softmax.h"
 #include "util/rng.h"
@@ -166,6 +173,93 @@ TEST(TextCnnTest, FactoryProducesIndependentModels) {
   EXPECT_NE(p1(0, 0), p2(0, 0));  // different random init
 }
 
+
+TEST(TextCnnTest, PooledBackwardMatchesDenseReferenceBitwise) {
+  // TextCnn's backward applies one rank-1 update per filter at its argmax
+  // row (Conv1d::BackwardPooled). With static embeddings its gradients must
+  // be bit-equal to the dense route: the layers' own forward, a T x F
+  // pooled gradient that is zero off the argmax rows, ReluBackward, then
+  // Conv1d::Backward. Lengths 1..9 are shorter than twice every window
+  // (3, 4, 5); the rest are longer. Gradients accumulate over all of them.
+  Rng rng(21);
+  auto emb = MakeEmbeddings(60, 8, &rng);
+  TextCnnConfig config;
+  TextCnn cnn(config, emb, &rng);
+  const int f = config.feature_maps;
+  const int num_windows = static_cast<int>(config.windows.size());
+  const std::vector<nn::Parameter*> params = cnn.Params();
+  ASSERT_EQ(params.size(), static_cast<size_t>(2 * num_windows + 2));
+
+  // Reference layers holding the same weights.
+  Rng init(0);
+  std::vector<std::unique_ptr<nn::Conv1d>> convs;
+  std::vector<nn::Parameter*> ref_params;
+  for (int wi = 0; wi < num_windows; ++wi) {
+    convs.push_back(std::make_unique<nn::Conv1d>(
+        "ref.conv", config.windows[wi], emb->dim(), f,
+        nn::Conv1d::Padding::kValid, &init));
+    for (nn::Parameter* p : convs.back()->Params()) ref_params.push_back(p);
+  }
+  nn::Linear fc("ref.fc", num_windows * f, config.num_classes, &init);
+  for (nn::Parameter* p : fc.Params()) ref_params.push_back(p);
+  for (size_t i = 0; i < params.size(); ++i) {
+    ref_params[i]->value = params[i]->value;
+  }
+  nn::ZeroGrads(params);
+  nn::ZeroGrads(ref_params);
+
+  for (const int len : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 21, 40}) {
+    SCOPED_TRACE(testing::Message() << "len=" << len);
+    const data::Instance x = MakeInstance(len, 60, &rng, false, 2);
+    util::Vector qv = {0.3f, 0.7f};
+    Matrix q(1, 2);
+    q(0, 0) = qv[0];
+    q(0, 1) = qv[1];
+    const uint64_t seed = 100 + static_cast<uint64_t>(len);
+    Rng cnn_rng(seed);
+    cnn.ForwardTrain(x, &cnn_rng);
+    cnn.BackwardSoftTarget(q, 0.7f);
+
+    Rng ref_rng(seed);
+    Matrix embedded;
+    emb->Lookup(x.tokens, &embedded);
+    util::Vector feat(static_cast<size_t>(num_windows) * f);
+    std::vector<Matrix> post(num_windows);
+    std::vector<std::vector<int>> argmax(num_windows);
+    for (int wi = 0; wi < num_windows; ++wi) {
+      convs[wi]->Forward(embedded, &post[wi], util::Act::kRelu);
+      util::Vector pooled;
+      nn::MaxOverTimeForward(post[wi], &pooled, &argmax[wi]);
+      std::copy(pooled.begin(), pooled.end(), feat.begin() + wi * f);
+    }
+    std::vector<uint8_t> mask;
+    nn::DropoutForward(config.dropout, &ref_rng, &feat, &mask);
+    util::Vector logits, probs, grad_logits, grad_feat;
+    fc.Forward(feat, &logits);
+    nn::Softmax(logits, &probs);
+    nn::SoftmaxCrossEntropyGrad(qv, probs, 0.7f, &grad_logits);
+    fc.Backward(feat, grad_logits, &grad_feat);
+    nn::DropoutBackward(config.dropout, mask, &grad_feat);
+    for (int wi = 0; wi < num_windows; ++wi) {
+      Matrix grad_post(post[wi].rows(), f);
+      for (int c = 0; c < f; ++c) {
+        grad_post(argmax[wi][c], c) = grad_feat[wi * f + c];
+      }
+      nn::ReluBackward(post[wi], &grad_post);
+      convs[wi]->Backward(embedded, grad_post, nullptr);
+    }
+
+    for (size_t i = 0; i < params.size(); ++i) {
+      const Matrix& got = params[i]->grad;
+      const Matrix& want = ref_params[i]->grad;
+      ASSERT_EQ(got.size(), want.size()) << params[i]->name;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << params[i]->name;
+    }
+  }
+}
 
 TEST(TextCnnTest, TrainableEmbeddingsGradientCheck) {
   Rng rng(15);

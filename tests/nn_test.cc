@@ -474,15 +474,6 @@ TEST(MaxPoolTest, ForwardPicksColumnMaxima) {
   EXPECT_EQ(argmax[1], 0);
 }
 
-TEST(MaxPoolTest, BackwardRoutesToWinners) {
-  std::vector<int> argmax = {1, 0};
-  Matrix grad_x;
-  MaxOverTimeBackward(argmax, {2.0f, 3.0f}, 3, &grad_x);
-  EXPECT_FLOAT_EQ(grad_x(1, 0), 2.0f);
-  EXPECT_FLOAT_EQ(grad_x(0, 1), 3.0f);
-  EXPECT_FLOAT_EQ(grad_x(2, 0), 0.0f);
-}
-
 // ----------------------------------------------------- Layer grad checks --
 
 // Gradient check for Linear via soft-target CE loss.
@@ -666,9 +657,11 @@ class Conv1dBackwardPathTest
 
 TEST_P(Conv1dBackwardPathTest, SparseAndDensePathsMatchBruteForce) {
   // Conv1d::Backward picks an axpy formulation when grad_y is sparse enough
-  // (the max-over-time-pooling case: at most one nonzero per filter column)
-  // and dense GEMMs otherwise. Both paths must agree with the brute-force
-  // reference on the same layer.
+  // (NerTagger's conv gradient after ReLU and dropout on a short sentence)
+  // and dense GEMMs otherwise; BackwardPooled takes a max-over-time pooled
+  // gradient as (argmax row, value) per filter. All must agree with the
+  // brute-force reference on the same layer, and BackwardPooled's parameter
+  // grads must be bit-equal to Backward's on the dense pooled grad_y.
   const Conv1d::Padding padding = GetParam();
   Rng rng(99);
   const int t = 10, d = 4, window = 3, f = 6;
@@ -677,12 +670,15 @@ TEST_P(Conv1dBackwardPathTest, SparseAndDensePathsMatchBruteForce) {
   Matrix y;
   conv.Forward(x, &y);
 
-  // Sparse grad_y: exactly one surviving row per filter column, like the
-  // gradient arriving through max-over-time pooling.
+  // Pooled grad_y: exactly one surviving row per filter column (one of them
+  // zero, as ReLU's gate leaves it).
+  std::vector<int> argmax(f);
+  std::vector<float> pooled(f);
   Matrix sparse_gy(y.rows(), f);
   for (int fi = 0; fi < f; ++fi) {
-    sparse_gy(rng.UniformInt(0, y.rows() - 1), fi) =
-        static_cast<float>(rng.Gaussian(0.0, 1.0));
+    argmax[fi] = rng.UniformInt(0, y.rows() - 1);
+    pooled[fi] = fi == 2 ? 0.0f : static_cast<float>(rng.Gaussian(0.0, 1.0));
+    sparse_gy(argmax[fi], fi) = pooled[fi];
   }
   // Dense grad_y: every entry nonzero.
   Matrix dense_gy = RandomMatrix(y.rows(), f, &rng);
@@ -698,6 +694,30 @@ TEST_P(Conv1dBackwardPathTest, SparseAndDensePathsMatchBruteForce) {
     ExpectMatrixNear(conv.Params()[0]->grad, want_w, 1e-4f);
     ExpectMatrixNear(conv.Params()[1]->grad, want_b, 1e-4f);
     ExpectMatrixNear(grad_x, want_x, 1e-4f);
+  }
+
+  // Twice onto the same grads, so the second pass adds to nonzero sums.
+  std::vector<Matrix> backward_grads;
+  for (const bool pooled_entry : {false, true}) {
+    ZeroGrads(conv.Params());
+    Matrix grad_x;
+    for (int rep = 0; rep < 2; ++rep) {
+      if (pooled_entry) {
+        conv.BackwardPooled(x, argmax, pooled.data(), &grad_x);
+      } else {
+        conv.Backward(x, sparse_gy, &grad_x);
+      }
+    }
+    Matrix want_w, want_b, want_x;
+    NaiveConvBackward(conv, x, sparse_gy, conv.Params()[0]->value, &want_w,
+                      &want_b, &want_x);
+    ExpectMatrixNear(grad_x, want_x, 1e-4f);
+    for (const Parameter* p : conv.Params()) backward_grads.push_back(p->grad);
+  }
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(SameBits(backward_grads[i].data(), backward_grads[i + 2].data(),
+                         backward_grads[i].size()))
+        << "param " << i;
   }
 }
 
@@ -744,69 +764,104 @@ Matrix NaiveConvForward(const Conv1d& conv, const Matrix& w,
 }
 
 class Conv1dForwardOracleTest
-    : public testing::TestWithParam<std::tuple<Conv1d::Padding, bool>> {};
+    : public testing::TestWithParam<std::tuple<Conv1d::Padding, bool, int>> {
+ protected:
+  // Runs ForwardPacked on `batch` copies-in-a-row of random t x d inputs
+  // (or all-zero ones) and checks every instance block, and Forward on each
+  // instance alone, against NaiveConvForward, under both GEMM kinds.
+  void CheckAgainstOracle(Conv1d* conv, bool zero_input, Rng* rng) {
+    const int window = conv->window();
+    const int d = conv->in_dim();
+    const Matrix& bias = conv->Params()[1]->value;
+    RowQuantized qw;
+    QuantizeRows(conv->Params()[0]->value, &qw);
+    const RowQuantized* panel = conv->quantized() ? &qw : nullptr;
+    std::vector<util::gemm::Kind> kinds = {util::gemm::Kind::kScalar};
+    if (util::gemm::SimdCompiled()) kinds.push_back(util::gemm::Kind::kSimd);
+    for (const util::gemm::Kind kind : kinds) {
+      util::gemm::SetActiveKindForTest(kind);
+      for (const int t : {0, 1, 2, window - 1, window, 13}) {
+        for (const int batch : {1, 3}) {
+          for (const util::Act act : {util::Act::kNone, util::Act::kRelu}) {
+            SCOPED_TRACE(testing::Message()
+                         << util::gemm::KindName(kind) << " t=" << t
+                         << " batch=" << batch
+                         << " act=" << static_cast<int>(act));
+            std::vector<Matrix> xs;
+            Matrix packed(batch * t, d);
+            for (int b = 0; b < batch; ++b) {
+              xs.push_back(zero_input ? Matrix(t, d) : RandomMatrix(t, d, rng));
+              for (int r = 0; r < t; ++r) {
+                std::memcpy(packed.Row(b * t + r), xs.back().Row(r),
+                            d * sizeof(float));
+              }
+            }
+            Matrix y_packed;
+            conv->ForwardPacked(packed, batch, t, &y_packed, act);
+            const int out_rows = conv->OutRows(t);
+            ASSERT_EQ(y_packed.rows(), batch * out_rows);
+            for (int b = 0; b < batch; ++b) {
+              const Matrix want = NaiveConvForward(
+                  *conv, conv->Params()[0]->value, bias, panel, xs[b], act);
+              Matrix y;
+              conv->Forward(xs[b], &y, act);
+              ASSERT_EQ(y.rows(), want.rows());
+              ASSERT_EQ(y.cols(), conv->filters());
+              EXPECT_TRUE(SameBits(y.data(), want.data(), want.size()));
+              EXPECT_TRUE(SameBits(y_packed.Row(b * out_rows), want.data(),
+                                   want.size()));
+            }
+          }
+        }
+      }
+    }
+    util::gemm::SetActiveKindForTest(util::gemm::ParseKindEnv());
+  }
+};
 
 TEST_P(Conv1dForwardOracleTest, ForwardsMatchNaiveClippedWindow) {
-  const auto [padding, quantized] = GetParam();
-  // Window 5: t < 5 exercises kValid's zero-padded single row, t = 5 its
-  // one interior row; kSame always has two boundary rows at each end.
-  const int window = 5;
+  const auto [padding, quantized, window] = GetParam();
+  // t < window exercises kValid's zero-padded single row, t = window its
+  // one interior row; kSame always has (window-1)/2 boundary rows at the
+  // front and window-1-(window-1)/2 at the back.
   const int d = 7;
   const int f = 19;  // one full SIMD vector plus a masked tail
   Rng rng(314);
   Conv1d conv("c", window, d, f, padding, &rng);
-  Matrix& bias = conv.Params()[1]->value;
-  bias = RandomMatrix(1, f, &rng);
+  conv.Params()[1]->value = RandomMatrix(1, f, &rng);
   conv.SetQuantized(quantized);
-  RowQuantized qw;
-  QuantizeRows(conv.Params()[0]->value, &qw);
-  const RowQuantized* panel = quantized ? &qw : nullptr;
+  CheckAgainstOracle(&conv, /*zero_input=*/false, &rng);
+}
 
-  std::vector<util::gemm::Kind> kinds = {util::gemm::Kind::kScalar};
-  if (util::gemm::SimdCompiled()) kinds.push_back(util::gemm::Kind::kSimd);
-  for (const util::gemm::Kind kind : kinds) {
-    util::gemm::SetActiveKindForTest(kind);
-    for (const int t : {0, 1, 2, 4, 5, 13}) {
-      for (const util::Act act : {util::Act::kNone, util::Act::kRelu}) {
-        SCOPED_TRACE(testing::Message()
-                     << util::gemm::KindName(kind) << " t=" << t
-                     << " act=" << static_cast<int>(act));
-        constexpr int kBatch = 3;
-        std::vector<Matrix> xs;
-        Matrix packed(kBatch * t, d);
-        for (int b = 0; b < kBatch; ++b) {
-          xs.push_back(RandomMatrix(t, d, &rng));
-          for (int r = 0; r < t; ++r) {
-            std::memcpy(packed.Row(b * t + r), xs.back().Row(r),
-                        d * sizeof(float));
-          }
-        }
-        Matrix y_packed;
-        conv.ForwardPacked(packed, kBatch, t, &y_packed, act);
-        const int out_rows = conv.OutRows(t);
-        ASSERT_EQ(y_packed.rows(), kBatch * out_rows);
-        for (int b = 0; b < kBatch; ++b) {
-          const Matrix want = NaiveConvForward(
-              conv, conv.Params()[0]->value, bias, panel, xs[b], act);
-          Matrix y;
-          conv.Forward(xs[b], &y, act);
-          ASSERT_EQ(y.rows(), want.rows());
-          ASSERT_EQ(y.cols(), f);
-          EXPECT_TRUE(SameBits(y.data(), want.data(), want.size()));
-          EXPECT_TRUE(SameBits(y_packed.Row(b * out_rows), want.data(),
-                               want.size()));
-        }
-      }
+TEST_P(Conv1dForwardOracleTest, ZeroInputAgainstNegativeWeightsStaysPlusZero) {
+  // Every product is -0 here. The oracle's chain starts at +0 and stays +0;
+  // a kernel whose chain started at a -0 product, or a padded window whose
+  // zero rows added -0 to a -0 sum, would keep -0, and a -0 bias makes that
+  // sign visible in kNone outputs.
+  const auto [padding, quantized, window] = GetParam();
+  const int d = 7;
+  const int f = 19;
+  Rng rng(2718);
+  Conv1d conv("c", window, d, f, padding, &rng);
+  Matrix& w = conv.Params()[0]->value;
+  for (int r = 0; r < w.rows(); ++r) {
+    for (int c = 0; c < w.cols(); ++c) {
+      w(r, c) = -0.25f - std::fabs(w(r, c));
     }
   }
-  util::gemm::SetActiveKindForTest(util::gemm::ParseKindEnv());
+  conv.Params()[1]->value.Fill(-0.0f);
+  conv.SetQuantized(quantized);
+  CheckAgainstOracle(&conv, /*zero_input=*/true, &rng);
+  Matrix y;
+  conv.Forward(Matrix(4, d), &y, util::Act::kNone);
+  EXPECT_FALSE(std::signbit(y(0, 0)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaddingsAndPrecisions, Conv1dForwardOracleTest,
+    PaddingsPrecisionsAndWindows, Conv1dForwardOracleTest,
     testing::Combine(testing::Values(Conv1d::Padding::kSame,
                                      Conv1d::Padding::kValid),
-                     testing::Bool()));
+                     testing::Bool(), testing::Values(3, 5)));
 
 // Naive gate pre-activation, the oracle for the recurrent forwards: the
 // input-side product as one std::fma chain over ascending k plus the bias

@@ -518,11 +518,65 @@ TEST(ConfigTest, EnvironmentFallback) {
   EXPECT_EQ(config.GetInt("testkey", 3), 3);
 }
 
-TEST(ConfigTest, MalformedNumbersFallBack) {
-  const char* argv[] = {"prog", "--n=abc"};
-  Config config(2, const_cast<char**>(argv));
-  EXPECT_EQ(config.GetInt("n", 5), 5);
-  EXPECT_DOUBLE_EQ(config.GetDouble("n", 2.5), 2.5);
+TEST(ConfigTest, WholeValuesParse) {
+  const char* argv[] = {"prog",     "--i=-12",   "--d=1e-3", "--b0=off",
+                        "--b1=yes", "--b2=true", "--b3=0",   "--flag"};
+  Config config(8, const_cast<char**>(argv));
+  EXPECT_EQ(config.GetInt("i", 0), -12);
+  EXPECT_DOUBLE_EQ(config.GetDouble("d", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(config.GetDouble("i", 0.0), -12.0);
+  EXPECT_FALSE(config.GetBool("b0", true));
+  EXPECT_TRUE(config.GetBool("b1", false));
+  EXPECT_TRUE(config.GetBool("b2", false));
+  EXPECT_FALSE(config.GetBool("b3", true));
+  EXPECT_TRUE(config.GetBool("flag", false));
+  EXPECT_EQ(config.GetInt("flag", 0), 1);
+}
+
+// A value that does not parse whole aborts naming its source and the value.
+// Each death test re-runs its body in the child, Config and setenv included.
+Config OneFlag(const char* arg) {
+  const char* argv[] = {"prog", arg};
+  return Config(2, const_cast<char**>(argv));
+}
+
+TEST(ConfigDeathTest, IntWithTrailingJunkAborts) {
+  EXPECT_DEATH(OneFlag("--runs=5x").GetInt("runs", 3),
+               "CHECK failed: --runs \\(malformed value \"5x\"");
+}
+
+TEST(ConfigDeathTest, IntInExponentFormAborts) {
+  EXPECT_DEATH(OneFlag("--train=1e3").GetInt("train", 900),
+               "CHECK failed: --train \\(malformed value \"1e3\"");
+}
+
+TEST(ConfigDeathTest, NonNumericIntAborts) {
+  EXPECT_DEATH(OneFlag("--epochs=abc").GetInt("epochs", 15),
+               "CHECK failed: --epochs \\(malformed value \"abc\"");
+}
+
+TEST(ConfigDeathTest, OutOfRangeIntAborts) {
+  EXPECT_DEATH(OneFlag("--runs=4294967296").GetInt("runs", 3),
+               "CHECK failed: --runs \\(malformed value \"4294967296\"");
+}
+
+TEST(ConfigDeathTest, MalformedDoubleAborts) {
+  EXPECT_DEATH(OneFlag("--rate=0.5x").GetDouble("rate", 2.5),
+               "CHECK failed: --rate \\(malformed value \"0.5x\"");
+  EXPECT_DEATH(OneFlag("--rate=nan").GetDouble("rate", 2.5),
+               "CHECK failed: --rate \\(malformed value \"nan\"");
+}
+
+TEST(ConfigDeathTest, MisspelledBoolAborts) {
+  EXPECT_DEATH(OneFlag("--full=ture").GetBool("full", false),
+               "CHECK failed: --full \\(malformed value \"ture\"");
+}
+
+TEST(ConfigDeathTest, MalformedEnvironmentValueNamesTheVariable) {
+  setenv("LNCL_TESTKEY", "7 ", 1);
+  EXPECT_DEATH(Config().GetInt("testkey", 0),
+               "CHECK failed: LNCL_TESTKEY \\(malformed value \"7 \"");
+  unsetenv("LNCL_TESTKEY");
 }
 
 // ----------------------------------------------------------------- Table --
